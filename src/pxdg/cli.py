@@ -97,16 +97,15 @@ def _cmd_solve(args) -> int:
     ny = args.ny if args.ny is not None else args.nx
     mesh = build_uniform_mesh(prob.domain, args.nx, ny)
     data = ProblemData(mesh=mesh, exponent=prob.exponent, xi=prob.xi,
-                       u_D=prob.u_D, r=cfg.r)
+                       u_D=prob.u_D)
     state = run(data, cfg)
     err = l2_error(state.u, prob)
     with open(args.out, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["element", "x", "y", "u"])
-        for k, e in enumerate(mesh.elements):
-            out.writerow([k, "%.12g" % e.barycenter[0],
-                          "%.12g" % e.barycenter[1],
-                          "%.12g" % state.u.values[k]])
+        for k, ((x, y), u) in enumerate(zip(mesh.barycenters.tolist(),
+                                            state.u.values.tolist())):
+            out.writerow([k, "%.12g" % x, "%.12g" % y, "%.12g" % u])
     if args.trace:
         write_trace_csv(state, args.trace)
     print(f"b={args.b:g} nx={args.nx} ny={ny} m={mesh.n_elements} "

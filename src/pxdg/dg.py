@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Edge, Mesh
+from .mesh import Edge, Mesh, edge_weights
 
 __all__ = [
     "DgScalar",
@@ -19,7 +19,6 @@ __all__ = [
     "jump",
     "average",
     "lifting",
-    "b_operator",
     "lifting_matrices",
     "l2_norm",
     "jump_l2_norm",
@@ -69,28 +68,32 @@ def average(phi: DgVector, e: Edge) -> np.ndarray:
 
 
 def lifting_matrices(mesh: Mesh) -> tuple:
-    """Sparse (Lx, Ly) with lifting(u) = (Lx @ u, Ly @ u); cached on the mesh."""
+    """Sparse (Lx, Ly) with lifting(u) = (Lx @ u, Ly @ u); cached on the mesh.
+
+    Only nonzero entries are stored: a component the edge normal lacks
+    contributes nothing, and on a uniform mesh the two contributions to an
+    interior element's diagonal cancel exactly.
+    """
     cached = getattr(mesh, "_lifting_matrices", None)
     if cached is not None:
         return cached
     m = mesh.n_elements
-    rows, cols, dat_x, dat_y = [], [], [], []
-    for k in range(len(mesh.int_plus)):
-        a, b = int(mesh.int_plus[k]), int(mesh.int_minus[k])
-        le = mesh.int_length[k]
-        nu = mesh.int_normal[k]
-        for kappa in (a, b):
-            # -(|e|/2)/|kappa| times the jump of the basis function
-            coef = -(le / 2.0) / mesh.areas[kappa]
-            rows += [kappa, kappa]
-            cols += [a, b]
-            dat_x += [coef * nu[0], -coef * nu[0]]
-            dat_y += [coef * nu[1], -coef * nu[1]]
-    shape = (m, m)
-    mats = (sp.csr_matrix((dat_x, (rows, cols)), shape=shape),
-            sp.csr_matrix((dat_y, (rows, cols)), shape=shape))
-    mesh._lifting_matrices = mats
-    return mats
+    a, b = mesh.int_plus, mesh.int_minus
+    # row kappa in {a, b} gets -(|e|/2)/|kappa| times the jump of the basis
+    # function: +nu in column a, -nu in column b
+    coef_a = -(mesh.int_length / 2.0) / mesh.areas[a]
+    coef_b = -(mesh.int_length / 2.0) / mesh.areas[b]
+    coef = np.concatenate([coef_a, -coef_a, coef_b, -coef_b])
+    rows = np.concatenate([a, a, b, b])
+    cols = np.concatenate([a, b, a, b])
+    mats = []
+    for nu in mesh.int_normal.T:
+        mat = sp.csr_matrix((coef * np.tile(nu, 4), (rows, cols)),
+                            shape=(m, m))
+        mat.eliminate_zeros()
+        mats.append(mat)
+    mesh._lifting_matrices = tuple(mats)
+    return mesh._lifting_matrices
 
 
 def lifting(u: DgScalar) -> DgVector:
@@ -102,11 +105,6 @@ def lifting(u: DgScalar) -> DgVector:
     """
     lx, ly = lifting_matrices(u.mesh)
     return DgVector(u.mesh, np.column_stack([lx @ u.values, ly @ u.values]))
-
-
-def b_operator(u: DgScalar) -> DgVector:
-    """Broken gradient plus lifting; the gradient term is zero for P0."""
-    return lifting(u)
 
 
 def l2_norm(field) -> float:
@@ -132,7 +130,6 @@ def weighted_jump_norm(u: DgScalar, exponent) -> float:
     the gradient part vanishes, so it is the whole seminorm.
     """
     mesh = u.mesh
-    p_int = np.asarray(exponent(mesh.int_mid[:, 0], mesh.int_mid[:, 1]), float)
-    w = mesh.int_length ** (-2.0 * (p_int - 1.0) / p_int)
+    w = edge_weights(mesh, exponent)[0]
     du = u.values[mesh.int_plus] - u.values[mesh.int_minus]
     return float(np.sqrt((mesh.int_length * w * du ** 2).sum()))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,6 @@ __all__ = [
     "Edge",
     "Mesh",
     "build_uniform_mesh",
-    "edge_weight",
     "edge_weights",
     "write_mesh_csv",
 ]
@@ -78,58 +78,112 @@ class Edge:
 
 @dataclass
 class Mesh:
-    """Uniform nx-by-ny partition with flat arrays for vectorized assembly.
+    """Uniform nx-by-ny partition stored as flat arrays.
 
-    Array fields mirror the Element/Edge lists: interior edge k joins
-    int_plus[k] and int_minus[k] with unit normal int_normal[k]; boundary
-    edge k lies on element bnd_element[k] with outward normal bnd_normal[k]
-    and endpoints bnd_p0[k], bnd_p1[k].
+    x_lines and y_lines are the grid lines. Interior edge k joins
+    int_plus[k] and int_minus[k], runs from int_p0[k] to int_p1[k] and has
+    unit normal int_normal[k]; boundary edge k lies on element
+    bnd_element[k], runs from bnd_p0[k] to bnd_p1[k] and has outward normal
+    bnd_normal[k]. The Element and Edge lists are views built from these
+    arrays on first access.
     """
 
     domain: Domain
     nx: int
     ny: int
-    elements: list = field(repr=False)
-    interior_edges: list = field(repr=False)
-    boundary_edges: list = field(repr=False)
-    dx: float = field(repr=False, default=0.0)
-    dy: float = field(repr=False, default=0.0)
-    areas: np.ndarray = field(repr=False, default=None)
-    barycenters: np.ndarray = field(repr=False, default=None)
-    int_plus: np.ndarray = field(repr=False, default=None)
-    int_minus: np.ndarray = field(repr=False, default=None)
-    int_length: np.ndarray = field(repr=False, default=None)
-    int_normal: np.ndarray = field(repr=False, default=None)
-    int_mid: np.ndarray = field(repr=False, default=None)
-    bnd_element: np.ndarray = field(repr=False, default=None)
-    bnd_length: np.ndarray = field(repr=False, default=None)
-    bnd_mid: np.ndarray = field(repr=False, default=None)
-    bnd_p0: np.ndarray = field(repr=False, default=None)
-    bnd_p1: np.ndarray = field(repr=False, default=None)
+    dx: float = field(repr=False)
+    dy: float = field(repr=False)
+    x_lines: np.ndarray = field(repr=False)
+    y_lines: np.ndarray = field(repr=False)
+    areas: np.ndarray = field(repr=False)
+    barycenters: np.ndarray = field(repr=False)
+    int_plus: np.ndarray = field(repr=False)
+    int_minus: np.ndarray = field(repr=False)
+    int_length: np.ndarray = field(repr=False)
+    int_normal: np.ndarray = field(repr=False)
+    int_p0: np.ndarray = field(repr=False)
+    int_p1: np.ndarray = field(repr=False)
+    bnd_element: np.ndarray = field(repr=False)
+    bnd_length: np.ndarray = field(repr=False)
+    bnd_normal: np.ndarray = field(repr=False)
+    bnd_p0: np.ndarray = field(repr=False)
+    bnd_p1: np.ndarray = field(repr=False)
 
     @property
     def n_elements(self) -> int:
         return self.nx * self.ny
 
+    @property
+    def int_mid(self) -> np.ndarray:
+        return 0.5 * (self.int_p0 + self.int_p1)
+
+    @property
+    def bnd_mid(self) -> np.ndarray:
+        return 0.5 * (self.bnd_p0 + self.bnd_p1)
+
+    @cached_property
+    def elements(self) -> list:
+        dx, dy = self.dx, self.dy
+        diam = float(np.hypot(dx, dy))
+        xs, ys = self.x_lines.tolist(), self.y_lines.tolist()
+        return [Element(index=j * self.nx + i,
+                        bounds=(xs[i], xs[i] + dx, ys[j], ys[j] + dy),
+                        area=dx * dy,
+                        barycenter=(xs[i] + 0.5 * dx, ys[j] + 0.5 * dy),
+                        diameter=diam)
+                for j in range(self.ny) for i in range(self.nx)]
+
+    @cached_property
+    def interior_edges(self) -> list:
+        return _edge_views(self.int_p0, self.int_p1, self.int_length,
+                           self.int_plus, self.int_minus.tolist(),
+                           self.int_normal)
+
+    @cached_property
+    def boundary_edges(self) -> list:
+        return _edge_views(self.bnd_p0, self.bnd_p1, self.bnd_length,
+                           self.bnd_element, [None] * len(self.bnd_element),
+                           self.bnd_normal)
+
     def element_edges(self, index: int) -> list:
         """Indices into interior_edges + boundary_edges incident to an element.
 
-        Boundary edges are offset by len(interior_edges) so indices are unique.
+        Boundary edges are offset by the interior edge count so indices are
+        unique; each list is ascending.
         """
-        self._build_incidence()
         return self._incidence[index]
 
-    def _build_incidence(self):
-        if hasattr(self, "_incidence"):
-            return
-        inc = [[] for _ in range(self.n_elements)]
-        for e in self.interior_edges:
-            inc[e.plus_element].append(e.index)
-            inc[e.minus_element].append(e.index)
-        off = len(self.interior_edges)
-        for e in self.boundary_edges:
-            inc[e.plus_element].append(off + e.index)
-        self._incidence = inc
+    @cached_property
+    def _incidence(self) -> list:
+        n_int = len(self.int_plus)
+        owner = np.concatenate([self.int_plus, self.int_minus,
+                                self.bnd_element])
+        edge = np.concatenate([np.arange(n_int), np.arange(n_int),
+                               n_int + np.arange(len(self.bnd_element))])
+        order = np.lexsort((edge, owner))
+        counts = np.bincount(owner, minlength=self.n_elements)
+        return [ids.tolist()
+                for ids in np.split(edge[order], np.cumsum(counts)[:-1])]
+
+
+def _edge_views(p0, p1, length, plus, minus, normal) -> list:
+    return [Edge(index=k, endpoints=(tuple(a), tuple(b)), length=le,
+                 diameter=le, plus_element=pl, minus_element=mi,
+                 nu_plus=tuple(nu))
+            for k, (a, b, le, pl, mi, nu) in enumerate(zip(
+                p0.tolist(), p1.tolist(), length.tolist(), plus.tolist(),
+                minus, normal.tolist()))]
+
+
+def _points(x, y) -> np.ndarray:
+    """(n, 2) array of points; a scalar coordinate is shared by all."""
+    return np.column_stack(np.broadcast_arrays(x, y))
+
+
+def _pairs(i, j) -> tuple:
+    """All (i, j) index pairs, j-major with i varying fastest."""
+    ii, jj = np.meshgrid(i, j)
+    return ii.ravel(), jj.ravel()
 
 
 def build_uniform_mesh(domain: Domain, nx: int, ny: int) -> Mesh:
@@ -138,95 +192,52 @@ def build_uniform_mesh(domain: Domain, nx: int, ny: int) -> Mesh:
         raise ValueError("element counts must be positive")
     dx = (domain.x_max - domain.x_min) / nx
     dy = (domain.y_max - domain.y_min) / ny
-    x0, y0 = domain.x_min, domain.y_min
-    diam = float(np.hypot(dx, dy))
-    area = dx * dy
+    xs = domain.x_min + np.arange(nx + 1) * dx
+    ys = domain.y_min + np.arange(ny + 1) * dy
+    cols, rows = np.arange(nx), np.arange(ny)
 
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            k = j * nx + i
-            bx0, by0 = x0 + i * dx, y0 + j * dy
-            elements.append(Element(
-                index=k,
-                bounds=(bx0, bx0 + dx, by0, by0 + dy),
-                area=area,
-                barycenter=(bx0 + 0.5 * dx, by0 + 0.5 * dy),
-                diameter=diam,
-            ))
-    bary = np.array([e.barycenter for e in elements])
+    vi, vj = _pairs(cols[:-1], rows)  # vertical interior edges
+    hi, hj = _pairs(cols, rows[:-1])  # horizontal interior edges
+    vk, hk = vj * nx + vi, hj * nx + hi
 
-    interior = []
-    for j in range(ny):  # vertical interior edges
-        for i in range(nx - 1):
-            xe = x0 + (i + 1) * dx
-            interior.append(Edge(
-                index=len(interior),
-                endpoints=((xe, y0 + j * dy), (xe, y0 + (j + 1) * dy)),
-                length=dy, diameter=dy,
-                plus_element=j * nx + i, minus_element=j * nx + i + 1,
-                nu_plus=(1.0, 0.0),
-            ))
-    for j in range(ny - 1):  # horizontal interior edges
-        for i in range(nx):
-            ye = y0 + (j + 1) * dy
-            interior.append(Edge(
-                index=len(interior),
-                endpoints=((x0 + i * dx, ye), (x0 + (i + 1) * dx, ye)),
-                length=dx, diameter=dx,
-                plus_element=j * nx + i, minus_element=(j + 1) * nx + i,
-                nu_plus=(0.0, 1.0),
-            ))
+    # boundary: bottom left to right, right bottom to top, top right to
+    # left, left top to bottom
+    bnd_p0 = np.concatenate([
+        _points(xs[:-1], domain.y_min), _points(domain.x_max, ys[:-1]),
+        _points(xs[:0:-1], domain.y_max), _points(domain.x_min, ys[:0:-1])])
+    bnd_p1 = np.concatenate([
+        _points(xs[1:], domain.y_min), _points(domain.x_max, ys[1:]),
+        _points(xs[-2::-1], domain.y_max), _points(domain.x_min, ys[-2::-1])])
+    edge_vec = bnd_p1 - bnd_p0
 
-    boundary = []
-
-    def bedge(p0, p1, elem, nu):
-        length = float(np.hypot(p1[0] - p0[0], p1[1] - p0[1]))
-        boundary.append(Edge(
-            index=len(boundary), endpoints=(p0, p1), length=length,
-            diameter=length, plus_element=elem, minus_element=None, nu_plus=nu,
-        ))
-
-    for i in range(nx):  # bottom, left to right
-        bedge((x0 + i * dx, y0), (x0 + (i + 1) * dx, y0), i, (0.0, -1.0))
-    for j in range(ny):  # right, bottom to top
-        xr = domain.x_max
-        bedge((xr, y0 + j * dy), (xr, y0 + (j + 1) * dy), j * nx + nx - 1, (1.0, 0.0))
-    for i in range(nx - 1, -1, -1):  # top, right to left
-        yt = domain.y_max
-        bedge((x0 + (i + 1) * dx, yt), (x0 + i * dx, yt), (ny - 1) * nx + i, (0.0, 1.0))
-    for j in range(ny - 1, -1, -1):  # left, top to bottom
-        bedge((x0, y0 + (j + 1) * dy), (x0, y0 + j * dy), j * nx, (-1.0, 0.0))
-
-    mesh = Mesh(
-        domain=domain, nx=nx, ny=ny,
-        elements=elements, interior_edges=interior, boundary_edges=boundary,
-        dx=dx, dy=dy,
-        areas=np.full(nx * ny, area),
-        barycenters=bary,
-        int_plus=np.array([e.plus_element for e in interior], dtype=int),
-        int_minus=np.array([e.minus_element for e in interior], dtype=int),
-        int_length=np.array([e.length for e in interior]),
-        int_normal=np.array([e.nu_plus for e in interior]).reshape(-1, 2),
-        int_mid=np.array([e.midpoint for e in interior]).reshape(-1, 2),
-        bnd_element=np.array([e.plus_element for e in boundary], dtype=int),
-        bnd_length=np.array([e.length for e in boundary]),
-        bnd_mid=np.array([e.midpoint for e in boundary]),
-        bnd_p0=np.array([e.endpoints[0] for e in boundary]),
-        bnd_p1=np.array([e.endpoints[1] for e in boundary]),
+    bx, by = _pairs(xs[:-1] + 0.5 * dx, ys[:-1] + 0.5 * dy)
+    return Mesh(
+        domain=domain, nx=nx, ny=ny, dx=dx, dy=dy, x_lines=xs, y_lines=ys,
+        areas=np.full(nx * ny, dx * dy),
+        barycenters=np.column_stack([bx, by]),
+        int_plus=np.concatenate([vk, hk]),
+        int_minus=np.concatenate([vk + 1, hk + nx]),
+        int_length=np.concatenate([np.full(len(vk), dy),
+                                   np.full(len(hk), dx)]),
+        int_normal=np.repeat([[1.0, 0.0], [0.0, 1.0]], [len(vk), len(hk)],
+                             axis=0),
+        int_p0=np.concatenate([_points(xs[vi + 1], ys[vj]),
+                               _points(xs[hi], ys[hj + 1])]),
+        int_p1=np.concatenate([_points(xs[vi + 1], ys[vj + 1]),
+                               _points(xs[hi + 1], ys[hj + 1])]),
+        bnd_element=np.concatenate([cols, rows * nx + nx - 1,
+                                    (ny - 1) * nx + cols[::-1],
+                                    rows[::-1] * nx]),
+        bnd_length=np.hypot(edge_vec[:, 0], edge_vec[:, 1]),
+        bnd_normal=np.repeat([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0],
+                              [-1.0, 0.0]], [nx, ny, nx, ny], axis=0),
+        bnd_p0=bnd_p0, bnd_p1=bnd_p1,
     )
-    return mesh
-
-
-def edge_weight(edge: Edge, exponent) -> float:
-    """Penalty weight diam(e)^(-2/p'(x_e)) with p' conjugate at the midpoint."""
-    xm, ym = edge.midpoint
-    pv = float(exponent(xm, ym))
-    return float(edge.diameter ** (-2.0 * (pv - 1.0) / pv))
 
 
 def edge_weights(mesh: Mesh, exponent) -> tuple:
-    """Vectorized penalty weights for all (interior, boundary) edges."""
+    """Penalty weights diam(e)^(-2/p'(x_e)) for all (interior, boundary)
+    edges, with p' the conjugate exponent at the edge midpoint."""
     p_int = np.asarray(exponent(mesh.int_mid[:, 0], mesh.int_mid[:, 1]), float)
     p_bnd = np.asarray(exponent(mesh.bnd_mid[:, 0], mesh.bnd_mid[:, 1]), float)
     w_int = mesh.int_length ** (-2.0 * (p_int - 1.0) / p_int)

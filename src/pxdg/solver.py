@@ -5,23 +5,22 @@ root solve recovering the auxiliary flux eta, and a multiplier update
 lam <- lam + rho (Bu - eta). The uncoupled variant performs one u-solve and
 one eta-update per multiplier step; the coupled variant iterates the pair
 to a joint minimum of the augmented Lagrangian before each multiplier step.
+`run` drives both through the same step functions.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dg import DgScalar, DgVector, l2_norm, lifting_matrices
+from .dg import DgScalar, DgVector, l2_norm, lifting, lifting_matrices
 from .energy import ProblemData, eval_Jh
-from .mesh import edge_weights
-from .quadrature import boundary_points, element_points
 
 __all__ = [
     "Algorithm",
@@ -38,8 +37,6 @@ __all__ = [
     "lambda_update",
     "stopping_check",
     "run",
-    "run_coupled",
-    "run_uncoupled",
     "write_trace_csv",
 ]
 
@@ -69,12 +66,17 @@ class SolverConfig:
     force_step_size: bool = False
 
     def __post_init__(self):
-        # r = 0 is permitted for bare assembly; the run entry points insist
-        # on r > 0, which both convergence bounds require
-        if self.r < 0:
-            raise ValueError("penalty parameter r must be nonnegative")
-        if self.tol_outer <= 0 or self.tol_inner <= 0 or self.linear_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # r = 0 is permitted for bare assembly; run insists on r > 0, which
+        # both convergence bounds require
+        if not (np.isfinite(self.r) and self.r >= 0):
+            raise ValueError("penalty parameter r must be finite and "
+                             f"nonnegative, got {self.r!r}")
+        if self.rho is not None and not np.isfinite(self.rho):
+            raise ValueError(f"step size rho must be finite, got {self.rho!r}")
+        for tol in (self.tol_outer, self.tol_inner, self.linear_tol):
+            if not (np.isfinite(tol) and tol > 0):
+                raise ValueError("tolerances must be positive and finite, "
+                                 f"got {tol!r}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration limits must be positive")
 
@@ -146,7 +148,7 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     area = sp.diags(mesh.areas)
     mat = sp.diags(mesh.areas) + cfg.r * (lx.T @ area @ lx + ly.T @ area @ ly)
 
-    w_int, w_bnd = edge_weights(mesh, data.exponent)
+    w_int, w_bnd = data.penalty_weights
     if len(mesh.int_plus):
         vals = w_int * mesh.int_length
         ij = np.concatenate([mesh.int_plus, mesh.int_minus,
@@ -162,27 +164,13 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     return SystemMatrix(matrix=mat, factor=spla.splu(mat))
 
 
-def _load_vector(data: ProblemData) -> np.ndarray:
-    """Iteration-independent part of the right-hand side: data and boundary."""
-    mesh = data.mesh
-    xq, yq, wq = element_points(mesh)
-    load = (np.asarray(data.xi(xq, yq), float) * wq[None, :]).sum(axis=1)
-    _, w_bnd = edge_weights(mesh, data.exponent)
-    bx, by, bw = boundary_points(mesh)
-    bvals = (np.asarray(data.u_D(bx, by), float) * bw).sum(axis=1) * w_bnd
-    np.add.at(load, mesh.bnd_element, bvals)
-    return load
-
-
 def assemble_rhs(state: SolverState, data: ProblemData,
                  cfg: SolverConfig) -> np.ndarray:
     """Load vector plus the flux coupling term integral (r eta - lam) . Bphi."""
-    mesh = data.mesh
-    load = _load_vector(data)
-    lx, ly = lifting_matrices(mesh)
+    lx, ly = lifting_matrices(data.mesh)
     s = cfg.r * state.eta.values - state.lam.values
-    a = mesh.areas
-    return load + lx.T @ (a * s[:, 0]) + ly.T @ (a * s[:, 1])
+    a = data.mesh.areas
+    return data.load + lx.T @ (a * s[:, 0]) + ly.T @ (a * s[:, 1])
 
 
 def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
@@ -255,20 +243,14 @@ def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
 def eta_update(u: DgScalar, lam: DgVector, data: ProblemData,
                cfg: SolverConfig) -> DgVector:
     """Flux recovery step for the current u and multiplier."""
-    mesh = data.mesh
-    lx, ly = lifting_matrices(mesh)
-    bu = np.column_stack([lx @ u.values, ly @ u.values])
-    p_bar = data.exponent.barycenter_values(mesh)
-    return DgVector(mesh, _eta_from(bu, lam.values, p_bar, cfg.r))
+    return DgVector(data.mesh, _eta_from(lifting(u).values, lam.values,
+                                         data.p_bar, cfg.r))
 
 
 def lambda_update(state: SolverState, cfg: SolverConfig) -> DgVector:
     """Multiplier step lam + rho (Bu - eta)."""
-    mesh = state.u.mesh
-    lx, ly = lifting_matrices(mesh)
-    bu = np.column_stack([lx @ state.u.values, ly @ state.u.values])
-    new = state.lam.values + cfg.effective_rho * (bu - state.eta.values)
-    return DgVector(mesh, new)
+    gap = lifting(state.u).values - state.eta.values
+    return DgVector(state.u.mesh, state.lam.values + cfg.effective_rho * gap)
 
 
 def stopping_check(state: SolverState, cfg: SolverConfig) -> bool:
@@ -287,94 +269,54 @@ def stopping_check(state: SolverState, cfg: SolverConfig) -> bool:
     return ok
 
 
-def _iterate(data: ProblemData, cfg: SolverConfig, init: SolverState | None,
-             coupled: bool) -> SolverState:
+def _distance(a, b) -> float:
+    """Area-weighted L2 distance between two P0 fields of one kind."""
+    return l2_norm(replace(a, values=a.values - b.values))
+
+
+def run(data: ProblemData, cfg: SolverConfig,
+        init: SolverState | None = None) -> SolverState:
+    """Iterate cfg.algorithm from init (default zero) to a saddle point.
+
+    An outer iteration sweeps a u-solve and a flux recovery, then updates
+    the multiplier. The uncoupled algorithm makes one sweep; the coupled
+    one repeats the sweep at frozen lam until eta moves by at most
+    tol_inner, up to max_inner sweeps.
+    """
     if cfg.r <= 0:
         raise ValueError("iteration requires r > 0")
     _check_step_size(cfg)
     mesh = data.mesh
     matrix = assemble_matrix(data, cfg)
-    load = _load_vector(data)
-    lx, ly = lifting_matrices(mesh)
-    a = mesh.areas
-    p_bar = data.exponent.barycenter_values(mesh)
-    state = init if init is not None else _zero_state(mesh)
-    eta = state.eta.values.copy()
-    lam = state.lam.values.copy()
-    u_prev = state.u.values.copy()
-    history = []
-    inner_ok = True
-
-    def usolve(eta_cur, lam_cur):
-        s = cfg.r * eta_cur - lam_cur
-        rhs = load + lx.T @ (a * s[:, 0]) + ly.T @ (a * s[:, 1])
-        u = solve_linear(matrix, rhs, cfg.linear_tol)
-        return u, np.column_stack([lx @ u, ly @ u])
-
-    converged = False
-    n = 0
+    sweeps = cfg.max_inner if cfg.algorithm == Algorithm.COUPLED else 1
+    start = init if init is not None else _zero_state(mesh)
+    state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
     for n in range(1, cfg.max_outer + 1):
-        if coupled:
-            # joint (u, eta) minimization by alternation at frozen lam
-            u, bu = usolve(eta, lam)
-            eta_new = _eta_from(bu, lam, p_bar, cfg.r)
-            inner_this = False
-            for _ in range(cfg.max_inner - 1):
-                step = np.sqrt((a[:, None] * (eta_new - eta) ** 2).sum())
-                eta = eta_new
-                if step <= cfg.tol_inner:
-                    inner_this = True
-                    break
-                u, bu = usolve(eta, lam)
-                eta_new = _eta_from(bu, lam, p_bar, cfg.r)
-            eta = eta_new
-            inner_ok = inner_ok and inner_this
+        u_prev = state.u
+        for _ in range(sweeps):
+            eta_prev = state.eta
+            u = DgScalar(mesh, solve_linear(
+                matrix, assemble_rhs(state, data, cfg), cfg.linear_tol))
+            state = replace(state, u=u,
+                            eta=eta_update(u, state.lam, data, cfg))
+            if sweeps == 1 or _distance(state.eta, eta_prev) <= cfg.tol_inner:
+                break
         else:
-            u, bu = usolve(eta, lam)
-            eta = _eta_from(bu, lam, p_bar, cfg.r)
-
-        gap = bu - eta
-        lam_new = lam + cfg.effective_rho * gap
-        res_u = float(np.sqrt((a * (u - u_prev) ** 2).sum()))
-        res_c = float(np.sqrt((a[:, None] * gap ** 2).sum()))
-        res_l = float(np.sqrt((a[:, None] * (lam_new - lam) ** 2).sum()))
-        lam = lam_new
-        u_prev = u
-
-        state = SolverState(
-            u=DgScalar(mesh, u), eta=DgVector(mesh, eta),
-            lam=DgVector(mesh, lam), iteration=n,
-            residual_u=res_u, residual_constraint=res_c, residual_lambda=res_l,
-            energy=eval_Jh(DgScalar(mesh, u), data).J_value,
-            inner_converged=inner_ok, history=history,
-        )
-        history.append(IterationRecord(n, res_u, res_c, res_l, state.energy))
+            state.inner_converged = False
+        lam = lambda_update(state, cfg)
+        state = replace(
+            state, lam=lam, iteration=n,
+            residual_u=_distance(state.u, u_prev),
+            residual_constraint=_distance(lifting(state.u), state.eta),
+            residual_lambda=_distance(lam, state.lam),
+            energy=eval_Jh(state.u, data).J_value)
+        state.history.append(IterationRecord(
+            n, state.residual_u, state.residual_constraint,
+            state.residual_lambda, state.energy))
         if stopping_check(state, cfg):
-            converged = True
+            state.converged = True
             break
-
-    state.converged = converged
     return state
-
-
-def run_uncoupled(data: ProblemData, cfg: SolverConfig,
-                  init: SolverState | None = None) -> SolverState:
-    """One linear solve and one flux recovery per multiplier update."""
-    return _iterate(data, cfg, init, coupled=False)
-
-
-def run_coupled(data: ProblemData, cfg: SolverConfig,
-                init: SolverState | None = None) -> SolverState:
-    """Inner alternation to the joint (u, eta) minimum per multiplier update."""
-    return _iterate(data, cfg, init, coupled=True)
-
-
-def run(data: ProblemData, cfg: SolverConfig,
-        init: SolverState | None = None) -> SolverState:
-    """Dispatch on cfg.algorithm."""
-    if cfg.algorithm == Algorithm.COUPLED:
-        return run_coupled(data, cfg, init)
-    return run_uncoupled(data, cfg, init)
 
 
 def write_trace_csv(state: SolverState, path) -> None:

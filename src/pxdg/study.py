@@ -118,7 +118,7 @@ def run_study(b_list, nx_list, cfg: SolverConfig) -> list:
         for nx in nx_list:
             mesh = build_uniform_mesh(prob.domain, nx, nx)
             data = ProblemData(mesh=mesh, exponent=prob.exponent,
-                               xi=prob.xi, u_D=prob.u_D, r=cfg.r)
+                               xi=prob.xi, u_D=prob.u_D)
             state = run(data, cfg)
             rows.append(StudyRow(
                 b=b, nx=nx, m=mesh.n_elements,

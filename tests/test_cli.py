@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from pxdg import build_uniform_mesh, manufactured_problem
 from pxdg.cli import main
 
 
@@ -27,7 +28,16 @@ def test_solve_rectangular_mesh(tmp_path):
     code = main(["solve", "--b", "0", "--nx", "4", "--ny", "3",
                  "--out", str(out)])
     assert code == 0
-    assert len(list(csv.reader(out.open()))) == 1 + 12
+    rows = list(csv.reader(out.open()))[1:]
+    assert len(rows) == 12
+    mesh = build_uniform_mesh(manufactured_problem(0.0).domain, 4, 3)
+    for k, row in enumerate(rows):
+        # row-major: element k = j*nx + i sits in column i, row j
+        j, i = divmod(k, 4)
+        x, y = mesh.elements[k].barycenter
+        assert x == pytest.approx(-1.0 + (i + 0.5) * 0.5, rel=1e-12)
+        assert y == pytest.approx(-1.0 + (j + 0.5) * 2.0 / 3.0, rel=1e-12)
+        assert (float(row[1]), float(row[2])) == pytest.approx((x, y), rel=1e-11)
 
 
 def test_solve_writes_trace(tmp_path):
@@ -73,6 +83,14 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                      "--out", out]) == 1
     # empty study lists
     assert main(["study", "--b", "", "--nx", "4", "--out", out]) == 1
+    capsys.readouterr()
+    # non-finite solver settings are input errors, not solver failures
+    assert main(["solve", "--b", "0.5", "--nx", "4", "--tol", "nan",
+                 "--out", out]) == 1
+    assert "tolerances" in capsys.readouterr().err
+    assert main(["solve", "--b", "0.5", "--nx", "4", "--r", "nan",
+                 "--out", out]) == 1
+    assert "penalty parameter r" in capsys.readouterr().err
 
 
 def test_non_convergence_exits_two(tmp_path):

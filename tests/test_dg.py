@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pxdg import (DgScalar, DgVector, Domain, Edge, average, b_operator,
+from pxdg import (DgScalar, DgVector, Domain, Edge, average,
                   build_uniform_mesh, jump, jump_l2_norm, l2_norm, lifting,
                   lifting_matrices, luxemburg_norm, manufactured_exponent,
                   modular, weighted_jump_norm)
@@ -85,11 +85,13 @@ def test_lifting_linearity():
     assert np.allclose(combo, parts, rtol=1e-12, atol=1e-14)
 
 
-def test_b_operator_is_lifting_for_p0():
-    mesh = build_uniform_mesh(SQUARE, 3, 3)
-    rng = np.random.default_rng(5)
-    u = DgScalar(mesh, rng.normal(size=mesh.n_elements))
-    assert np.array_equal(b_operator(u).values, lifting(u).values)
+def test_lifting_matrices_store_no_zeros():
+    for dom, nx, ny in [(SQUARE, 1, 1), (SQUARE, 2, 1), (SQUARE, 1, 3),
+                        (SQUARE, 6, 6), (Domain(0.5, 2.0, -0.3, 0.9), 7, 4)]:
+        mesh = build_uniform_mesh(dom, nx, ny)
+        for mat in lifting_matrices(mesh):
+            assert mat.has_canonical_format
+            assert np.count_nonzero(mat.data == 0.0) == 0
 
 
 def test_lifting_matrices_cached_and_consistent():

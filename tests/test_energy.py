@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pxdg import (DgScalar, DgVector, Domain, EnergyReport, ExponentField,
-                  ProblemData, build_uniform_mesh, b_operator, eval_F,
-                  eval_F_barycenter, eval_G, eval_Jh, eval_lagrangian, grad_F,
+                  ProblemData, build_uniform_mesh, eval_F, eval_F_barycenter,
+                  eval_G, eval_Jh, eval_lagrangian, grad_F, lifting,
                   manufactured_exponent)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -15,9 +15,9 @@ def zero(x, y):
     return np.zeros_like(np.asarray(x, float))
 
 
-def make_data(mesh, b=0.0, r=1.0, xi=zero, u_D=zero):
+def make_data(mesh, b=0.0, xi=zero, u_D=zero):
     return ProblemData(mesh=mesh, exponent=manufactured_exponent(b),
-                       xi=xi, u_D=u_D, r=r)
+                       xi=xi, u_D=u_D)
 
 
 def constant_exponent(value):
@@ -173,7 +173,7 @@ def test_lagrangian_at_feasible_point_equals_objective():
     rng = np.random.default_rng(18)
     v = DgScalar(mesh, rng.normal(size=mesh.n_elements))
     lam = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
-    got = eval_lagrangian(v, b_operator(v), lam, data)
+    got = eval_lagrangian(v, lifting(v), lam, data, 1.0)
     assert got == pytest.approx(eval_Jh(v, data).J_value, rel=1e-12)
 
 
@@ -182,7 +182,7 @@ def test_lagrangian_all_zero():
     data = make_data(mesh, b=0.25, xi=lambda x, y: np.cos(x) * y)
     z = DgScalar(mesh, np.zeros(mesh.n_elements))
     zq = DgVector(mesh, np.zeros((mesh.n_elements, 2)))
-    assert eval_lagrangian(z, zq, zq, data) == \
+    assert eval_lagrangian(z, zq, zq, data, 1.0) == \
         pytest.approx(eval_G(z, data), rel=1e-14)
 
 
@@ -192,10 +192,11 @@ def test_lagrangian_r_scaling():
     v = DgScalar(mesh, rng.normal(size=mesh.n_elements))
     q = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
     lam = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
+    data = make_data(mesh, b=0.5)
     r0 = 0.8
-    low = eval_lagrangian(v, q, lam, make_data(mesh, b=0.5, r=r0))
-    high = eval_lagrangian(v, q, lam, make_data(mesh, b=0.5, r=2.0 * r0))
-    gap = b_operator(v).values - q.values
+    low = eval_lagrangian(v, q, lam, data, r0)
+    high = eval_lagrangian(v, q, lam, data, 2.0 * r0)
+    gap = lifting(v).values - q.values
     penalty = float((mesh.areas[:, None] * gap**2).sum())
     assert high - low == pytest.approx(0.5 * r0 * penalty, rel=1e-10)
 
@@ -226,9 +227,33 @@ def test_flux_energy_midpoint_convexity():
         assert fm <= 0.5 * (f1 + f2) + 1e-12 * max(1.0, f1 + f2)
 
 
-def test_problem_data_requires_positive_r():
-    mesh = build_uniform_mesh(SQUARE, 2, 2)
-    with pytest.raises(ValueError):
-        make_data(mesh, b=0.0, r=0.0)
-    with pytest.raises(ValueError):
-        make_data(mesh, b=0.0, r=-1.0)
+def test_problem_data_evaluates_inputs_once():
+    # the energies read the values ProblemData owns instead of evaluating
+    # the exponent and the data again
+    mesh = build_uniform_mesh(SQUARE, 4, 3)
+    calls = {"p": 0, "xi": 0, "u_D": 0}
+
+    def counted(name, fn):
+        def wrapper(x, y):
+            calls[name] += 1
+            return fn(x, y)
+        return wrapper
+
+    field = manufactured_exponent(0.5)
+    data = ProblemData(
+        mesh=mesh, exponent=ExponentField(counted("p", field.func),
+                                          field.p1, field.p2),
+        xi=counted("xi", lambda x, y: x + y), u_D=counted("u_D", zero))
+    rng = np.random.default_rng(22)
+    v = DgScalar(mesh, rng.normal(size=mesh.n_elements))
+    q = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
+    first = (eval_Jh(v, data).J_value, eval_F_barycenter(q, data),
+             grad_F(q, data).values, data.load)
+    seen = dict(calls)
+    second = (eval_Jh(v, data).J_value, eval_F_barycenter(q, data),
+              grad_F(q, data).values, data.load)
+    assert calls == seen
+    assert first[:2] == second[:2]
+    assert np.array_equal(first[2], second[2]) and second[3] is first[3]
+    with pytest.raises(AttributeError):
+        data.xi = zero

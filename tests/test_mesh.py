@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from pxdg import (Domain, build_uniform_mesh, edge_weight, edge_weights,
+from pxdg import (Domain, build_uniform_mesh, edge_weights,
                   manufactured_exponent, write_mesh_csv)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -124,25 +124,72 @@ def test_edge_weight_values():
     mesh = build_uniform_mesh(SQUARE, 2, 1)
     p2 = manufactured_exponent(0.0)
     # the interior edge has diameter 2: 2^(-2/2) = 0.5
-    assert edge_weight(mesh.interior_edges[0], p2) == pytest.approx(0.5)
+    assert edge_weights(mesh, p2)[0][0] == pytest.approx(0.5)
     fine = build_uniform_mesh(SQUARE, 10, 10)
     # any edge of the 10x10 square mesh has diameter 0.2: 0.2^(-1) = 5
-    assert edge_weight(fine.interior_edges[0], p2) == pytest.approx(5.0)
+    w_int, w_bnd = edge_weights(fine, p2)
+    assert np.allclose(w_int, 5.0) and np.allclose(w_bnd, 5.0)
     unit = build_uniform_mesh(Domain(0.0, 2.0, 0.0, 1.0), 2, 1)
     # diameter-1 edge: weight 1 for any exponent
-    e = unit.interior_edges[0]
-    assert e.diameter == 1.0
-    assert edge_weight(e, manufactured_exponent(0.5)) == pytest.approx(1.0)
+    assert unit.interior_edges[0].diameter == 1.0
+    assert edge_weights(unit, manufactured_exponent(0.5))[0][0] == \
+        pytest.approx(1.0)
 
 
 def test_edge_weights_vectorized_matches_scalar():
     mesh = build_uniform_mesh(SQUARE, 5, 3)
     field = manufactured_exponent(0.25)
     w_int, w_bnd = edge_weights(mesh, field)
+    for weights, edges in ((w_int, mesh.interior_edges),
+                           (w_bnd, mesh.boundary_edges)):
+        for e in edges:
+            pv = float(field(*e.midpoint))
+            want = e.diameter ** (-2.0 * (pv - 1.0) / pv)
+            assert weights[e.index] == pytest.approx(want, rel=1e-14)
+
+
+def test_arrays_match_views_offset_rectangle():
+    mesh = build_uniform_mesh(Domain(0.3, 2.5, -1.2, -0.1), 5, 3)
+    dx, dy = 2.2 / 5, 1.1 / 3
+    for e in mesh.elements:
+        j, i = divmod(e.index, 5)
+        assert e.bounds == pytest.approx(
+            (0.3 + i * dx, 0.3 + (i + 1) * dx, -1.2 + j * dy, -1.2 + (j + 1) * dy),
+            rel=1e-14, abs=1e-14)
+        assert e.barycenter == tuple(mesh.barycenters[e.index])
+        assert e.area == mesh.areas[e.index]
+    for prefix, edges in (("int", mesh.interior_edges),
+                          ("bnd", mesh.boundary_edges)):
+        arrays = {name: getattr(mesh, f"{prefix}_{name}")
+                  for name in ("p0", "p1", "mid", "length", "normal")}
+        assert len(edges) == len(arrays["length"])
+        for e in edges:
+            k = e.index
+            assert e.endpoints == (tuple(arrays["p0"][k]), tuple(arrays["p1"][k]))
+            assert e.midpoint == tuple(arrays["mid"][k])
+            assert e.length == e.diameter == arrays["length"][k]
+            assert e.length == pytest.approx(
+                np.hypot(*np.subtract(*e.endpoints)), rel=1e-14)
+            assert e.nu_plus == tuple(arrays["normal"][k])
+            # the unit normal is perpendicular to the edge
+            tangent = np.subtract(*e.endpoints)
+            assert abs(np.dot(tangent, e.nu_plus)) <= 1e-14
     for e in mesh.interior_edges:
-        assert w_int[e.index] == pytest.approx(edge_weight(e, field), rel=1e-14)
+        assert (e.plus_element, e.minus_element) == \
+            (mesh.int_plus[e.index], mesh.int_minus[e.index])
+        assert e.plus_element < e.minus_element
     for e in mesh.boundary_edges:
-        assert w_bnd[e.index] == pytest.approx(edge_weight(e, field), rel=1e-14)
+        assert e.is_boundary
+        assert e.plus_element == mesh.bnd_element[e.index]
+    # incidence: each element lists exactly the edges that name it
+    off = len(mesh.interior_edges)
+    want = [[] for _ in range(mesh.n_elements)]
+    for e in mesh.interior_edges:
+        want[e.plus_element].append(e.index)
+        want[e.minus_element].append(e.index)
+    for e in mesh.boundary_edges:
+        want[e.plus_element].append(off + e.index)
+    assert [mesh.element_edges(k) for k in range(mesh.n_elements)] == want
 
 
 def test_invalid_inputs():

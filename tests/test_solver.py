@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+import pxdg.solver
 from pxdg import (Algorithm, DgScalar, DgVector, Domain, ProblemData,
                   SolverConfig, SolverState, StepSizeWarning, assemble_matrix,
-                  assemble_rhs, build_uniform_mesh, b_operator, eta_update,
+                  assemble_rhs, build_uniform_mesh, eta_update,
                   eval_lagrangian, l2_error, l2_norm, lambda_update,
                   lifting_matrices, manufactured_exponent,
-                  manufactured_problem, run, run_coupled, run_uncoupled,
-                  scalar_root, solve_linear, stopping_check, write_trace_csv)
+                  manufactured_problem, run, scalar_root, solve_linear,
+                  stopping_check, write_trace_csv)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -27,17 +28,17 @@ def zero(x, y):
     return np.zeros_like(np.asarray(x, float))
 
 
-def problem_data(nx, b=0.0, r=1.0, xi=zero, u_D=zero):
+def problem_data(nx, b=0.0, xi=zero, u_D=zero):
     mesh = build_uniform_mesh(SQUARE, nx, nx)
     return ProblemData(mesh=mesh, exponent=manufactured_exponent(b),
-                       xi=xi, u_D=u_D, r=r)
+                       xi=xi, u_D=u_D)
 
 
-def manufactured_data(b, nx, r=1.0):
+def manufactured_data(b, nx):
     prob = manufactured_problem(b)
     mesh = build_uniform_mesh(prob.domain, nx, nx)
     data = ProblemData(mesh=mesh, exponent=prob.exponent, xi=prob.xi,
-                       u_D=prob.u_D, r=r)
+                       u_D=prob.u_D)
     return prob, data
 
 
@@ -208,7 +209,7 @@ def test_eta_update_parallel_with_resolvent_magnitude():
 
 def test_eta_update_satisfies_flux_equation():
     # |eta|^{p-2} eta + r (eta - Bu) = lam, elementwise, including r != 1
-    data = problem_data(5, b=0.5, r=2.0)
+    data = problem_data(5, b=0.5)
     cfg = SolverConfig(r=2.0)
     mesh = data.mesh
     rng = np.random.default_rng(27)
@@ -279,12 +280,12 @@ def test_stopping_check_constraint_opt_in():
 def test_run_rejects_nonpositive_r():
     _, data = manufactured_data(0.0, 4)
     with pytest.raises(ValueError):
-        run_uncoupled(data, SolverConfig(r=0.0, force_step_size=True))
+        run(data, SolverConfig(r=0.0, force_step_size=True))
 
 
 def test_run_linear_case_fast_and_accurate():
     prob, data = manufactured_data(0.0, 10)
-    state = run_uncoupled(data, SolverConfig())
+    state = run(data, SolverConfig())
     assert state.converged
     assert state.iteration <= 5
     assert l2_error(state.u, prob) == pytest.approx(0.6401815085252257, abs=1e-9)
@@ -292,7 +293,7 @@ def test_run_linear_case_fast_and_accurate():
 
 def test_run_zero_data_gives_zero_solution():
     data = problem_data(4, b=0.25)
-    state = run_uncoupled(data, SolverConfig())
+    state = run(data, SolverConfig())
     assert state.converged
     assert state.iteration == 1
     assert np.allclose(state.u.values, 0.0)
@@ -300,7 +301,7 @@ def test_run_zero_data_gives_zero_solution():
 
 def test_run_records_history():
     _, data = manufactured_data(0.25, 4)
-    state = run_uncoupled(data, SolverConfig())
+    state = run(data, SolverConfig())
     assert len(state.history) == state.iteration
     assert [rec.iteration for rec in state.history] == \
         list(range(1, state.iteration + 1))
@@ -312,7 +313,7 @@ def test_run_records_history():
 def test_fixed_point_satisfies_all_three_equations():
     _, data = manufactured_data(0.25, 6)
     cfg = SolverConfig(tol_outer=1e-10, require_constraint=True)
-    state = run_uncoupled(data, cfg)
+    state = run(data, cfg)
     assert state.converged
     mesh = data.mesh
     # linear stationarity
@@ -333,69 +334,100 @@ def test_solution_is_saddle_point_of_lagrangian():
     # p = 2 so the continuous and solver quadratures coincide exactly
     _, data = manufactured_data(0.0, 6)
     cfg = SolverConfig(tol_outer=1e-10, require_constraint=True)
-    state = run_uncoupled(data, cfg)
+    state = run(data, cfg)
     assert state.converged
     mesh = data.mesh
     rng = np.random.default_rng(29)
-    base = eval_lagrangian(state.u, state.eta, state.lam, data)
+    base = eval_lagrangian(state.u, state.eta, state.lam, data, cfg.r)
     eps = 1e-4
     for _ in range(5):
         dv = rng.normal(size=mesh.n_elements)
         dv /= l2_norm(DgScalar(mesh, dv))
         up = DgScalar(mesh, state.u.values + eps * dv)
         dn = DgScalar(mesh, state.u.values - eps * dv)
-        deriv = (eval_lagrangian(up, state.eta, state.lam, data)
-                 - eval_lagrangian(dn, state.eta, state.lam, data)) / (2 * eps)
+        deriv = (eval_lagrangian(up, state.eta, state.lam, data, cfg.r)
+                 - eval_lagrangian(dn, state.eta, state.lam, data, cfg.r)) / (2 * eps)
         assert abs(deriv) <= 1e-6 * max(1.0, abs(base))
     for _ in range(5):
         dq = rng.normal(size=(mesh.n_elements, 2))
         dq /= l2_norm(DgVector(mesh, dq))
         up = DgVector(mesh, state.eta.values + eps * dq)
         dn = DgVector(mesh, state.eta.values - eps * dq)
-        deriv = (eval_lagrangian(state.u, up, state.lam, data)
-                 - eval_lagrangian(state.u, dn, state.lam, data)) / (2 * eps)
+        deriv = (eval_lagrangian(state.u, up, state.lam, data, cfg.r)
+                 - eval_lagrangian(state.u, dn, state.lam, data, cfg.r)) / (2 * eps)
         assert abs(deriv) <= 1e-6 * max(1.0, abs(base))
 
 
 def test_coupled_inner_loop_converges():
     _, data = manufactured_data(0.25, 4)
-    state = run_coupled(data, SolverConfig(algorithm=Algorithm.COUPLED))
+    state = run(data, SolverConfig(algorithm=Algorithm.COUPLED))
     assert state.converged
     assert state.inner_converged
 
 
 def test_algorithms_agree():
     for r in (1.0, 1.5):
-        _, data = manufactured_data(0.25, 6, r=r)
-        a = run_coupled(data, SolverConfig(r=r, algorithm=Algorithm.COUPLED))
-        b = run_uncoupled(data, SolverConfig(r=r))
+        _, data = manufactured_data(0.25, 6)
+        a = run(data, SolverConfig(r=r, algorithm=Algorithm.COUPLED))
+        b = run(data, SolverConfig(r=r))
         assert a.converged and b.converged
         diff = l2_norm(DgScalar(data.mesh, a.u.values - b.u.values))
         assert diff <= 1e-6
 
 
-def test_run_dispatches_on_algorithm():
+def test_run_dispatches_on_algorithm(monkeypatch):
+    # both algorithms run through the public step functions; only the
+    # coupled one repeats the u-solve and flux recovery per multiplier step
+    calls = {}
+    for name in ("solve_linear", "eta_update", "lambda_update"):
+        def counted(*args, _fn=getattr(pxdg.solver, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(pxdg.solver, name, counted)
     _, data = manufactured_data(0.25, 4)
-    via_run = run(data, SolverConfig(algorithm=Algorithm.COUPLED))
-    direct = run_coupled(data, SolverConfig(algorithm=Algorithm.COUPLED))
-    assert np.array_equal(via_run.u.values, direct.u.values)
-    via_run2 = run(data, SolverConfig(algorithm=Algorithm.UNCOUPLED))
-    direct2 = run_uncoupled(data, SolverConfig())
-    assert np.array_equal(via_run2.u.values, direct2.u.values)
+    for algorithm in Algorithm:
+        calls.clear()
+        state = run(data, SolverConfig(algorithm=algorithm))
+        assert state.converged
+        assert calls["lambda_update"] == state.iteration
+        assert calls["eta_update"] == calls["solve_linear"]
+        if algorithm == Algorithm.COUPLED:
+            assert calls["solve_linear"] > state.iteration
+        else:
+            assert calls["solve_linear"] == state.iteration
+
+
+@pytest.mark.parametrize("b, nx, algorithm, iterations, l2, jh", [
+    (0.5, 10, Algorithm.UNCOUPLED, 21, 1.0028175754546504, 50.19652471765393),
+    (0.25, 8, Algorithm.COUPLED, 19, 0.9506124470672922, 32.98441972606155),
+    (0.0, 6, Algorithm.UNCOUPLED, 2, 0.9241147661433949, 20.983263168451302),
+])
+def test_run_pinned_outputs(b, nx, algorithm, iterations, l2, jh):
+    prob, data = manufactured_data(b, nx)
+    state = run(data, SolverConfig(algorithm=algorithm))
+    assert state.converged
+    assert state.iteration == iterations
+    assert l2_error(state.u, prob) == pytest.approx(l2, rel=1e-12)
+    assert state.energy == pytest.approx(jh, rel=1e-12)
+
+
+def test_run_leaves_mesh_views_unbuilt():
+    _, data = manufactured_data(0.25, 5)
+    run(data, SolverConfig(algorithm=Algorithm.COUPLED))
+    built = {"elements", "interior_edges", "boundary_edges", "_incidence"}
+    assert not built & set(vars(data.mesh))
 
 
 def test_quadratic_case_matches_direct_solve_for_any_r():
     # at p = 2 the objective is quadratic; its normal equations are the
     # r = 1 system, so the iteration must land there from any penalty r
-    prob, data = manufactured_data(0.0, 6, r=2.0)
-    state = run_uncoupled(data, SolverConfig(
+    prob, data = manufactured_data(0.0, 6)
+    state = run(data, SolverConfig(
         r=2.0, tol_outer=1e-10, require_constraint=True))
     assert state.converged
-    ref = ProblemData(mesh=data.mesh, exponent=data.exponent, xi=data.xi,
-                      u_D=data.u_D, r=1.0)
     cfg_ref = SolverConfig(r=1.0)
-    direct = solve_linear(assemble_matrix(ref, cfg_ref),
-                          assemble_rhs(zero_state(data.mesh), ref, cfg_ref))
+    direct = solve_linear(assemble_matrix(data, cfg_ref),
+                          assemble_rhs(zero_state(data.mesh), data, cfg_ref))
     diff = l2_norm(DgScalar(data.mesh, state.u.values - direct))
     assert diff <= 1e-7
 
@@ -405,10 +437,10 @@ def test_step_size_guard_uncoupled():
     cfg = SolverConfig(r=1.0, rho=2.0)  # above r (1 + sqrt 5) / 2
     with pytest.warns(StepSizeWarning):
         with pytest.raises(ValueError):
-            run_uncoupled(data, cfg)
+            run(data, cfg)
     forced = SolverConfig(r=1.0, rho=2.0, force_step_size=True, max_outer=3)
     with pytest.warns(StepSizeWarning):
-        state = run_uncoupled(data, forced)
+        state = run(data, forced)
     assert state.iteration >= 1
 
 
@@ -417,45 +449,44 @@ def test_step_size_guard_coupled():
     bad = SolverConfig(r=1.0, rho=2.5, algorithm=Algorithm.COUPLED)
     with pytest.warns(StepSizeWarning):
         with pytest.raises(ValueError):
-            run_coupled(data, bad)
+            run(data, bad)
     # 1.9 r is inside the coupled bound (0, 2r) but outside the uncoupled one
     ok = SolverConfig(r=1.0, rho=1.9, algorithm=Algorithm.COUPLED)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state = run_coupled(data, ok)
+        state = run(data, ok)
     assert state.converged
     with pytest.warns(StepSizeWarning):
         with pytest.raises(ValueError):
-            run_uncoupled(data, SolverConfig(r=1.0, rho=1.9))
+            run(data, SolverConfig(r=1.0, rho=1.9))
 
 
 def test_default_step_size_is_silent():
     _, data = manufactured_data(0.25, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_uncoupled(data, SolverConfig()).converged
-        assert run_coupled(
-            data, SolverConfig(algorithm=Algorithm.COUPLED)).converged
+        assert run(data, SolverConfig()).converged
+        assert run(data, SolverConfig(algorithm=Algorithm.COUPLED)).converged
 
 
 def test_nonpositive_rho_rejected():
     _, data = manufactured_data(0.0, 3)
     with pytest.warns(StepSizeWarning):
         with pytest.raises(ValueError):
-            run_uncoupled(data, SolverConfig(r=1.0, rho=-1.0))
+            run(data, SolverConfig(r=1.0, rho=-1.0))
 
 
 def test_non_convergence_is_flagged():
     _, data = manufactured_data(0.5, 10)
-    state = run_uncoupled(data, SolverConfig(max_outer=2))
+    state = run(data, SolverConfig(max_outer=2))
     assert not state.converged
     assert state.iteration == 2
 
 
 def test_warm_start_from_previous_state():
     _, data = manufactured_data(0.25, 4)
-    cold = run_uncoupled(data, SolverConfig())
-    warm = run_uncoupled(data, SolverConfig(), init=cold)
+    cold = run(data, SolverConfig())
+    warm = run(data, SolverConfig(), init=cold)
     assert warm.converged
     assert warm.iteration <= cold.iteration
     diff = l2_norm(DgScalar(data.mesh, warm.u.values - cold.u.values))
@@ -464,7 +495,7 @@ def test_warm_start_from_previous_state():
 
 def test_write_trace_csv(tmp_path):
     _, data = manufactured_data(0.25, 4)
-    state = run_uncoupled(data, SolverConfig())
+    state = run(data, SolverConfig())
     path = tmp_path / "trace.csv"
     write_trace_csv(state, path)
     lines = path.read_text().strip().splitlines()
@@ -478,6 +509,10 @@ def test_config_validation():
         SolverConfig(r=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(tol_outer=0.0)
+    for key in ("r", "rho", "tol_outer", "tol_inner", "linear_tol"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                SolverConfig(**{key: value})
     with pytest.raises(ValueError):
         SolverConfig(max_outer=0)
     cfg = SolverConfig(r=2.0)

@@ -183,7 +183,7 @@ def test_solution_jump_seminorm_is_finite():
     prob = manufactured_problem(0.25)
     mesh = build_uniform_mesh(prob.domain, 4, 4)
     data = ProblemData(mesh=mesh, exponent=prob.exponent, xi=prob.xi,
-                       u_D=prob.u_D, r=1.0)
+                       u_D=prob.u_D)
     state = run(data, SolverConfig())
     norm = weighted_jump_norm(state.u, prob.exponent)
     assert np.isfinite(norm)
