@@ -110,7 +110,8 @@ def _cmd_solve(args) -> int:
         write_trace_csv(state, args.trace)
     print(f"b={args.b:g} nx={args.nx} ny={ny} m={mesh.n_elements} "
           f"l2_error={err:.6g} iterations={state.iteration} "
-          f"jh={state.energy:.6g} converged={state.converged}")
+          f"jh={state.energy:.6g} converged={state.converged} "
+          f"constraint_residual={state.residual_constraint:.6g}")
     return 0 if state.converged else 2
 
 

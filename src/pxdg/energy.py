@@ -62,6 +62,17 @@ class ProblemData:
                 np.asarray(self.xi(xq, yq), float))
 
     @cached_property
+    def xi_moments(self) -> tuple:
+        """(W, xbar, C): element weight sum W, per-element means xbar of xi,
+        and C = sum_k sum_q w_q (xi_kq - xbar_k)^2, so that the data misfit
+        of any v is W sum_k (v_k - xbar_k)^2 + C."""
+        wq, _, xi = self.element_quadrature
+        total = float(wq.sum())
+        xbar = (xi @ wq) / total
+        spread = float(((xi - xbar[:, None]) ** 2 @ wq).sum())
+        return total, xbar, spread
+
+    @cached_property
     def boundary_quadrature(self) -> tuple:
         """(bw, u_D): Gauss weights and u_D values on every boundary edge."""
         bx, by, bw = boundary_points(self.mesh)
@@ -90,9 +101,13 @@ class EnergyReport:
 def eval_F(q: DgVector, data: ProblemData) -> float:
     """Integral of |q|^{p(x)} / p(x), 3x3 Gauss with pointwise p."""
     wq, pq, _ = data.element_quadrature
-    mag = np.hypot(q.values[:, 0], q.values[:, 1])
-    vals = np.where(mag[:, None] > 0.0, mag[:, None] ** pq, 0.0) / pq
-    return float((vals * wq[None, :]).sum())
+    # |q|^p = exp(p log|q|): one log per element; q = 0 gives exp(-inf) = 0
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.hypot(q.values[:, 0], q.values[:, 1]))
+    vals = pq * log_mag[:, None]
+    np.exp(vals, out=vals)
+    vals /= pq
+    return float((vals @ wq).sum())
 
 
 def eval_F_barycenter(q: DgVector, data: ProblemData) -> float:
@@ -114,8 +129,8 @@ def grad_F(q: DgVector, data: ProblemData) -> DgVector:
 def eval_G(v: DgScalar, data: ProblemData) -> float:
     """Half of: mean-square data misfit + weighted boundary and jump penalties."""
     mesh = data.mesh
-    wq, _, xi = data.element_quadrature
-    data_term = float((wq[None, :] * (v.values[:, None] - xi) ** 2).sum())
+    total, xbar, spread = data.xi_moments
+    data_term = total * float(((v.values - xbar) ** 2).sum()) + spread
 
     w_int, w_bnd = data.penalty_weights
     du = v.values[mesh.int_plus] - v.values[mesh.int_minus]

@@ -161,7 +161,12 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
                                (mesh.bnd_element, mesh.bnd_element)),
                               shape=(m, m))
     mat = sp.csc_matrix(mat)
-    return SystemMatrix(matrix=mat, factor=spla.splu(mat))
+    # The matrix is SPD (mass plus semidefinite terms, also at r = 0), so
+    # diagonal pivots are stable and one symmetric minimum-degree ordering of
+    # A + A^T serves rows and columns alike; it fills less than COLAMD.
+    factor = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    return SystemMatrix(matrix=mat, factor=factor)
 
 
 def assemble_rhs(state: SolverState, data: ProblemData,
@@ -199,15 +204,18 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
     hi = np.maximum(c, c / r)  # f(c/r) = (c/r)^{p_bar-1} >= 0 brackets above
     active = c > 0.0
     for _ in range(200):
+        # active x stays > 0 (start and bisection midpoints), so x * xp is
+        # x^{p_bar - 1} with no 0 * inf
         with np.errstate(all="ignore"):
-            f = np.where(active, x ** (p_bar - 1.0) + r * x - c, 0.0)
+            xp = x ** (p_bar - 2.0)
+            f = np.where(active, x * xp + r * x - c, 0.0)
         lo = np.where(active & (f <= 0.0), x, lo)
         hi = np.where(active & (f > 0.0), x, hi)
         done = np.abs(f) <= 1e-12 * np.maximum(1.0, c)
         if np.all(done | ~active):
             break
         with np.errstate(all="ignore"):
-            xn = x - f / ((p_bar - 1.0) * x ** (p_bar - 2.0) + r)
+            xn = x - f / ((p_bar - 1.0) * xp + r)
         bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
         x = np.where(active & ~done, xn, x)

@@ -23,6 +23,16 @@ def test_solve_writes_solution_csv(tmp_path, capsys):
     assert "converged=True" in summary
 
 
+def test_solve_reports_constraint_residual(tmp_path, capsys):
+    # at b = 0 the u-increment rule stops at iteration 2 with Bu far from
+    # eta; the summary line makes that visible
+    out = tmp_path / "solution.csv"
+    assert main(["solve", "--b", "0", "--nx", "10", "--out", str(out)]) == 0
+    fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+    assert fields["converged"] == "True" and fields["iterations"] == "2"
+    assert float(fields["constraint_residual"]) > 0.1
+
+
 def test_solve_rectangular_mesh(tmp_path):
     out = tmp_path / "solution.csv"
     code = main(["solve", "--b", "0", "--nx", "4", "--ny", "3",

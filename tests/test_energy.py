@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pxdg import (DgScalar, DgVector, Domain, EnergyReport, ExponentField,
-                  ProblemData, build_uniform_mesh, eval_F, eval_F_barycenter,
+                  ProblemData, boundary_points, build_uniform_mesh,
+                  edge_weights, element_points, eval_F, eval_F_barycenter,
                   eval_G, eval_Jh, eval_lagrangian, grad_F, lifting,
                   manufactured_exponent)
 
@@ -149,6 +150,33 @@ def test_eval_G_quadratic_second_difference():
         return g2 - 2.0 * g1 + g0
 
     assert second_diff(base1) == pytest.approx(second_diff(base2), rel=1e-10)
+
+
+def pointwise_G(v, data):
+    """Reference G: every misfit evaluated at the 3x3 Gauss points."""
+    mesh = data.mesh
+    xq, yq, wq = element_points(mesh)
+    data_term = (wq * (v[:, None] - data.xi(xq, yq)) ** 2).sum()
+    w_int, w_bnd = edge_weights(mesh, data.exponent)
+    du = v[mesh.int_plus] - v[mesh.int_minus]
+    jump_term = (w_int * mesh.int_length * du ** 2).sum()
+    bx, by, bw = boundary_points(mesh)
+    diff = v[mesh.bnd_element][:, None] - data.u_D(bx, by)
+    bnd_term = (w_bnd[:, None] * bw * diff ** 2).sum()
+    return 0.5 * (data_term + jump_term + bnd_term), data_term
+
+
+def test_eval_G_matches_pointwise_quadrature():
+    mesh = build_uniform_mesh(SQUARE, 9, 7)
+    data = make_data(mesh, b=0.5, xi=lambda x, y: np.sin(3 * x) + x * y,
+                     u_D=lambda x, y: x - y)
+    _, xbar, spread = data.xi_moments
+    rng = np.random.default_rng(25)
+    for v in (rng.normal(size=mesh.n_elements), xbar):
+        want, data_term = pointwise_G(v, data)
+        assert eval_G(DgScalar(mesh, v), data) == pytest.approx(want, rel=1e-12)
+    # at v = xbar the data misfit is the within-element spread C alone
+    assert spread == pytest.approx(data_term, rel=1e-12)
 
 
 def test_eval_Jh_report():

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import pxdg.solver
 from pxdg import (Algorithm, DgScalar, DgVector, Domain, ProblemData,
@@ -128,6 +129,15 @@ def test_solve_linear_round_trip():
     rhs = rng.normal(size=data.mesh.n_elements)
     u = solve_linear(sm, rhs)
     assert np.abs(sm.matrix @ u - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 1e4])
+def test_factor_is_symmetric_and_fills_less_than_default_lu(r):
+    _, data = manufactured_data(0.5, 48)
+    sm = assemble_matrix(data, SolverConfig(r=r))
+    assert np.array_equal(sm.factor.perm_r, sm.factor.perm_c)
+    default = spla.splu(sm.matrix)
+    assert sm.factor.L.nnz + sm.factor.U.nnz < default.L.nnz + default.U.nnz
 
 
 def test_scalar_root_hand_values():
