@@ -204,8 +204,8 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
     hi = np.maximum(c, c / r)  # f(c/r) = (c/r)^{p_bar-1} >= 0 brackets above
     active = c > 0.0
     for _ in range(200):
-        # active x stays > 0 (start and bisection midpoints), so x * xp is
-        # x^{p_bar - 1} with no 0 * inf
+        # active x stays > 0 (it starts at c/(1+r) and every update lies
+        # strictly inside (lo, hi), lo >= 0), so x * xp has no 0 * inf
         with np.errstate(all="ignore"):
             xp = x ** (p_bar - 2.0)
             f = np.where(active, x * xp + r * x - c, 0.0)
