@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 bad input, 2 solver failed to converge.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .energy import ProblemData
@@ -101,11 +100,11 @@ def _cmd_solve(args) -> int:
     state = run(data, cfg)
     err = l2_error(state.u, prob)
     with open(args.out, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["element", "x", "y", "u"])
-        for k, ((x, y), u) in enumerate(zip(mesh.barycenters.tolist(),
-                                            state.u.values.tolist())):
-            out.writerow([k, "%.12g" % x, "%.12g" % y, "%.12g" % u])
+        # csv.writer's layout and CRLF line ends, in one formatted pass
+        fh.write("element,x,y,u\r\n")
+        fh.writelines("%d,%.12g,%.12g,%.12g\r\n" % row for row in zip(
+            range(mesh.n_elements), *mesh.barycenters.T.tolist(),
+            state.u.values.tolist()))
     if args.trace:
         write_trace_csv(state, args.trace)
     print(f"b={args.b:g} nx={args.nx} ny={ny} m={mesh.n_elements} "

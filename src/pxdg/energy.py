@@ -95,7 +95,6 @@ class EnergyReport:
     F_value: float
     G_value: float
     J_value: float
-    constraint_residual: float
 
 
 def eval_F(q: DgVector, data: ProblemData) -> float:
@@ -146,8 +145,7 @@ def eval_Jh(v: DgScalar, data: ProblemData) -> EnergyReport:
     """Total objective F(Bv) + G(v) with the reference F quadrature."""
     fv = eval_F(lifting(v), data)
     gv = eval_G(v, data)
-    return EnergyReport(F_value=fv, G_value=gv, J_value=fv + gv,
-                        constraint_residual=0.0)
+    return EnergyReport(F_value=fv, G_value=gv, J_value=fv + gv)
 
 
 def eval_lagrangian(v: DgScalar, q: DgVector, lam: DgVector,

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
+LINEAR_TOL = 1e-12  # solve_linear refines once above this scaled residual
+TOL_INNER = 1e-10  # coupled algorithm: eta increment ending the inner sweeps
+MAX_INNER = 200  # coupled algorithm: inner sweeps per multiplier step
 
 
 class Algorithm(IntEnum):
@@ -58,10 +61,7 @@ class SolverConfig:
     rho: float | None = None  # defaults to r
     algorithm: Algorithm = Algorithm.UNCOUPLED
     tol_outer: float = 1e-8
-    tol_inner: float = 1e-10
     max_outer: int = 500
-    max_inner: int = 200
-    linear_tol: float = 1e-12
     require_constraint: bool = False
     force_step_size: bool = False
 
@@ -73,11 +73,10 @@ class SolverConfig:
                              f"nonnegative, got {self.r!r}")
         if self.rho is not None and not np.isfinite(self.rho):
             raise ValueError(f"step size rho must be finite, got {self.rho!r}")
-        for tol in (self.tol_outer, self.tol_inner, self.linear_tol):
-            if not (np.isfinite(tol) and tol > 0):
-                raise ValueError("tolerances must be positive and finite, "
-                                 f"got {tol!r}")
-        if self.max_outer < 1 or self.max_inner < 1:
+        if not (np.isfinite(self.tol_outer) and self.tol_outer > 0):
+            raise ValueError("tolerances must be positive and finite, "
+                             f"got {self.tol_outer!r}")
+        if self.max_outer < 1:
             raise ValueError("iteration limits must be positive")
 
     @property
@@ -178,48 +177,54 @@ def assemble_rhs(state: SolverState, data: ProblemData,
     return data.load + lx.T @ (a * s[:, 0]) + ly.T @ (a * s[:, 1])
 
 
-def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
-                 linear_tol: float = 1e-12) -> np.ndarray:
+def solve_linear(matrix: SystemMatrix, rhs: np.ndarray) -> np.ndarray:
     """Direct sparse solve with one step of iterative refinement if needed."""
     u = matrix.factor.solve(rhs)
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     resid = rhs - matrix.matrix @ u
-    if np.abs(resid).max(initial=0.0) > linear_tol * scale:
+    if np.abs(resid).max(initial=0.0) > LINEAR_TOL * scale:
         u = u + matrix.factor.solve(resid)
     return u
 
 
 def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
-    """Vector solve of x^{p_bar - 1} + r x = c, x >= 0, safeguarded Newton.
+    """Vector solve of x^{p_bar - 1} + r x = c, x >= 0, by monotone Newton.
 
-    The Newton derivative (p_bar - 1) x^{p_bar - 2} blows up at 0 for
-    p_bar < 2, so steps leaving the bracket fall back to bisection.
+    f(x) = x^{p_bar - 1} + r x - c is increasing and concave for
+    1 < p_bar <= 2, so Newton climbs from any x with f(x) <= 0 to the root
+    without overshooting. The left point t if t >= 1, else t^{1/(p_bar - 1)},
+    with t = c / (1 + r), is such an x; where it is 0 or subnormal the root
+    returned is 0. A RuntimeWarning counts misses of |f| <= 1e-12 max(1, c).
     """
     if r <= 0:
         raise ValueError("flux root solve requires r > 0")
     c = np.asarray(c, float)
     p_bar = np.broadcast_to(np.asarray(p_bar, float), c.shape)
     x = c / (1.0 + r)
-    lo = np.zeros_like(c)
-    hi = np.maximum(c, c / r)  # f(c/r) = (c/r)^{p_bar-1} >= 0 brackets above
-    active = c > 0.0
+    with np.errstate(under="ignore"):
+        np.power(x, 1.0 / (p_bar - 1.0), out=x, where=x < 1.0)
+    tol = 1e-12 * np.maximum(1.0, c)
+    out = np.zeros_like(c)
+    # below the smallest normal, x^{p_bar - 2} can overflow to inf
+    normal = x >= np.finfo(float).tiny
+    missed = np.count_nonzero(~normal & (c > tol))
+    idx = np.flatnonzero(normal)
+    x, c, tol, p_m1 = x[idx], c[idx], tol[idx], p_bar[idx] - 1.0
+    p_m2 = p_m1 - 1.0
     for _ in range(200):
-        # active x stays > 0 (it starts at c/(1+r) and every update lies
-        # strictly inside (lo, hi), lo >= 0), so x * xp has no 0 * inf
-        with np.errstate(all="ignore"):
-            xp = x ** (p_bar - 2.0)
-            f = np.where(active, x * xp + r * x - c, 0.0)
-        lo = np.where(active & (f <= 0.0), x, lo)
-        hi = np.where(active & (f > 0.0), x, hi)
-        done = np.abs(f) <= 1e-12 * np.maximum(1.0, c)
-        if np.all(done | ~active):
+        xp = x ** p_m2
+        f = x * (xp + r) - c
+        done = np.abs(f) <= tol
+        x -= f / (p_m1 * xp + r)
+        if done.all():
             break
-        with np.errstate(all="ignore"):
-            xn = x - f / ((p_bar - 1.0) * xp + r)
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        x = np.where(active & ~done, xn, x)
-    return np.where(active, x, 0.0)
+    else:
+        missed += np.count_nonzero(~done)
+    if missed:
+        warnings.warn(f"flux root solve: {missed} of {out.size} entries "
+                      "missed the residual test", RuntimeWarning, stacklevel=2)
+    out[idx] = x
+    return out
 
 
 def scalar_root(p_bar: float, r: float, c: float) -> float:
@@ -237,15 +242,12 @@ def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
 
     Solves |eta|^{p_bar - 2} eta + r (eta - bu) = lam elementwise: the
     solution is parallel to s = lam + r bu, its magnitude x solves
-    x^{p_bar - 1} + r x = |s|, and eta = s / (x^{p_bar - 2} + r).
+    x^{p_bar - 1} + r x = |s|, and eta = s / (x^{p_bar - 2} + r) = s x / |s|.
     """
     s = lam + r * bu
     c = np.hypot(s[:, 0], s[:, 1])
     x = _root_many(p_bar, r, c)
-    with np.errstate(all="ignore"):
-        denom = x ** (p_bar - 2.0) + r
-    ok = (c > 0.0) & np.isfinite(denom)
-    return np.where(ok[:, None], s / denom[:, None], 0.0)
+    return s * np.divide(x, c, out=np.zeros_like(c), where=c > 0.0)[:, None]
 
 
 def eta_update(u: DgScalar, lam: DgVector, data: ProblemData,
@@ -289,25 +291,25 @@ def run(data: ProblemData, cfg: SolverConfig,
     An outer iteration sweeps a u-solve and a flux recovery, then updates
     the multiplier. The uncoupled algorithm makes one sweep; the coupled
     one repeats the sweep at frozen lam until eta moves by at most
-    tol_inner, up to max_inner sweeps.
+    TOL_INNER, up to MAX_INNER sweeps.
     """
     if cfg.r <= 0:
         raise ValueError("iteration requires r > 0")
     _check_step_size(cfg)
     mesh = data.mesh
     matrix = assemble_matrix(data, cfg)
-    sweeps = cfg.max_inner if cfg.algorithm == Algorithm.COUPLED else 1
+    sweeps = MAX_INNER if cfg.algorithm == Algorithm.COUPLED else 1
     start = init if init is not None else _zero_state(mesh)
     state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
     for n in range(1, cfg.max_outer + 1):
         u_prev = state.u
         for _ in range(sweeps):
             eta_prev = state.eta
-            u = DgScalar(mesh, solve_linear(
-                matrix, assemble_rhs(state, data, cfg), cfg.linear_tol))
+            u = DgScalar(mesh, solve_linear(matrix,
+                                            assemble_rhs(state, data, cfg)))
             state = replace(state, u=u,
                             eta=eta_update(u, state.lam, data, cfg))
-            if sweeps == 1 or _distance(state.eta, eta_prev) <= cfg.tol_inner:
+            if sweeps == 1 or _distance(state.eta, eta_prev) <= TOL_INNER:
                 break
         else:
             state.inner_converged = False

@@ -1,10 +1,12 @@
 """Command-line entry point: flags, config files, CSV outputs, exit codes."""
 
 import csv
+import io
 
 import pytest
 
-from pxdg import build_uniform_mesh, manufactured_problem
+from pxdg import (ProblemData, SolverConfig, build_uniform_mesh,
+                  manufactured_problem, run)
 from pxdg.cli import main
 
 
@@ -21,6 +23,23 @@ def test_solve_writes_solution_csv(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "l2_error=" in summary
     assert "converged=True" in summary
+
+
+def test_solution_csv_matches_csv_writer(tmp_path):
+    out = tmp_path / "solution.csv"
+    assert main(["solve", "--b", "0.25", "--nx", "4", "--ny", "3",
+                 "--out", str(out)]) == 0
+    prob = manufactured_problem(0.25)
+    mesh = build_uniform_mesh(prob.domain, 4, 3)
+    state = run(ProblemData(mesh=mesh, exponent=prob.exponent, xi=prob.xi,
+                            u_D=prob.u_D), SolverConfig())
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["element", "x", "y", "u"])
+    for k, ((x, y), u) in enumerate(zip(mesh.barycenters.tolist(),
+                                        state.u.values.tolist())):
+        writer.writerow([k, "%.12g" % x, "%.12g" % y, "%.12g" % u])
+    assert out.read_bytes() == want.getvalue().encode()
 
 
 def test_solve_reports_constraint_residual(tmp_path, capsys):

@@ -188,7 +188,6 @@ def test_eval_Jh_report():
     # constant fields have zero discrete gradient, so J reduces to G
     assert report.F_value == 0.0
     assert report.J_value == pytest.approx(report.G_value)
-    assert report.constraint_residual == 0.0
     rng = np.random.default_rng(16)
     v2 = DgScalar(mesh, rng.normal(size=mesh.n_elements))
     rep2 = eval_Jh(v2, data)
