@@ -8,8 +8,7 @@ from .energy import (EnergyReport, ProblemData, eval_F, eval_F_barycenter,
                      eval_G, eval_Jh, eval_lagrangian, grad_F)
 from .exponent import (ExponentField, conjugate, luxemburg_norm,
                        manufactured_exponent, modular)
-from .mesh import (Domain, Edge, Element, Mesh, build_uniform_mesh,
-                   edge_weights, write_mesh_csv)
+from .mesh import Domain, Mesh, build_uniform_mesh, edge_weights
 from .quadrature import boundary_points, element_points, gauss_1d
 from .solver import (Algorithm, IterationRecord, SolverConfig, SolverState,
                      StepSizeWarning, SystemMatrix, assemble_matrix,

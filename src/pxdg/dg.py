@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Edge, Mesh, edge_weights
+from .mesh import Mesh, edge_weights
 
 __all__ = [
     "DgScalar",
@@ -52,19 +52,17 @@ class DgVector:
             raise ValueError("vector field needs one 2-vector per element")
 
 
-def jump(u: DgScalar, e: Edge) -> np.ndarray:
-    """Vector jump (u_plus - u_minus) * nu_plus across an interior edge."""
-    if e.minus_element is None:
-        raise ValueError("jumps are defined on interior edges only")
-    du = u.values[e.plus_element] - u.values[e.minus_element]
-    return du * np.asarray(e.nu_plus, float)
+def jump(u: DgScalar) -> np.ndarray:
+    """Vector jumps (u_plus - u_minus) * nu_plus, one row per interior edge."""
+    mesh = u.mesh
+    du = u.values[mesh.int_plus] - u.values[mesh.int_minus]
+    return du[:, None] * mesh.int_normal
 
 
-def average(phi: DgVector, e: Edge) -> np.ndarray:
-    """Arithmetic mean of the two neighbor values on an interior edge."""
-    if e.minus_element is None:
-        raise ValueError("averages are defined on interior edges only")
-    return 0.5 * (phi.values[e.plus_element] + phi.values[e.minus_element])
+def average(phi: DgVector) -> np.ndarray:
+    """Means of the two neighbor values, one row per interior edge."""
+    mesh = phi.mesh
+    return 0.5 * (phi.values[mesh.int_plus] + phi.values[mesh.int_minus])
 
 
 def lifting_matrices(mesh: Mesh) -> tuple:

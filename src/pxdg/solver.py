@@ -204,12 +204,13 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
     with np.errstate(under="ignore"):
         np.power(x, 1.0 / (p_bar - 1.0), out=x, where=x < 1.0)
     tol = 1e-12 * np.maximum(1.0, c)
-    out = np.zeros_like(c)
-    # below the smallest normal, x^{p_bar - 2} can overflow to inf
+    # below the smallest normal, x^{p_bar - 2} can overflow to inf; such
+    # entries get x = 1 and c = 1 + r, whose residual is exactly 0
     normal = x >= np.finfo(float).tiny
     missed = np.count_nonzero(~normal & (c > tol))
-    idx = np.flatnonzero(normal)
-    x, c, tol, p_m1 = x[idx], c[idx], tol[idx], p_bar[idx] - 1.0
+    x[~normal] = 1.0
+    c = np.where(normal, c, 1.0 + r)
+    p_m1 = p_bar - 1.0
     p_m2 = p_m1 - 1.0
     for _ in range(200):
         xp = x ** p_m2
@@ -221,10 +222,9 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
     else:
         missed += np.count_nonzero(~done)
     if missed:
-        warnings.warn(f"flux root solve: {missed} of {out.size} entries "
+        warnings.warn(f"flux root solve: {missed} of {c.size} entries "
                       "missed the residual test", RuntimeWarning, stacklevel=2)
-    out[idx] = x
-    return out
+    return np.where(normal, x, 0.0)
 
 
 def scalar_root(p_bar: float, r: float, c: float) -> float:

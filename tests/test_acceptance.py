@@ -46,6 +46,44 @@ def manufactured_data(b, nx):
                              u_D=prob.u_D)
 
 
+def element_bounds(mesh, k):
+    """(x0, x1, y0, y1) of element k = j*nx + i, from the grid definition."""
+    j, i = divmod(k, mesh.nx)
+    dom = mesh.domain
+    dx = (dom.x_max - dom.x_min) / mesh.nx
+    dy = (dom.y_max - dom.y_min) / mesh.ny
+    return (dom.x_min + i * dx, dom.x_min + (i + 1) * dx,
+            dom.y_min + j * dy, dom.y_min + (j + 1) * dy)
+
+
+def interior_edges(mesh):
+    """(plus, minus, length, normal, midpoint) per interior edge."""
+    return zip(mesh.int_plus.tolist(), mesh.int_minus.tolist(),
+               mesh.int_length.tolist(), mesh.int_normal.tolist(),
+               mesh.int_mid.tolist())
+
+
+def boundary_edges(mesh):
+    """(element, length, p0, p1) per boundary edge."""
+    return zip(mesh.bnd_element.tolist(), mesh.bnd_length.tolist(),
+               mesh.bnd_p0.tolist(), mesh.bnd_p1.tolist())
+
+
+def dense_lifting(mesh):
+    """Dense (Bx, By) from R(u)|_k = -(1/|k|) sum_e (|e|/2) [u]_e."""
+    m = mesh.n_elements
+    bx = np.zeros((m, m))
+    by = np.zeros((m, m))
+    for a, b, length, nu, _ in interior_edges(mesh):
+        for k in (a, b):
+            coef = -(length / 2.0) / mesh.areas[k]
+            bx[k, a] += coef * nu[0]
+            bx[k, b] -= coef * nu[0]
+            by[k, a] += coef * nu[1]
+            by[k, b] -= coef * nu[1]
+    return bx, by
+
+
 def area_l2_diff(mesh, a, b):
     return float(np.sqrt((mesh.areas * (np.asarray(a) - np.asarray(b))**2).sum()))
 
@@ -129,39 +167,29 @@ def dense_quadratic_solve(nx):
     mesh = build_uniform_mesh(prob.domain, nx, nx)
     m = mesh.n_elements
     areas = np.asarray(mesh.areas)
-    bx = np.zeros((m, m))
-    by = np.zeros((m, m))
-    for e in mesh.interior_edges:
-        for k in (e.plus_element, e.minus_element):
-            coef = -(e.length / 2.0) / mesh.elements[k].area
-            bx[k, e.plus_element] += coef * e.nu_plus[0]
-            bx[k, e.minus_element] -= coef * e.nu_plus[0]
-            by[k, e.plus_element] += coef * e.nu_plus[1]
-            by[k, e.minus_element] -= coef * e.nu_plus[1]
+    bx, by = dense_lifting(mesh)
     system = np.diag(areas) + bx.T @ (areas[:, None] * bx) \
         + by.T @ (areas[:, None] * by)
-    for e in mesh.interior_edges:
+    for a, b, _, _, _ in interior_edges(mesh):
         s = 1.0  # penalty weight diam^-1 at p = 2, times |e|
-        a, b = e.plus_element, e.minus_element
         system[a, a] += s
         system[b, b] += s
         system[a, b] -= s
         system[b, a] -= s
     g3, w3 = np.polynomial.legendre.leggauss(3)
     load = np.zeros(m)
-    for e in mesh.elements:
-        x0, x1, y0, y1 = e.bounds
+    for k in range(m):
+        x0, x1, y0, y1 = element_bounds(mesh, k)
         xg, yg = np.meshgrid(0.5 * (x0 + x1) + 0.5 * (x1 - x0) * g3,
                              0.5 * (y0 + y1) + 0.5 * (y1 - y0) * g3)
         wg = np.outer(w3, w3) * ((x1 - x0) * (y1 - y0) / 4.0)
-        load[e.index] += float((wg * prob.exact_u(xg, yg)).sum())
-    for e in mesh.boundary_edges:
-        (x0, y0), (x1, y1) = e.endpoints
-        system[e.plus_element, e.plus_element] += 1.0  # diam^-1 times |e|
+        load[k] += float((wg * prob.exact_u(xg, yg)).sum())
+    for k, length, (x0, y0), (x1, y1) in boundary_edges(mesh):
+        system[k, k] += 1.0  # diam^-1 times |e|
         xg = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * g3
         yg = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * g3
-        line = (w3 * (e.length / 2.0) * prob.exact_u(xg, yg)).sum()
-        load[e.plus_element] += float(line) / e.length
+        line = (w3 * (length / 2.0) * prob.exact_u(xg, yg)).sum()
+        load[k] += float(line) / length
     return mesh, np.linalg.solve(system, load)
 
 
@@ -189,42 +217,36 @@ def test_criterion_5_dense_minimization_oracle():
     p_bar = data.exponent.barycenter_values(mesh)
     g3, w3 = np.polynomial.legendre.leggauss(3)
 
-    bx = np.zeros((m, m))
-    by = np.zeros((m, m))
-    for e in mesh.interior_edges:
-        for k in (e.plus_element, e.minus_element):
-            coef = -(e.length / 2.0) / mesh.elements[k].area
-            bx[k, e.plus_element] += coef * e.nu_plus[0]
-            bx[k, e.minus_element] -= coef * e.nu_plus[0]
-            by[k, e.plus_element] += coef * e.nu_plus[1]
-            by[k, e.minus_element] -= coef * e.nu_plus[1]
+    bx, by = dense_lifting(mesh)
 
-    def edge_w(e):
-        xm, ym = e.midpoint
+    def edge_w(length, xm, ym):
         p = float(data.exponent(xm, ym))
-        return e.length ** (-2.0 * (p - 1.0) / p)
+        return length ** (-2.0 * (p - 1.0) / p)
+
+    # (plus, minus, weight times length) per interior edge
+    jumps = [(a, b, edge_w(length, *mid) * length)
+             for a, b, length, _, mid in interior_edges(mesh)]
 
     xi_int = np.zeros(m)
     xq_all, yq_all, wq_all = [], [], []
-    for e in mesh.elements:
-        x0, x1, y0, y1 = e.bounds
+    for k in range(m):
+        x0, x1, y0, y1 = element_bounds(mesh, k)
         xg, yg = np.meshgrid(0.5 * (x0 + x1) + 0.5 * (x1 - x0) * g3,
                              0.5 * (y0 + y1) + 0.5 * (y1 - y0) * g3)
         wg = np.outer(w3, w3) * ((x1 - x0) * (y1 - y0) / 4.0)
-        xi_int[e.index] = float((wg * prob.xi(xg, yg)).sum())
+        xi_int[k] = float((wg * prob.xi(xg, yg)).sum())
         xq_all.append(xg)
         yq_all.append(yg)
         wq_all.append(wg)
 
     bnd = []
-    for e in mesh.boundary_edges:
-        (x0, y0), (x1, y1) = e.endpoints
+    for k, length, (x0, y0), (x1, y1) in boundary_edges(mesh):
         xg = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * g3
         yg = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * g3
-        wg = w3 * (e.length / 2.0)
-        w = edge_w(e)
+        wg = w3 * (length / 2.0)
+        w = edge_w(length, 0.5 * (x0 + x1), 0.5 * (y0 + y1))
         ud = prob.u_D(xg, yg)
-        bnd.append((e.plus_element, w, e.length, float((wg * ud).sum()),
+        bnd.append((k, w, length, float((wg * ud).sum()),
                     float((wg * ud**2).sum())))
 
     def objective(v):
@@ -236,10 +258,7 @@ def test_criterion_5_dense_minimization_oracle():
         data_term = sum(
             float((wq_all[k] * (v[k] - prob.xi(xq_all[k], yq_all[k]))**2).sum())
             for k in range(m))
-        jump_term = sum(
-            edge_w(e) * e.length
-            * (v[e.plus_element] - v[e.minus_element])**2
-            for e in mesh.interior_edges)
+        jump_term = sum(s * (v[a] - v[b])**2 for a, b, s in jumps)
         bnd_term = sum(w * (le * v[k]**2 - 2.0 * v[k] * ud1 + ud2)
                        for k, w, le, ud1, ud2 in bnd)
         return total + 0.5 * (data_term + jump_term + bnd_term)
@@ -251,11 +270,10 @@ def test_criterion_5_dense_minimization_oracle():
             fac = np.where(mag > 0.0, mag ** (p_bar - 2.0), 0.0)
         g = bx.T @ (areas * fac * gx) + by.T @ (areas * fac * gy)
         g += areas * v - xi_int
-        for e in mesh.interior_edges:
-            a, b = e.plus_element, e.minus_element
-            s = edge_w(e) * e.length * (v[a] - v[b])
-            g[a] += s
-            g[b] -= s
+        for a, b, s in jumps:
+            d = s * (v[a] - v[b])
+            g[a] += d
+            g[b] -= d
         for k, w, le, ud1, _ in bnd:
             g[k] += w * (le * v[k] - ud1)
         return g
@@ -301,8 +319,7 @@ def test_criterion_7_structural_invariants(tight_states):
         u = DgScalar(mesh, rng.normal(size=mesh.n_elements))
         phi = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
         lhs = float((mesh.areas[:, None] * lifting(u).values * phi.values).sum())
-        rhs = -sum(e.length * float(np.dot(jump(u, e), average(phi, e)))
-                   for e in mesh.interior_edges)
+        rhs = -float(mesh.int_length @ (jump(u) * average(phi)).sum(axis=1))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     if worst > 1e-12:
         failures.append(f"lifting adjoint identity off by {worst:.2e}")

@@ -63,7 +63,7 @@ def test_solve_rectangular_mesh(tmp_path):
     for k, row in enumerate(rows):
         # row-major: element k = j*nx + i sits in column i, row j
         j, i = divmod(k, 4)
-        x, y = mesh.elements[k].barycenter
+        x, y = mesh.barycenters[k]
         assert x == pytest.approx(-1.0 + (i + 0.5) * 0.5, rel=1e-12)
         assert y == pytest.approx(-1.0 + (j + 0.5) * 2.0 / 3.0, rel=1e-12)
         assert (float(row[1]), float(row[2])) == pytest.approx((x, y), rel=1e-11)

@@ -14,14 +14,18 @@ def dense_modular(values, exponent, mesh, n=200):
     mag = np.hypot(values[:, 0], values[:, 1]) if values.ndim == 2 \
         else np.abs(values)
     total = 0.0
-    for e in mesh.elements:
-        x0, x1, y0, y1 = e.bounds
-        xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
-        ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
+    dom = mesh.domain
+    dx = (dom.x_max - dom.x_min) / mesh.nx
+    dy = (dom.y_max - dom.y_min) / mesh.ny
+    for k in range(mesh.n_elements):
+        j, i = divmod(k, mesh.nx)
+        x0, y0 = dom.x_min + i * dx, dom.y_min + j * dy
+        xs = x0 + (np.arange(n) + 0.5) * dx / n
+        ys = y0 + (np.arange(n) + 0.5) * dy / n
         xg, yg = np.meshgrid(xs, ys)
         p = exponent(xg, yg)
-        m = mag[e.index]
-        cell = (x1 - x0) * (y1 - y0) / n**2
+        m = mag[k]
+        cell = dx * dy / n**2
         if m > 0.0:
             total += (m**p).sum() * cell
     return total

@@ -20,11 +20,12 @@ def test_element_points_shapes_and_weights():
     assert xq.shape == (12, 9) and yq.shape == (12, 9)
     assert wq.shape == (9,)
     assert wq.sum() * mesh.n_elements == pytest.approx(4.0)
-    # points stay inside their element
-    for e in mesh.elements:
-        x0, x1, y0, y1 = e.bounds
-        assert np.all((xq[e.index] > x0) & (xq[e.index] < x1))
-        assert np.all((yq[e.index] > y0) & (yq[e.index] < y1))
+    # points stay inside their element: cell (i, j) of the 4x3 grid
+    for k in range(mesh.n_elements):
+        j, i = divmod(k, 4)
+        x0, y0 = -1.0 + i * 0.5, -1.0 + j * 2.0 / 3.0
+        assert np.all((xq[k] > x0) & (xq[k] < x0 + 0.5))
+        assert np.all((yq[k] > y0) & (yq[k] < y0 + 2.0 / 3.0))
 
 
 def test_element_points_integrate_polynomials_exactly():

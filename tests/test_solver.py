@@ -455,13 +455,6 @@ def test_run_pinned_outputs(b, nx, algorithm, iterations, l2, jh):
     assert state.energy == pytest.approx(jh, rel=1e-12)
 
 
-def test_run_leaves_mesh_views_unbuilt():
-    _, data = manufactured_data(0.25, 5)
-    run(data, SolverConfig(algorithm=Algorithm.COUPLED))
-    built = {"elements", "interior_edges", "boundary_edges", "_incidence"}
-    assert not built & set(vars(data.mesh))
-
-
 def test_quadratic_case_matches_direct_solve_for_any_r():
     # at p = 2 the objective is quadratic; its normal equations are the
     # r = 1 system, so the iteration must land there from any penalty r
