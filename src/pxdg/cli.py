@@ -58,6 +58,8 @@ def _build_parser() -> _Parser:
 
 _CONFIG_KEYS = {"r": float, "rho": float, "alg": int, "tol": float,
                 "max_iter": int}
+# config keys (and flag dests) whose SolverConfig field is named otherwise
+_FIELDS = {"alg": "algorithm", "tol": "tol_outer", "max_iter": "max_outer"}
 
 
 def _read_config(path) -> dict:
@@ -78,16 +80,15 @@ def _read_config(path) -> dict:
 
 
 def _solver_config(args) -> SolverConfig:
-    merged = {"r": 1.0, "rho": None, "alg": 2, "tol": 1e-8, "max_iter": 500}
-    if args.config:
-        merged.update(_read_config(args.config))
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return SolverConfig(r=merged["r"], rho=merged["rho"],
-                        algorithm=Algorithm(merged["alg"]),
-                        tol_outer=merged["tol"], max_outer=merged["max_iter"])
+    """SolverConfig from the values a config file or flag set; flags win."""
+    given = _read_config(args.config) if args.config else {}
+    flags = vars(args)
+    given.update({key: flags[key] for key in _CONFIG_KEYS
+                  if flags[key] is not None})
+    if "alg" in given:
+        given["alg"] = Algorithm(given["alg"])
+    return SolverConfig(**{_FIELDS.get(key, key): value
+                           for key, value in given.items()})
 
 
 def _cmd_solve(args) -> int:

@@ -193,7 +193,11 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
     f(x) = x^{p_bar - 1} + r x - c is increasing and concave for
     1 < p_bar <= 2, so Newton climbs from any x with f(x) <= 0 to the root
     without overshooting. The left point t if t >= 1, else t^{1/(p_bar - 1)},
-    with t = c / (1 + r), is such an x; where it is 0 or subnormal the root
+    with t = c / (1 + r), is such an x. Where it falls below the smallest
+    normal double, the larger of two other lower bounds of the root x*
+    replaces it: x* <= c^{1/(p_bar - 1)} gives x*^{p_bar - 1} = c - r x* >=
+    c - r c^{1/(p_bar - 1)}, and x* <= c / r gives r x* >=
+    c - (c / r)^{p_bar - 1}. Where that start is not normal either, the root
     returned is 0. A RuntimeWarning counts misses of |f| <= 1e-12 max(1, c).
     """
     if r <= 0:
@@ -201,12 +205,18 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, float)
     p_bar = np.broadcast_to(np.asarray(p_bar, float), c.shape)
     x = c / (1.0 + r)
-    with np.errstate(under="ignore"):
+    tiny = np.finfo(float).tiny
+    with np.errstate(under="ignore", over="ignore"):
         np.power(x, 1.0 / (p_bar - 1.0), out=x, where=x < 1.0)
+        low = x < tiny
+        if low.any():
+            c_low, e = c[low], p_bar[low] - 1.0
+            y = np.maximum(c_low - r * c_low ** (1.0 / e), 0.0) ** (1.0 / e)
+            x[low] = np.maximum(y, (c_low - (c_low / r) ** e) / r)
     tol = 1e-12 * np.maximum(1.0, c)
     # below the smallest normal, x^{p_bar - 2} can overflow to inf; such
     # entries get x = 1 and c = 1 + r, whose residual is exactly 0
-    normal = x >= np.finfo(float).tiny
+    normal = x >= tiny
     missed = np.count_nonzero(~normal & (c > tol))
     x[~normal] = 1.0
     c = np.where(normal, c, 1.0 + r)
@@ -250,17 +260,16 @@ def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
     return s * np.divide(x, c, out=np.zeros_like(c), where=c > 0.0)[:, None]
 
 
-def eta_update(u: DgScalar, lam: DgVector, data: ProblemData,
+def eta_update(bu: DgVector, lam: DgVector, data: ProblemData,
                cfg: SolverConfig) -> DgVector:
-    """Flux recovery step for the current u and multiplier."""
-    return DgVector(data.mesh, _eta_from(lifting(u).values, lam.values,
-                                         data.p_bar, cfg.r))
+    """Flux recovery step for the lifted field bu = Bu and the multiplier."""
+    return DgVector(data.mesh, _eta_from(bu.values, lam.values, data.p_bar,
+                                         cfg.r))
 
 
-def lambda_update(state: SolverState, cfg: SolverConfig) -> DgVector:
-    """Multiplier step lam + rho (Bu - eta)."""
-    gap = lifting(state.u).values - state.eta.values
-    return DgVector(state.u.mesh, state.lam.values + cfg.effective_rho * gap)
+def lambda_update(lam: DgVector, gap: DgVector, cfg: SolverConfig) -> DgVector:
+    """Multiplier step lam + rho gap, with gap = Bu - eta."""
+    return DgVector(lam.mesh, lam.values + cfg.effective_rho * gap.values)
 
 
 def stopping_check(state: SolverState, cfg: SolverConfig) -> bool:
@@ -302,24 +311,24 @@ def run(data: ProblemData, cfg: SolverConfig,
     start = init if init is not None else _zero_state(mesh)
     state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
     for n in range(1, cfg.max_outer + 1):
-        u_prev = state.u
+        u_prev, lam_prev = state.u, state.lam
         for _ in range(sweeps):
             eta_prev = state.eta
-            u = DgScalar(mesh, solve_linear(matrix,
-                                            assemble_rhs(state, data, cfg)))
-            state = replace(state, u=u,
-                            eta=eta_update(u, state.lam, data, cfg))
+            state.u = DgScalar(mesh, solve_linear(
+                matrix, assemble_rhs(state, data, cfg)))
+            bu = lifting(state.u)
+            state.eta = eta_update(bu, state.lam, data, cfg)
             if sweeps == 1 or _distance(state.eta, eta_prev) <= TOL_INNER:
                 break
         else:
             state.inner_converged = False
-        lam = lambda_update(state, cfg)
-        state = replace(
-            state, lam=lam, iteration=n,
-            residual_u=_distance(state.u, u_prev),
-            residual_constraint=_distance(lifting(state.u), state.eta),
-            residual_lambda=_distance(lam, state.lam),
-            energy=eval_Jh(state.u, data).J_value)
+        gap = DgVector(mesh, bu.values - state.eta.values)
+        state.lam = lambda_update(state.lam, gap, cfg)
+        state.iteration = n
+        state.residual_u = _distance(state.u, u_prev)
+        state.residual_constraint = l2_norm(gap)
+        state.residual_lambda = _distance(state.lam, lam_prev)
+        state.energy = eval_Jh(state.u, data).J_value
         state.history.append(IterationRecord(
             n, state.residual_u, state.residual_constraint,
             state.residual_lambda, state.energy))

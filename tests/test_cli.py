@@ -5,16 +5,16 @@ import io
 
 import pytest
 
-from pxdg import (ProblemData, SolverConfig, build_uniform_mesh,
+from pxdg import (Algorithm, ProblemData, SolverConfig, build_uniform_mesh,
                   manufactured_problem, run)
-from pxdg.cli import main
+from pxdg.cli import _build_parser, _solver_config, main
 
 
 def test_solve_writes_solution_csv(tmp_path, capsys):
     out = tmp_path / "solution.csv"
     code = main(["solve", "--b", "0", "--nx", "4", "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["element", "x", "y", "u"]
     assert len(rows) == 1 + 16
     assert [int(r[0]) for r in rows[1:]] == list(range(16))
@@ -57,7 +57,7 @@ def test_solve_rectangular_mesh(tmp_path):
     code = main(["solve", "--b", "0", "--nx", "4", "--ny", "3",
                  "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(out.open()))[1:]
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
     assert len(rows) == 12
     mesh = build_uniform_mesh(manufactured_problem(0.0).domain, 4, 3)
     for k, row in enumerate(rows):
@@ -147,6 +147,24 @@ def test_flags_override_config_file(tmp_path):
     code = main(["solve", "--b", "0.5", "--nx", "4", "--config", str(cfg),
                  "--max-iter", "200", "--out", out])
     assert code == 0
+
+
+def test_solver_defaults_come_from_solver_config(tmp_path, capsys):
+    parser = _build_parser()
+    bare = parser.parse_args(["solve", "--b", "0", "--nx", "4",
+                              "--out", "x.csv"])
+    assert _solver_config(bare) == SolverConfig()
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text("r = 2\ntol = 1e-6\nalg = 1\n")
+    args = parser.parse_args(["solve", "--b", "0", "--nx", "4", "--config",
+                              str(cfg), "--r", "1.5", "--out", "x.csv"])
+    assert _solver_config(args) == SolverConfig(
+        r=1.5, tol_outer=1e-6, algorithm=Algorithm.COUPLED)
+    bad_alg = tmp_path / "alg.cfg"
+    bad_alg.write_text("alg = 3\n")
+    assert main(["solve", "--b", "0", "--nx", "4", "--config", str(bad_alg),
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_file_errors(tmp_path, capsys):

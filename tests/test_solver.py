@@ -1,17 +1,19 @@
 """System assembly, the per-element flux resolvent, and both iteration loops."""
 
+import copy
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import pxdg.energy
 import pxdg.solver
 from pxdg import (Algorithm, DgScalar, DgVector, Domain, ProblemData,
                   SolverConfig, SolverState, StepSizeWarning, assemble_matrix,
                   assemble_rhs, build_uniform_mesh, eta_update,
                   eval_lagrangian, l2_error, l2_norm, lambda_update,
-                  lifting_matrices, manufactured_exponent,
+                  lifting, lifting_matrices, manufactured_exponent,
                   manufactured_problem, run, scalar_root, solve_linear,
                   stopping_check, write_trace_csv)
 
@@ -46,6 +48,10 @@ def manufactured_data(b, nx):
 def bu_of(u_values, mesh):
     lx, ly = lifting_matrices(mesh)
     return np.column_stack([lx @ u_values, ly @ u_values])
+
+
+def gap_of(state):
+    return DgVector(state.u.mesh, lifting(state.u).values - state.eta.values)
 
 
 def test_matrix_single_element():
@@ -213,10 +219,24 @@ def test_root_many_is_finite_or_warns(p_bar, r, c):
                       for w in caught)
 
 
+@pytest.mark.parametrize("p_bar, r, c", [
+    (1.01, 1.0, 1e-3),  # left point ~1e-330, root ~1e-300
+    (1.01, 1.0, 1.4e-3),  # left point subnormal, root ~4e-286
+    (1.01, 1e4, 5.0),  # left point ~1e-330 and c^{1/(p_bar - 1)} = inf
+])
+def test_root_many_recovers_normal_root_below_underflowing_left_point(
+        p_bar, r, c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = pxdg.solver._root_many(np.array([p_bar]), r, np.array([c]))
+    assert x[0] > 0.0
+    assert _scaled_residual(p_bar, r, c, x[0]) <= 1e-12
+
+
 def test_eta_update_zero():
     data = problem_data(3, b=0.25)
     m = data.mesh.n_elements
-    eta = eta_update(DgScalar(data.mesh, np.zeros(m)),
+    eta = eta_update(lifting(DgScalar(data.mesh, np.zeros(m))),
                      DgVector(data.mesh, np.zeros((m, 2))),
                      data, SolverConfig(r=1.0))
     assert np.allclose(eta.values, 0.0)
@@ -227,7 +247,7 @@ def test_eta_update_hand_value():
     data = problem_data(1)
     u = DgScalar(data.mesh, [0.0])
     lam = DgVector(data.mesh, [[3.0, 4.0]])
-    eta = eta_update(u, lam, data, SolverConfig(r=1.0))
+    eta = eta_update(lifting(u), lam, data, SolverConfig(r=1.0))
     assert np.allclose(eta.values[0], [1.5, 2.0], rtol=1e-12)
     assert np.hypot(*eta.values[0]) == pytest.approx(
         scalar_root(2.0, 1.0, 5.0), rel=1e-12)
@@ -240,7 +260,7 @@ def test_eta_update_parallel_with_resolvent_magnitude():
     rng = np.random.default_rng(26)
     u = DgScalar(mesh, rng.normal(size=mesh.n_elements))
     lam = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
-    eta = eta_update(u, lam, data, cfg).values
+    eta = eta_update(lifting(u), lam, data, cfg).values
     s = lam.values + cfg.r * bu_of(u.values, mesh)
     p_bar = data.exponent.barycenter_values(mesh)
     for k in range(mesh.n_elements):
@@ -259,7 +279,7 @@ def test_eta_update_satisfies_flux_equation():
     rng = np.random.default_rng(27)
     u = DgScalar(mesh, rng.normal(size=mesh.n_elements))
     lam = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
-    eta = eta_update(u, lam, data, cfg).values
+    eta = eta_update(lifting(u), lam, data, cfg).values
     bu = bu_of(u.values, mesh)
     p_bar = data.exponent.barycenter_values(mesh)
     mag = np.hypot(eta[:, 0], eta[:, 1])
@@ -274,11 +294,14 @@ def test_lambda_update_hand_values():
     data = problem_data(1)
     state = zero_state(data.mesh)
     cfg = SolverConfig(r=1.0)
-    assert np.allclose(lambda_update(state, cfg).values, 0.0)
+    assert np.allclose(lambda_update(state.lam, gap_of(state), cfg).values,
+                       0.0)
     state.eta = DgVector(data.mesh, [[-1.0, 0.0]])
-    assert np.allclose(lambda_update(state, cfg).values[0], [1.0, 0.0])
+    assert np.allclose(lambda_update(state.lam, gap_of(state), cfg).values[0],
+                       [1.0, 0.0])
     state.lam = DgVector(data.mesh, [[2.0, 3.0]])
-    assert np.allclose(lambda_update(state, cfg).values[0], [3.0, 3.0])
+    assert np.allclose(lambda_update(state.lam, gap_of(state), cfg).values[0],
+                       [3.0, 3.0])
 
 
 def test_lambda_update_scales_with_rho():
@@ -288,8 +311,10 @@ def test_lambda_update_scales_with_rho():
     state = zero_state(mesh)
     state.u = DgScalar(mesh, rng.normal(size=mesh.n_elements))
     state.eta = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
-    one = lambda_update(state, SolverConfig(r=1.0, rho=1.0)).values
-    two = lambda_update(state, SolverConfig(r=1.0, rho=2.0)).values
+    one = lambda_update(state.lam, gap_of(state),
+                        SolverConfig(r=1.0, rho=1.0)).values
+    two = lambda_update(state.lam, gap_of(state),
+                        SolverConfig(r=1.0, rho=2.0)).values
     gap = bu_of(state.u.values, mesh) - state.eta.values
     assert np.allclose(two - one, gap, rtol=1e-12, atol=1e-14)
 
@@ -366,7 +391,7 @@ def test_fixed_point_satisfies_all_three_equations():
     lin = np.abs(sm.matrix @ state.u.values - rhs).max()
     assert lin <= 1e-7 * max(1.0, np.abs(rhs).max())
     # flux resolvent consistency
-    eta = eta_update(state.u, state.lam, data, cfg)
+    eta = eta_update(lifting(state.u), state.lam, data, cfg)
     assert l2_norm(DgVector(mesh, eta.values - state.eta.values)) <= 1e-7
     # constraint
     gap = bu_of(state.u.values, mesh) - state.eta.values
@@ -455,6 +480,44 @@ def test_run_pinned_outputs(b, nx, algorithm, iterations, l2, jh):
     assert state.energy == pytest.approx(jh, rel=1e-12)
 
 
+@pytest.mark.parametrize("b, nx, algorithm, residual", [
+    (0.5, 10, Algorithm.UNCOUPLED, 1.5136070488348886e-07),
+    (0.25, 8, Algorithm.COUPLED, 2.807480730834502e-07),
+    (0.0, 6, Algorithm.UNCOUPLED, 0.8926130402601007),
+])
+def test_run_pinned_residuals(b, nx, algorithm, residual):
+    # at rho = r = 1 the multiplier moves by exactly the gap Bu - eta, so
+    # both residuals take one value
+    _, data = manufactured_data(b, nx)
+    state = run(data, SolverConfig(algorithm=algorithm))
+    assert state.residual_constraint == pytest.approx(residual, rel=1e-12)
+    assert state.residual_lambda == pytest.approx(residual, rel=1e-12)
+
+
+def test_run_lifts_u_once_per_sweep(monkeypatch):
+    # each u-solve is lifted once for the flux step, the multiplier step and
+    # the constraint residual; the energy lifts the final u once more
+    calls = {"lifting": 0, "solve_linear": 0}
+
+    def counted(module, name):
+        def wrapper(*args, _fn=getattr(module, name)):
+            calls[name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(pxdg.solver, "lifting")
+    counted(pxdg.energy, "lifting")
+    counted(pxdg.solver, "solve_linear")
+    _, data = manufactured_data(0.25, 4)
+    for algorithm in Algorithm:
+        calls.update(lifting=0, solve_linear=0)
+        state = run(data, SolverConfig(algorithm=algorithm))
+        assert state.converged
+        assert calls["lifting"] == calls["solve_linear"] + state.iteration
+        if algorithm == Algorithm.UNCOUPLED:
+            assert calls["lifting"] == 2 * state.iteration
+
+
 def test_quadratic_case_matches_direct_solve_for_any_r():
     # at p = 2 the objective is quadratic; its normal equations are the
     # r = 1 system, so the iteration must land there from any penalty r
@@ -523,7 +586,13 @@ def test_non_convergence_is_flagged():
 def test_warm_start_from_previous_state():
     _, data = manufactured_data(0.25, 4)
     cold = run(data, SolverConfig())
+    fields = [f.values.copy() for f in (cold.u, cold.eta, cold.lam)]
+    iteration, history = cold.iteration, copy.deepcopy(cold.history)
     warm = run(data, SolverConfig(), init=cold)
+    # the warm run starts from init's fields and leaves init as it was
+    for f, before in zip((cold.u, cold.eta, cold.lam), fields):
+        assert np.array_equal(f.values, before)
+    assert cold.iteration == iteration and cold.history == history
     assert warm.converged
     assert warm.iteration <= cold.iteration
     diff = l2_norm(DgScalar(data.mesh, warm.u.values - cold.u.values))

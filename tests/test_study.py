@@ -198,7 +198,7 @@ def test_write_study_csv(tmp_path):
     write_study_csv(rows, path)
     text = path.read_text().strip().splitlines()
     assert text[0] == "b,nx,m,l2_error,iterations,jh,converged"
-    parsed = list(csv.DictReader(path.open()))
+    parsed = list(csv.DictReader(path.read_text().splitlines()))
     assert len(parsed) == 2
     for row, rec in zip(rows, parsed):
         assert float(rec["b"]) == row.b
