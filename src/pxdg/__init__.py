@@ -13,10 +13,8 @@ from .quadrature import boundary_points, element_points, gauss_1d
 from .solver import (Algorithm, IterationRecord, SolverConfig, SolverState,
                      StepSizeWarning, SystemMatrix, assemble_matrix,
                      assemble_rhs, eta_update, lambda_update, run,
-                     scalar_root, solve_linear, stopping_check,
-                     write_trace_csv)
+                     scalar_root, solve_linear, stopping_check)
 from .study import (FLUX_CONSTANT, ManufacturedProblem, StudyRow, fit_rate,
-                    l2_error, manufactured_problem, run_study,
-                    write_study_csv)
+                    l2_error, manufactured_problem, run_study)
 
 __version__ = "0.1.0"

@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 
 from .energy import ProblemData
 from .mesh import build_uniform_mesh
-from .solver import Algorithm, SolverConfig, run, write_trace_csv
-from .study import (l2_error, manufactured_problem, run_study,
-                    write_study_csv)
+from .solver import Algorithm, SolverConfig, run
+from .study import l2_error, manufactured_problem, run_study
 
 __all__ = ["main"]
 
@@ -91,6 +91,14 @@ def _solver_config(args) -> SolverConfig:
                            for key, value in given.items()})
 
 
+def _write_csv(path, header, row_format, rows) -> None:
+    """One CSV table: csv.writer's layout and CRLF line ends, written in
+    one formatted pass."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(row_format % row + "\r\n" for row in rows)
+
+
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
     prob = manufactured_problem(args.b)
@@ -100,14 +108,14 @@ def _cmd_solve(args) -> int:
                        u_D=prob.u_D)
     state = run(data, cfg)
     err = l2_error(state.u, prob)
-    with open(args.out, "w", newline="") as fh:
-        # csv.writer's layout and CRLF line ends, in one formatted pass
-        fh.write("element,x,y,u\r\n")
-        fh.writelines("%d,%.12g,%.12g,%.12g\r\n" % row for row in zip(
-            range(mesh.n_elements), *mesh.barycenters.T.tolist(),
-            state.u.values.tolist()))
+    _write_csv(args.out, "element,x,y,u", "%d,%.12g,%.12g,%.12g",
+               zip(range(mesh.n_elements), *mesh.barycenters.T.tolist(),
+                   state.u.values.tolist()))
     if args.trace:
-        write_trace_csv(state, args.trace)
+        _write_csv(args.trace,
+                   "iter,residual_u,residual_constraint,residual_lambda,Jh",
+                   "%d,%.12g,%.12g,%.12g,%.12g",
+                   map(astuple, state.history))
     print(f"b={args.b:g} nx={args.nx} ny={ny} m={mesh.n_elements} "
           f"l2_error={err:.6g} iterations={state.iteration} "
           f"jh={state.energy:.6g} converged={state.converged} "
@@ -122,7 +130,8 @@ def _cmd_study(args) -> int:
     if not b_list or not nx_list:
         raise ValueError("study needs at least one b and one nx")
     rows = run_study(b_list, nx_list, cfg)
-    write_study_csv(rows, args.out)
+    _write_csv(args.out, "b,nx,m,l2_error,iterations,jh,converged",
+               "%.12g,%d,%d,%.12g,%d,%.12g,%d", map(astuple, rows))
     for row in rows:
         print(f"b={row.b:g} nx={row.nx} m={row.m} l2_error={row.l2_error:.6g} "
               f"iterations={row.iterations} converged={row.converged}")

@@ -113,7 +113,7 @@ def eval_F_barycenter(q: DgVector, data: ProblemData) -> float:
     """One-point variant: |k| |q_k|^{p_bar} / p_bar with barycenter exponents."""
     p_bar = data.p_bar
     mag = np.hypot(q.values[:, 0], q.values[:, 1])
-    vals = np.where(mag > 0.0, mag ** p_bar, 0.0) / p_bar
+    vals = mag ** p_bar / p_bar
     return float((data.mesh.areas * vals).sum())
 
 

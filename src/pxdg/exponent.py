@@ -48,13 +48,10 @@ def conjugate(p_value):
 
 
 def manufactured_exponent(b: float) -> ExponentField:
-    """Exponent family on [-1,1]^2: constant 2 at b = 0, else
-    p(x) = 1 + 1/((b/2)(x1+x2) + 1 + b), with p1 = 1 + 1/(1+2b), p2 = 2."""
+    """Exponent family on [-1,1]^2: p(x) = 1 + 1/((b/2)(x1+x2) + 1 + b),
+    with p1 = 1 + 1/(1+2b), p2 = 2; b = 0 gives the constant 2."""
     if b < 0:
         raise ValueError("b must be nonnegative")
-    if b == 0:
-        return ExponentField(lambda x, y: np.full_like(np.asarray(x, float), 2.0),
-                             p1=2.0, p2=2.0)
     func = lambda x, y: 1.0 + 1.0 / ((b / 2.0) * (np.asarray(x, float) + y) + 1.0 + b)
     return ExponentField(func, p1=1.0 + 1.0 / (1.0 + 2.0 * b), p2=2.0)
 
@@ -75,9 +72,8 @@ def modular(field, exponent: ExponentField, mesh) -> float:
     mag = _field_magnitude(field)
     xq, yq, wq = element_points(mesh)
     pq = np.asarray(exponent(xq, yq), float)
-    with np.errstate(divide="ignore"):
-        integrand = np.where(mag[:, None] > 0.0, mag[:, None] ** pq, 0.0)
-    return float((integrand * wq[None, :]).sum())
+    # p > 1, so a zero magnitude contributes 0 ** p = 0
+    return float((mag[:, None] ** pq * wq[None, :]).sum())
 
 
 def luxemburg_norm(field, exponent: ExponentField, mesh) -> float:
@@ -89,12 +85,9 @@ def luxemburg_norm(field, exponent: ExponentField, mesh) -> float:
     pq = np.asarray(exponent(xq, yq), float)
 
     def rho(k):
-        scaled = mag[:, None] / k
-        with np.errstate(divide="ignore"):
-            vals = np.where(scaled > 0.0, scaled ** pq, 0.0)
-        return float((vals * wq[None, :]).sum())
+        return float(((mag[:, None] / k) ** pq * wq[None, :]).sum())
 
-    k = max(modular(field, exponent, mesh), 1.0)
+    k = max(rho(1.0), 1.0)
     # rho(k) is strictly decreasing in k; expand/shrink by 2 to bracket 1
     lo = hi = k
     while rho(hi) > 1.0:

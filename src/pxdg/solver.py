@@ -10,7 +10,6 @@ to a joint minimum of the augmented Lagrangian before each multiplier step.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
@@ -37,7 +36,6 @@ __all__ = [
     "lambda_update",
     "stopping_check",
     "run",
-    "write_trace_csv",
 ]
 
 GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
@@ -278,10 +276,14 @@ def stopping_check(state: SolverState, cfg: SolverConfig) -> bool:
     The constraint residual decays geometrically with the multiplier
     updates, so demanding it at tol_outer costs many extra iterations after
     u has stabilized; it is opt-in for runs that need a tight saddle point.
+    A non-finite increment or u never passes (inf <= tol * inf would).
     """
     if state.iteration < 1:
         return False
-    ok = state.residual_u <= cfg.tol_outer * max(1.0, l2_norm(state.u))
+    u_norm = l2_norm(state.u)
+    if not (np.isfinite(state.residual_u) and np.isfinite(u_norm)):
+        return False
+    ok = state.residual_u <= cfg.tol_outer * max(1.0, u_norm)
     if cfg.require_constraint:
         ok = ok and (state.residual_constraint
                      <= cfg.tol_outer * max(1.0, l2_norm(state.eta)))
@@ -300,7 +302,8 @@ def run(data: ProblemData, cfg: SolverConfig,
     An outer iteration sweeps a u-solve and a flux recovery, then updates
     the multiplier. The uncoupled algorithm makes one sweep; the coupled
     one repeats the sweep at frozen lam until eta moves by at most
-    TOL_INNER, up to MAX_INNER sweeps.
+    TOL_INNER, up to MAX_INNER sweeps. A non-finite u-increment ends the
+    run unconverged.
     """
     if cfg.r <= 0:
         raise ValueError("iteration requires r > 0")
@@ -335,18 +338,6 @@ def run(data: ProblemData, cfg: SolverConfig,
         if stopping_check(state, cfg):
             state.converged = True
             break
+        if not np.isfinite(state.residual_u):
+            break
     return state
-
-
-def write_trace_csv(state: SolverState, path) -> None:
-    """Per-iteration residual and energy trace."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["iter", "residual_u", "residual_constraint",
-                      "residual_lambda", "Jh"])
-        for rec in state.history:
-            out.writerow([rec.iteration,
-                          "%.12g" % rec.residual_u,
-                          "%.12g" % rec.residual_constraint,
-                          "%.12g" % rec.residual_lambda,
-                          "%.12g" % rec.energy])

@@ -6,7 +6,7 @@ import io
 import pytest
 
 from pxdg import (Algorithm, ProblemData, SolverConfig, build_uniform_mesh,
-                  manufactured_problem, run)
+                  manufactured_problem, run, run_study)
 from pxdg.cli import _build_parser, _solver_config, main
 
 
@@ -25,21 +25,52 @@ def test_solve_writes_solution_csv(tmp_path, capsys):
     assert "converged=True" in summary
 
 
-def test_solution_csv_matches_csv_writer(tmp_path):
-    out = tmp_path / "solution.csv"
-    assert main(["solve", "--b", "0.25", "--nx", "4", "--ny", "3",
-                 "--out", str(out)]) == 0
+HEADERS = {
+    "solution": "element,x,y,u",
+    "trace": "iter,residual_u,residual_constraint,residual_lambda,Jh",
+    "study": "b,nx,m,l2_error,iterations,jh,converged",
+}
+
+
+def _csv_writer_rows(table):
+    """The table's rows as csv.writer got them: %.12g floats, plain ints."""
+    if table == "study":
+        return [["%.12g" % r.b, r.nx, r.m, "%.12g" % r.l2_error, r.iterations,
+                 "%.12g" % r.jh, int(r.converged)]
+                for r in run_study([0.0, 0.5], [4, 5],
+                                   SolverConfig(max_outer=3))]
     prob = manufactured_problem(0.25)
     mesh = build_uniform_mesh(prob.domain, 4, 3)
     state = run(ProblemData(mesh=mesh, exponent=prob.exponent, xi=prob.xi,
                             u_D=prob.u_D), SolverConfig())
+    if table == "solution":
+        return [[k, "%.12g" % x, "%.12g" % y, "%.12g" % u]
+                for k, ((x, y), u) in enumerate(zip(
+                    mesh.barycenters.tolist(), state.u.values.tolist()))]
+    return [[rec.iteration] + ["%.12g" % v for v in (
+                rec.residual_u, rec.residual_constraint,
+                rec.residual_lambda, rec.energy)]
+            for rec in state.history]
+
+
+@pytest.mark.parametrize("table", sorted(HEADERS))
+def test_csv_matches_csv_writer(tmp_path, table):
+    # main formats every table in one pass; csv.writer over the same fields
+    # is the reference layout, CRLF line ends included
+    path = {t: tmp_path / f"{t}.csv" for t in HEADERS}
+    if table == "study":
+        # b = 0.5 stops unconverged, so converged = 0 is written too
+        assert main(["study", "--b", "0,0.5", "--nx", "4,5", "--max-iter",
+                     "3", "--out", str(path["study"])]) == 2
+    else:
+        assert main(["solve", "--b", "0.25", "--nx", "4", "--ny", "3",
+                     "--out", str(path["solution"]),
+                     "--trace", str(path["trace"])]) == 0
     want = io.StringIO(newline="")
     writer = csv.writer(want)
-    writer.writerow(["element", "x", "y", "u"])
-    for k, ((x, y), u) in enumerate(zip(mesh.barycenters.tolist(),
-                                        state.u.values.tolist())):
-        writer.writerow([k, "%.12g" % x, "%.12g" % y, "%.12g" % u])
-    assert out.read_bytes() == want.getvalue().encode()
+    writer.writerow(HEADERS[table].split(","))
+    writer.writerows(_csv_writer_rows(table))
+    assert path[table].read_bytes() == want.getvalue().encode()
 
 
 def test_solve_reports_constraint_residual(tmp_path, capsys):
@@ -120,6 +151,10 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["solve", "--b", "0.5", "--nx", "4", "--r", "nan",
                  "--out", out]) == 1
     assert "penalty parameter r" in capsys.readouterr().err
+    # b whose manufactured gradient overflows the doubles
+    assert main(["solve", "--b", "400", "--nx", "4", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "b=400" in err
 
 
 def test_non_convergence_exits_two(tmp_path):
@@ -129,6 +164,17 @@ def test_non_convergence_exits_two(tmp_path):
     assert code == 2
     assert main(["study", "--b", "0.5", "--nx", "4", "--max-iter", "1",
                  "--out", out]) == 2
+
+
+# the exact solution at b = 300 reaches ~5e258, so squaring it overflows
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_solve_exits_two(tmp_path, capsys):
+    # inf <= tol * inf must not read as convergence, and the run stops at
+    # the first non-finite u-increment instead of spinning to max_outer
+    out = str(tmp_path / "x.csv")
+    assert main(["solve", "--b", "300", "--nx", "8", "--out", out]) == 2
+    fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+    assert fields["converged"] == "False" and fields["iterations"] == "1"
 
 
 def test_config_file_sets_defaults(tmp_path):

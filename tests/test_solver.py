@@ -15,7 +15,8 @@ from pxdg import (Algorithm, DgScalar, DgVector, Domain, ProblemData,
                   eval_lagrangian, l2_error, l2_norm, lambda_update,
                   lifting, lifting_matrices, manufactured_exponent,
                   manufactured_problem, run, scalar_root, solve_linear,
-                  stopping_check, write_trace_csv)
+                  stopping_check)
+from pxdg.cli import main
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -346,6 +347,20 @@ def test_stopping_check_constraint_opt_in():
     assert stopping_check(state, SolverConfig(require_constraint=True))
 
 
+def test_stopping_check_rejects_non_finite_iterate():
+    # inf <= tol * max(1, inf) holds, so a blown-up u must be caught apart
+    mesh = build_uniform_mesh(SQUARE, 2, 2)
+    state = zero_state(mesh)
+    state.u = DgScalar(mesh, np.array([np.inf, 0.0, 0.0, 0.0]))
+    state.residual_u = np.inf
+    state.iteration = 1
+    assert not stopping_check(state, SolverConfig())
+    state.residual_u = 0.0
+    assert not stopping_check(state, SolverConfig())
+    state.u = DgScalar(mesh, np.array([np.nan, 0.0, 0.0, 0.0]))
+    assert not stopping_check(state, SolverConfig())
+
+
 def test_run_rejects_nonpositive_r():
     _, data = manufactured_data(0.0, 4)
     with pytest.raises(ValueError):
@@ -600,10 +615,12 @@ def test_warm_start_from_previous_state():
 
 
 def test_write_trace_csv(tmp_path):
+    # the CLI owns the trace format: one row per record of state.history
     _, data = manufactured_data(0.25, 4)
     state = run(data, SolverConfig())
     path = tmp_path / "trace.csv"
-    write_trace_csv(state, path)
+    assert main(["solve", "--b", "0.25", "--nx", "4", "--out",
+                 str(tmp_path / "solution.csv"), "--trace", str(path)]) == 0
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iter,residual_u,residual_constraint,residual_lambda,Jh"
     assert len(lines) == 1 + state.iteration

@@ -8,7 +8,8 @@ import pytest
 from pxdg import (DgScalar, Domain, FLUX_CONSTANT, ManufacturedProblem,
                   SolverConfig, StudyRow, build_uniform_mesh, fit_rate,
                   l2_error, manufactured_exponent, manufactured_problem,
-                  run_study, weighted_jump_norm, write_study_csv)
+                  run_study, weighted_jump_norm)
+from pxdg.cli import main
 
 
 def test_flux_constant_value():
@@ -52,6 +53,19 @@ def test_manufactured_gradient_matches_finite_differences():
 def test_manufactured_rejects_negative_b():
     with pytest.raises(ValueError):
         manufactured_problem(-0.5)
+
+
+@pytest.mark.parametrize("b", [400.0, 1e4])
+def test_manufactured_rejects_overflowing_b(b):
+    # the gradient overflows at the corner (1, 1); the self-check says so
+    # with a ValueError and no floating-point warning
+    with pytest.raises(ValueError, match=f"b={b:g}"):
+        manufactured_problem(b)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.25, 0.5, 6.0, 50.0])
+def test_manufactured_accepts_representable_b(b):
+    assert manufactured_problem(b).b == b
 
 
 def test_l2_error_zero_for_exact_constant():
@@ -193,9 +207,10 @@ def test_solution_jump_seminorm_is_finite():
 
 
 def test_write_study_csv(tmp_path):
+    # the CLI owns the study format: one row per StudyRow
     rows = run_study([0.0], [4, 8], SolverConfig())
     path = tmp_path / "study.csv"
-    write_study_csv(rows, path)
+    assert main(["study", "--b", "0", "--nx", "4,8", "--out", str(path)]) == 0
     text = path.read_text().strip().splitlines()
     assert text[0] == "b,nx,m,l2_error,iterations,jh,converged"
     parsed = list(csv.DictReader(path.read_text().splitlines()))
