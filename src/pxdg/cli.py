@@ -9,8 +9,6 @@ import argparse
 import sys
 from dataclasses import astuple
 
-from .energy import ProblemData
-from .mesh import build_uniform_mesh
 from .solver import Algorithm, SolverConfig, run
 from .study import l2_error, manufactured_problem, run_study
 
@@ -103,9 +101,8 @@ def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
     prob = manufactured_problem(args.b)
     ny = args.ny if args.ny is not None else args.nx
-    mesh = build_uniform_mesh(prob.domain, args.nx, ny)
-    data = ProblemData(mesh=mesh, exponent=prob.exponent, xi=prob.xi,
-                       u_D=prob.u_D)
+    data = prob.discretize(args.nx, ny)
+    mesh = data.mesh
     state = run(data, cfg)
     err = l2_error(state.u, prob)
     _write_csv(args.out, "element,x,y,u", "%d,%.12g,%.12g,%.12g",

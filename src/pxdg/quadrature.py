@@ -12,13 +12,13 @@ def gauss_1d(n: int) -> tuple:
     return np.polynomial.legendre.leggauss(n)
 
 
-def element_points(mesh, n: int = 3) -> tuple:
-    """Quadrature for every element at once.
+def element_points(mesh) -> tuple:
+    """3x3 Gauss quadrature for every element at once.
 
-    Returns (xq, yq, wq): xq, yq of shape (m, n*n); wq of shape (n*n,) and
+    Returns (xq, yq, wq): xq, yq of shape (m, 9); wq of shape (9,) and
     shared by all elements (uniform mesh), including the Jacobian dx*dy/4.
     """
-    g, w = gauss_1d(n)
+    g, w = gauss_1d(3)
     gx, gy = np.meshgrid(g, g)
     wx, wy = np.meshgrid(w, w)
     wq = (wx * wy).ravel() * (mesh.dx * mesh.dy / 4.0)
@@ -27,9 +27,9 @@ def element_points(mesh, n: int = 3) -> tuple:
     return xq, yq, wq
 
 
-def boundary_points(mesh, n: int = 3) -> tuple:
-    """Per-boundary-edge quadrature: (xq, yq, wq), each of shape (n_bnd, n)."""
-    g, w = gauss_1d(n)
+def boundary_points(mesh) -> tuple:
+    """Per-boundary-edge 3-point quadrature: (xq, yq, wq), each (n_bnd, 3)."""
+    g, w = gauss_1d(3)
     p0, p1 = mesh.bnd_p0, mesh.bnd_p1
     cx = 0.5 * (p0[:, 0] + p1[:, 0])
     cy = 0.5 * (p0[:, 1] + p1[:, 1])

@@ -111,10 +111,6 @@ class SystemMatrix:
     matrix: sp.csc_matrix
     factor: object  # splu factorization
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 def _zero_state(mesh) -> SolverState:
     m = mesh.n_elements
@@ -146,14 +142,13 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     mat = sp.diags(mesh.areas) + cfg.r * (lx.T @ area @ lx + ly.T @ area @ ly)
 
     w_int, w_bnd = data.penalty_weights
-    if len(mesh.int_plus):
-        vals = w_int * mesh.int_length
-        ij = np.concatenate([mesh.int_plus, mesh.int_minus,
-                             mesh.int_plus, mesh.int_minus])
-        ji = np.concatenate([mesh.int_plus, mesh.int_minus,
-                             mesh.int_minus, mesh.int_plus])
-        dat = np.concatenate([vals, vals, -vals, -vals])
-        mat = mat + sp.csr_matrix((dat, (ij, ji)), shape=(m, m))
+    vals = w_int * mesh.int_length
+    ij = np.concatenate([mesh.int_plus, mesh.int_minus,
+                         mesh.int_plus, mesh.int_minus])
+    ji = np.concatenate([mesh.int_plus, mesh.int_minus,
+                         mesh.int_minus, mesh.int_plus])
+    dat = np.concatenate([vals, vals, -vals, -vals])
+    mat = mat + sp.csr_matrix((dat, (ij, ji)), shape=(m, m))
     mat = mat + sp.csr_matrix((w_bnd * mesh.bnd_length,
                                (mesh.bnd_element, mesh.bnd_element)),
                               shape=(m, m))

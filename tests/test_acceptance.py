@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from pxdg import (Algorithm, DgScalar, DgVector, ProblemData, SolverConfig,
+from pxdg import (Algorithm, DgScalar, DgVector, SolverConfig,
                   StepSizeWarning, assemble_matrix, average, build_uniform_mesh,
                   eval_F_barycenter, eval_Jh, fit_rate, grad_F, jump, l2_norm,
                   lifting, luxemburg_norm, manufactured_exponent,
@@ -41,9 +41,7 @@ def verdict(number, ok, detail):
 
 def manufactured_data(b, nx):
     prob = manufactured_problem(b)
-    mesh = build_uniform_mesh(prob.domain, nx, nx)
-    return prob, ProblemData(mesh=mesh, exponent=prob.exponent, xi=prob.xi,
-                             u_D=prob.u_D)
+    return prob, prob.discretize(nx, nx)
 
 
 def element_bounds(mesh, k):

@@ -40,10 +40,7 @@ def problem_data(nx, b=0.0, xi=zero, u_D=zero):
 
 def manufactured_data(b, nx):
     prob = manufactured_problem(b)
-    mesh = build_uniform_mesh(prob.domain, nx, nx)
-    data = ProblemData(mesh=mesh, exponent=prob.exponent, xi=prob.xi,
-                       u_D=prob.u_D)
-    return prob, data
+    return prob, prob.discretize(nx, nx)
 
 
 def bu_of(u_values, mesh):
@@ -59,7 +56,7 @@ def test_matrix_single_element():
     data = problem_data(1)
     sm = assemble_matrix(data, SolverConfig(r=1.0))
     # mass 4 plus four boundary edges at weight(2) * |e| = 1 each
-    assert sm.shape == (1, 1)
+    assert sm.matrix.shape == (1, 1)
     assert np.allclose(sm.matrix.toarray(), [[8.0]], rtol=1e-14)
 
 
@@ -359,6 +356,18 @@ def test_stopping_check_rejects_non_finite_iterate():
     assert not stopping_check(state, SolverConfig())
     state.u = DgScalar(mesh, np.array([np.nan, 0.0, 0.0, 0.0]))
     assert not stopping_check(state, SolverConfig())
+
+
+# a load of 1e200 gives a u whose square overflows
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_stops_at_non_finite_u_increment():
+    # the run ends unconverged at the first non-finite u-increment
+    # instead of spinning to max_outer
+    big = lambda x, y: np.full_like(np.asarray(x, float), 1e200)
+    state = run(problem_data(4, xi=big), SolverConfig())
+    assert state.iteration == 1
+    assert state.converged is False
+    assert state.residual_u == np.inf
 
 
 def test_run_rejects_nonpositive_r():

@@ -55,17 +55,42 @@ def test_manufactured_rejects_negative_b():
         manufactured_problem(-0.5)
 
 
-@pytest.mark.parametrize("b", [400.0, 1e4])
+@pytest.mark.parametrize("b", [0.0, 0.25, 0.5, 6.0, 50.0, 175.0])
+def test_manufactured_flux_is_constant(b):
+    # |grad u|^{p-2} grad u = FLUX_CONSTANT (1, 1) at random points and at
+    # the two corners where x1 + x2, and with it |grad u|, is extreme
+    prob = manufactured_problem(b)
+    rng = np.random.default_rng(0)
+    d = prob.domain
+    x = np.append(rng.uniform(d.x_min, d.x_max, 10), [d.x_min, d.x_max])
+    y = np.append(rng.uniform(d.y_min, d.y_max, 10), [d.y_min, d.y_max])
+    gx, gy = prob.grad_u(x, y)
+    mag = np.hypot(gx, gy)
+    p = np.asarray(prob.exponent(x, y), float)
+    assert np.abs(mag ** (p - 2.0) * gx - FLUX_CONSTANT).max() <= 1e-10
+    assert np.abs(mag ** (p - 2.0) * gy - FLUX_CONSTANT).max() <= 1e-10
+
+
+@pytest.mark.parametrize("b", [179.5, 185.0, 300.0, 400.0, 1e4])
 def test_manufactured_rejects_overflowing_b(b):
-    # the gradient overflows at the corner (1, 1); the self-check says so
-    # with a ValueError and no floating-point warning
+    # u^2 overflows at the corner (1, 1) from b ~ 179.4 on; the range rule
+    # says so with a ValueError and no floating-point warning
     with pytest.raises(ValueError, match=f"b={b:g}"):
         manufactured_problem(b)
 
 
-@pytest.mark.parametrize("b", [0.0, 0.25, 0.5, 6.0, 50.0])
+@pytest.mark.parametrize("b", [0.0, 0.25, 0.5, 6.0, 50.0, 175.0, 179.0])
 def test_manufactured_accepts_representable_b(b):
     assert manufactured_problem(b).b == b
+
+
+def test_discretize_uses_the_problem_domain_and_data():
+    prob = manufactured_problem(0.5)
+    data = prob.discretize(5, 3)
+    assert data.mesh.domain == prob.domain
+    assert (data.mesh.nx, data.mesh.ny) == (5, 3)
+    assert data.exponent is prob.exponent
+    assert data.xi is prob.xi and data.u_D is prob.u_D
 
 
 def test_l2_error_zero_for_exact_constant():
@@ -195,12 +220,9 @@ def test_solution_jump_seminorm_is_finite():
     rows = run_study([0.25], [4], SolverConfig())
     assert rows[0].converged
     # recompute the solve to inspect the field itself
-    from pxdg import ProblemData, run
+    from pxdg import run
     prob = manufactured_problem(0.25)
-    mesh = build_uniform_mesh(prob.domain, 4, 4)
-    data = ProblemData(mesh=mesh, exponent=prob.exponent, xi=prob.xi,
-                       u_D=prob.u_D)
-    state = run(data, SolverConfig())
+    state = run(prob.discretize(4, 4), SolverConfig())
     norm = weighted_jump_norm(state.u, prob.exponent)
     assert np.isfinite(norm)
     assert norm > 0.0
