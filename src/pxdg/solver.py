@@ -8,11 +8,13 @@ toward a joint minimum of the augmented Lagrangian before each multiplier
 step, to an accuracy that tightens with the constraint residual.
 `run` drives both through the same step functions.
 
-The u-system matrix is fixed for a run. It is solved by conjugate
-gradients preconditioned with its own p = 2 instance, which is a Kronecker
-sum of two 1-D operators and is inverted exactly by fast diagonalization
-(Lynch, Rice and Thomas 1964; Concus and Golub 1973). No factor is formed,
-so memory stays O(m + nx^2 + ny^2).
+The u-system matrix A is fixed for a run. It is solved by conjugate
+gradients preconditioned with M = S^-1 K S^-1. K is A with every edge
+penalty w |e| replaced by its mean gamma over all edges, a Kronecker sum of
+two 1-D operators that fast diagonalization inverts exactly (Lynch, Rice
+and Thomas 1964; Concus and Golub 1973). The diagonal scaling
+S = sqrt(diag K / diag A) makes diag M = diag A. At p = 2, M = A. No factor
+is formed, so memory stays O(m + nx^2 + ny^2).
 """
 
 from __future__ import annotations
@@ -117,18 +119,21 @@ class SolverState:
 
 @dataclass
 class SystemMatrix:
-    """The u-system and the spectral data of its preconditioner.
+    """The u-system and the data of its preconditioner.
 
-    matrix is the assembled CSR matrix. The preconditioner is the same
-    operator at p = 2, I_y (x) K_x + K_y (x) I_x with 1-D factors
+    matrix is the assembled CSR matrix A. The preconditioner is
+    M = S^-1 K S^-1 with K = I_y (x) K_x + K_y (x) I_x, the same operator
+    with every edge penalty at the mean gamma, and 1-D factors
     K = Q diag(lam) Q^T, stored as qx (nx, nx), qy (ny, ny) and
-    eigsum[j, i] = lam_y[j] + lam_x[i].
+    eigsum[j, i] = lam_y[j] + lam_x[i]. scale is the m-vector
+    S = sqrt(diag K / diag A), so that diag M = diag A.
     """
 
     matrix: sp.csr_matrix
     qx: np.ndarray
     qy: np.ndarray
     eigsum: np.ndarray
+    scale: np.ndarray
 
 
 def _zero_state(mesh) -> SolverState:
@@ -152,37 +157,40 @@ def _check_step_size(cfg: SolverConfig) -> None:
             "to proceed anyway")
 
 
-def _axis_eigen(n: int, h: float, area: float, r: float,
+def _axis_eigen(n: int, h: float, area: float, r: float, jump: float,
                 mass: float = 0.0) -> tuple:
-    """Eigenpairs (lam, Q) of mass I + r |k| D^T D + T along one axis of n
-    cells of width h.
+    """Eigenpairs (lam, Q) and diagonal of mass I + r |k| D^T D + jump T
+    along one axis of n cells of width h.
 
     D is the 1-D lifting, (u[i+1] - u[i-1]) / (2h) with the half stencil
     (u[1] - u[0]) / (2h) or (u[n-1] - u[n-2]) / (2h) at the ends; T is the
-    unit-weight jump Laplacian tridiag(-1, 2, -1), whose end rows carry one
-    interior and one boundary edge. The operator is pentadiagonal, and the
-    banded eigensolver is used because the dense one (LAPACK syevd) can
-    take 10-100x longer at n ~ 30-130 under multithreaded OpenBLAS.
+    jump Laplacian tridiag(-1, 2, -1), whose end rows carry one interior and
+    one boundary edge, and jump prices every edge (weight times length).
+    The operator is pentadiagonal, and the banded eigensolver is used
+    because the dense one (LAPACK syevd) can take 10-100x longer at
+    n ~ 30-130 under multithreaded OpenBLAS.
     """
     grad = np.diff(np.eye(n), axis=0)  # (n - 1, n) differences across edges
     lift = np.abs(grad).T @ grad / (2.0 * h)
-    k = mass * np.eye(n) + r * area * lift.T @ lift + grad.T @ grad
-    k[0, 0] += 1.0
-    k[-1, -1] += 1.0
+    k = mass * np.eye(n) + r * area * lift.T @ lift + jump * grad.T @ grad
+    k[0, 0] += jump
+    k[-1, -1] += jump
     kd = min(2, n - 1)  # superdiagonals; a band wider than n - 1 fails
     band = np.zeros((kd + 1, n))  # upper banded storage of diagonal d
     for d in range(kd + 1):
         band[kd - d, d:] = np.diagonal(k, d)
-    return sla.eig_banded(band)
+    return (*sla.eig_banded(band), band[kd])
 
 
 def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     """SPD system: mass + r B^T A B + interior jump and boundary penalties.
 
-    At p = 2 every penalty weight times its edge length is 1, and the
+    With every penalty weight times its edge length equal to gamma, the
     system is I_y (x) K_x + K_y (x) I_x with K_x = |k| I + r |k| D_x^T D_x
-    + T_x and K_y = r |k| D_y^T D_y + T_y (see _axis_eigen). That operator
-    is the preconditioner of solve_linear for every exponent.
+    + gamma T_x and K_y = r |k| D_y^T D_y + gamma T_y (see _axis_eigen). At
+    p = 2 that holds with gamma = 1. The preconditioner of solve_linear is
+    this operator at gamma = the mean of weight times length over all
+    edges, scaled to the diagonal of the system.
     """
     mesh = data.mesh
     m = mesh.n_elements
@@ -192,21 +200,25 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
 
     w_int, w_bnd = data.penalty_weights
     vals = w_int * mesh.int_length
+    bnd_vals = w_bnd * mesh.bnd_length
     ij = np.concatenate([mesh.int_plus, mesh.int_minus,
                          mesh.int_plus, mesh.int_minus])
     ji = np.concatenate([mesh.int_plus, mesh.int_minus,
                          mesh.int_minus, mesh.int_plus])
     dat = np.concatenate([vals, vals, -vals, -vals])
     mat = mat + sp.csr_matrix((dat, (ij, ji)), shape=(m, m))
-    mat = mat + sp.csr_matrix((w_bnd * mesh.bnd_length,
-                               (mesh.bnd_element, mesh.bnd_element)),
-                              shape=(m, m))
+    mat = sp.csr_matrix(mat + sp.csr_matrix(
+        (bnd_vals, (mesh.bnd_element, mesh.bnd_element)), shape=(m, m)))
 
+    gamma = float(np.concatenate([vals, bnd_vals]).mean())
     cell = mesh.dx * mesh.dy
-    lam_x, qx = _axis_eigen(mesh.nx, mesh.dx, cell, cfg.r, mass=cell)
-    lam_y, qy = _axis_eigen(mesh.ny, mesh.dy, cell, cfg.r)
-    return SystemMatrix(matrix=sp.csr_matrix(mat), qx=qx, qy=qy,
-                        eigsum=lam_y[:, None] + lam_x[None, :])
+    lam_x, qx, dx = _axis_eigen(mesh.nx, mesh.dx, cell, cfg.r, gamma,
+                                mass=cell)
+    lam_y, qy, dy = _axis_eigen(mesh.ny, mesh.dy, cell, cfg.r, gamma)
+    diag_k = (dy[:, None] + dx[None, :]).ravel()
+    return SystemMatrix(matrix=mat, qx=qx, qy=qy,
+                        eigsum=lam_y[:, None] + lam_x[None, :],
+                        scale=np.sqrt(diag_k / mat.diagonal()))
 
 
 def assemble_rhs(state: SolverState, data: ProblemData,
@@ -219,12 +231,12 @@ def assemble_rhs(state: SolverState, data: ProblemData,
 
 
 def _precondition(matrix: SystemMatrix, res: np.ndarray) -> np.ndarray:
-    """Exact solve with the p = 2 operator: Q_y ((Q_y^T R Q_x) / eigsum) Q_x^T,
-    with R the residual as an (ny, nx) array."""
-    qx, qy = matrix.qx, matrix.qy
-    coef = qy.T @ res.reshape(matrix.eigsum.shape) @ qx
+    """M^-1 res = S Q_y ((Q_y^T R Q_x) / eigsum) Q_x^T, with R = S res as
+    an (ny, nx) array; at p = 2, S = 1 and this is the exact solve."""
+    qx, qy, scale = matrix.qx, matrix.qy, matrix.scale
+    coef = qy.T @ (scale * res).reshape(matrix.eigsum.shape) @ qx
     coef /= matrix.eigsum
-    return (qy @ coef @ qx.T).ravel()
+    return scale * (qy @ coef @ qx.T).ravel()
 
 
 def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
