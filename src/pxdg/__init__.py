@@ -4,8 +4,8 @@ and a manufactured-solution convergence-study harness."""
 
 from .dg import (DgScalar, DgVector, average, jump, jump_l2_norm, l2_norm,
                  lifting, lifting_matrices, weighted_jump_norm)
-from .energy import (EnergyReport, ProblemData, eval_F, eval_F_barycenter,
-                     eval_G, eval_Jh, eval_lagrangian, grad_F)
+from .energy import (EnergyReport, ProblemData, eval_F, eval_G, eval_Jh,
+                     eval_lagrangian, grad_F)
 from .exponent import (ExponentField, conjugate, luxemburg_norm,
                        manufactured_exponent, modular)
 from .mesh import Domain, Mesh, build_uniform_mesh, edge_weights

@@ -1,9 +1,9 @@
 """Objective functionals: the flux energy F, the quadratic data term G,
 their sum J_h, and the augmented Lagrangian coupling them.
 
-F comes in two quadrature flavors: a reference 3x3-Gauss evaluation with
-pointwise p(x), and a one-point barycenter-rule evaluation consistent with
-grad_F and with the solver's per-element flux equation.
+F takes each element's exponent at its barycenter, the same p_bar that
+grad_F and the solver's per-element flux equation read, so J_h is the
+functional the solver minimizes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "ProblemData",
     "EnergyReport",
     "eval_F",
-    "eval_F_barycenter",
     "grad_F",
     "eval_G",
     "eval_Jh",
@@ -54,23 +53,18 @@ class ProblemData:
         return edge_weights(self.mesh, self.exponent)
 
     @cached_property
-    def element_quadrature(self) -> tuple:
-        """(wq, p, xi): 3x3 Gauss weights shared by all elements, and p and
-        xi at every element's Gauss points."""
-        xq, yq, wq = element_points(self.mesh)
-        return (wq, np.asarray(self.exponent(xq, yq), float),
-                np.asarray(self.xi(xq, yq), float))
-
-    @cached_property
     def xi_moments(self) -> tuple:
-        """(W, xbar, C): element weight sum W, per-element means xbar of xi,
-        and C = sum_k sum_q w_q (xi_kq - xbar_k)^2, so that the data misfit
-        of any v is W sum_k (v_k - xbar_k)^2 + C."""
-        wq, _, xi = self.element_quadrature
+        """(W, xbar, C, I) from xi at every element's 3x3 Gauss points:
+        the element weight sum W, per-element integrals I and means
+        xbar = I / W of xi, and C = sum_k sum_q w_q (xi_kq - xbar_k)^2, so
+        that the data misfit of any v is W sum_k (v_k - xbar_k)^2 + C."""
+        xq, yq, wq = element_points(self.mesh)
+        xi = np.asarray(self.xi(xq, yq), float)
         total = float(wq.sum())
-        xbar = (xi @ wq) / total
+        integrals = (xi * wq[None, :]).sum(axis=1)
+        xbar = integrals / total
         spread = float(((xi - xbar[:, None]) ** 2 @ wq).sum())
-        return total, xbar, spread
+        return total, xbar, spread, integrals
 
     @cached_property
     def boundary_quadrature(self) -> tuple:
@@ -82,9 +76,8 @@ class ProblemData:
     def load(self) -> np.ndarray:
         """Iteration-independent part of the right-hand side: data and
         boundary terms."""
-        wq, _, xi = self.element_quadrature
         bw, u_d = self.boundary_quadrature
-        load = (xi * wq[None, :]).sum(axis=1)
+        load = self.xi_moments[3].copy()
         bvals = (u_d * bw).sum(axis=1) * self.penalty_weights[1]
         np.add.at(load, self.mesh.bnd_element, bvals)
         return load
@@ -98,19 +91,7 @@ class EnergyReport:
 
 
 def eval_F(q: DgVector, data: ProblemData) -> float:
-    """Integral of |q|^{p(x)} / p(x), 3x3 Gauss with pointwise p."""
-    wq, pq, _ = data.element_quadrature
-    # |q|^p = exp(p log|q|): one log per element; q = 0 gives exp(-inf) = 0
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.hypot(q.values[:, 0], q.values[:, 1]))
-    vals = pq * log_mag[:, None]
-    np.exp(vals, out=vals)
-    vals /= pq
-    return float((vals @ wq).sum())
-
-
-def eval_F_barycenter(q: DgVector, data: ProblemData) -> float:
-    """One-point variant: |k| |q_k|^{p_bar} / p_bar with barycenter exponents."""
+    """Sum of |k| |q_k|^{p_bar_k} / p_bar_k, p_bar_k the barycenter exponent."""
     p_bar = data.p_bar
     mag = np.hypot(q.values[:, 0], q.values[:, 1])
     vals = mag ** p_bar / p_bar
@@ -128,7 +109,7 @@ def grad_F(q: DgVector, data: ProblemData) -> DgVector:
 def eval_G(v: DgScalar, data: ProblemData) -> float:
     """Half of: mean-square data misfit + weighted boundary and jump penalties."""
     mesh = data.mesh
-    total, xbar, spread = data.xi_moments
+    total, xbar, spread, _ = data.xi_moments
     data_term = total * float(((v.values - xbar) ** 2).sum()) + spread
 
     w_int, w_bnd = data.penalty_weights
@@ -142,7 +123,7 @@ def eval_G(v: DgScalar, data: ProblemData) -> float:
 
 
 def eval_Jh(v: DgScalar, data: ProblemData) -> EnergyReport:
-    """Total objective F(Bv) + G(v) with the reference F quadrature."""
+    """Total objective F(Bv) + G(v), the functional the solver minimizes."""
     fv = eval_F(lifting(v), data)
     gv = eval_G(v, data)
     return EnergyReport(F_value=fv, G_value=gv, J_value=fv + gv)

@@ -5,9 +5,8 @@ import pytest
 
 from pxdg import (DgScalar, DgVector, Domain, EnergyReport, ExponentField,
                   ProblemData, boundary_points, build_uniform_mesh,
-                  edge_weights, element_points, eval_F, eval_F_barycenter,
-                  eval_G, eval_Jh, eval_lagrangian, grad_F, lifting,
-                  manufactured_exponent)
+                  edge_weights, element_points, eval_F, eval_G, eval_Jh,
+                  eval_lagrangian, grad_F, lifting, manufactured_exponent)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -32,7 +31,6 @@ def test_eval_F_zero_field():
     data = make_data(mesh, b=0.25)
     q = DgVector(mesh, np.zeros((mesh.n_elements, 2)))
     assert eval_F(q, data) == 0.0
-    assert eval_F_barycenter(q, data) == 0.0
 
 
 def test_eval_F_constant_unit_flux():
@@ -41,35 +39,12 @@ def test_eval_F_constant_unit_flux():
     q = DgVector(mesh, np.tile([1.0, 0.0], (mesh.n_elements, 1)))
     # |q| = 1, p = 2: integrand 1/2 over area 4
     assert eval_F(q, data) == pytest.approx(2.0, rel=1e-13)
-    assert eval_F_barycenter(q, data) == pytest.approx(2.0, rel=1e-13)
-
-
-def test_eval_F_against_dense_oracle():
-    mesh = build_uniform_mesh(SQUARE, 4, 4)
-    data = make_data(mesh, b=0.25)
-    q = DgVector(mesh, np.tile([1.0, 1.0], (mesh.n_elements, 1)))
-    n = 2000
-    xs = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
-    xg, yg = np.meshgrid(xs, xs)
-    p = data.exponent(xg, yg)
-    want = float((np.sqrt(2.0) ** p / p).sum() * (2.0 / n) ** 2)
-    assert eval_F(q, data) == pytest.approx(want, rel=1e-6)
-
-
-def test_barycenter_F_matches_reference_for_constant_p():
-    mesh = build_uniform_mesh(SQUARE, 5, 4)
-    data = make_data(mesh, b=0.0)
-    rng = np.random.default_rng(6)
-    q = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
-    assert eval_F_barycenter(q, data) == pytest.approx(eval_F(q, data), rel=1e-12)
-
-
-def test_barycenter_F_differs_for_variable_p():
-    mesh = build_uniform_mesh(SQUARE, 4, 4)
-    data = make_data(mesh, b=0.5)
-    q = DgVector(mesh, np.tile([1.0, 1.0], (mesh.n_elements, 1)))
-    a, b = eval_F_barycenter(q, data), eval_F(q, data)
-    assert abs(a - b) > 1e-6 * abs(b)
+    # one element at b = 0.5: p varies over it, and F takes the barycenter
+    # value p(0, 0) = 1 + 1/1.5 = 5/3, so F = 4 * 5^(5/3) / (5/3) for |q| = 5
+    one = build_uniform_mesh(SQUARE, 1, 1)
+    q = DgVector(one, [[3.0, 4.0]])
+    want = 4.0 * 0.6 * 5.0 ** (5.0 / 3.0)
+    assert eval_F(q, make_data(one, b=0.5)) == pytest.approx(want, rel=1e-13)
 
 
 def test_grad_F_identity_at_p_two():
@@ -103,8 +78,8 @@ def test_grad_F_matches_central_difference():
     grad = grad_F(DgVector(mesh, qv), data).values
     want = float((mesh.areas[:, None] * grad * delta).sum())
     eps = 1e-4
-    plus = eval_F_barycenter(DgVector(mesh, qv + eps * delta), data)
-    minus = eval_F_barycenter(DgVector(mesh, qv - eps * delta), data)
+    plus = eval_F(DgVector(mesh, qv + eps * delta), data)
+    minus = eval_F(DgVector(mesh, qv - eps * delta), data)
     got = (plus - minus) / (2.0 * eps)
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -170,7 +145,7 @@ def test_eval_G_matches_pointwise_quadrature():
     mesh = build_uniform_mesh(SQUARE, 9, 7)
     data = make_data(mesh, b=0.5, xi=lambda x, y: np.sin(3 * x) + x * y,
                      u_D=lambda x, y: x - y)
-    _, xbar, spread = data.xi_moments
+    _, xbar, spread, _ = data.xi_moments
     rng = np.random.default_rng(25)
     for v in (rng.normal(size=mesh.n_elements), xbar):
         want, data_term = pointwise_G(v, data)
@@ -256,13 +231,13 @@ def test_flux_energy_midpoint_convexity():
 
 def test_problem_data_evaluates_inputs_once():
     # the energies read the values ProblemData owns instead of evaluating
-    # the exponent and the data again
+    # the exponent and the data again; calls counts evaluation points
     mesh = build_uniform_mesh(SQUARE, 4, 3)
     calls = {"p": 0, "xi": 0, "u_D": 0}
 
     def counted(name, fn):
         def wrapper(x, y):
-            calls[name] += 1
+            calls[name] += np.size(x)
             return fn(x, y)
         return wrapper
 
@@ -274,10 +249,15 @@ def test_problem_data_evaluates_inputs_once():
     rng = np.random.default_rng(22)
     v = DgScalar(mesh, rng.normal(size=mesh.n_elements))
     q = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
-    first = (eval_Jh(v, data).J_value, eval_F_barycenter(q, data),
+    first = (eval_Jh(v, data).J_value, eval_F(q, data),
              grad_F(q, data).values, data.load)
     seen = dict(calls)
-    second = (eval_Jh(v, data).J_value, eval_F_barycenter(q, data),
+    # p at the barycenters and the interior and boundary edge midpoints,
+    # xi at the 3x3 element and u_D at the 3-point boundary Gauss points
+    n_bnd = len(mesh.bnd_element)
+    assert seen == {"p": mesh.n_elements + len(mesh.int_plus) + n_bnd,
+                    "xi": 9 * mesh.n_elements, "u_D": 3 * n_bnd}
+    second = (eval_Jh(v, data).J_value, eval_F(q, data),
               grad_F(q, data).values, data.load)
     assert calls == seen
     assert first[:2] == second[:2]
