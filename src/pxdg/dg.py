@@ -19,6 +19,7 @@ __all__ = [
     "jump",
     "average",
     "lifting",
+    "axis_lifting",
     "lifting_matrices",
     "l2_norm",
     "jump_l2_norm",
@@ -65,32 +66,31 @@ def average(phi: DgVector) -> np.ndarray:
     return 0.5 * (phi.values[mesh.int_plus] + phi.values[mesh.int_minus])
 
 
+def axis_lifting(n: int, h: float) -> sp.csr_matrix:
+    """The 1-D lifting D along one axis of n cells of width h.
+
+    (D u)[i] = (u[i+1] - u[i-1]) / (2h), with the half stencils
+    (u[1] - u[0]) / (2h) and (u[n-1] - u[n-2]) / (2h) at the ends: half
+    the differences across the cell's interior edges, summed.
+    """
+    grad = np.diff(np.eye(n), axis=0)  # (n - 1, n) differences across edges
+    return sp.csr_matrix(np.abs(grad).T @ grad / (2.0 * h))
+
+
 def lifting_matrices(mesh: Mesh) -> tuple:
     """Sparse (Lx, Ly) with lifting(u) = (Lx @ u, Ly @ u); cached on the mesh.
 
-    Only nonzero entries are stored: a component the edge normal lacks
-    contributes nothing, and on a uniform mesh the two contributions to an
-    interior element's diagonal cancel exactly.
+    On the uniform grid the lifting acts along each axis alone:
+    Lx = I_y (x) D_x and Ly = D_y (x) I_x, with D from axis_lifting.
     """
     cached = getattr(mesh, "_lifting_matrices", None)
     if cached is not None:
         return cached
-    m = mesh.n_elements
-    a, b = mesh.int_plus, mesh.int_minus
-    # row kappa in {a, b} gets -(|e|/2)/|kappa| times the jump of the basis
-    # function: +nu in column a, -nu in column b
-    coef_a = -(mesh.int_length / 2.0) / mesh.areas[a]
-    coef_b = -(mesh.int_length / 2.0) / mesh.areas[b]
-    coef = np.concatenate([coef_a, -coef_a, coef_b, -coef_b])
-    rows = np.concatenate([a, a, b, b])
-    cols = np.concatenate([a, b, a, b])
-    mats = []
-    for nu in mesh.int_normal.T:
-        mat = sp.csr_matrix((coef * np.tile(nu, 4), (rows, cols)),
-                            shape=(m, m))
-        mat.eliminate_zeros()
-        mats.append(mat)
-    mesh._lifting_matrices = tuple(mats)
+    mesh._lifting_matrices = (
+        sp.kron(sp.identity(mesh.ny), axis_lifting(mesh.nx, mesh.dx),
+                format="csr"),
+        sp.kron(axis_lifting(mesh.ny, mesh.dy), sp.identity(mesh.nx),
+                format="csr"))
     return mesh._lifting_matrices
 
 

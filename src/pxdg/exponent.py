@@ -33,9 +33,16 @@ class ExponentField:
         return self.func(x, y)
 
     def barycenter_values(self, mesh) -> np.ndarray:
-        """One-point (barycenter) samples p(x_bar) per element."""
+        """One-point (barycenter) samples p(x_bar) per element; a sample
+        outside [p1, p2], or not finite, is a ValueError naming its element."""
         b = mesh.barycenters
-        return np.asarray(self.func(b[:, 0], b[:, 1]), float)
+        p = np.asarray(self.func(b[:, 0], b[:, 1]), float)
+        # NaN fails both comparisons, and +-inf lies outside [p1, p2]
+        bad = np.flatnonzero(~((self.p1 <= p) & (p <= self.p2)))
+        if bad.size:
+            raise ValueError(f"exponent {p.flat[bad[0]]:g} at element "
+                             f"{bad[0]}, outside [{self.p1:g}, {self.p2:g}]")
+        return p
 
 
 def conjugate(p_value):

@@ -8,11 +8,11 @@ toward a joint minimum of the augmented Lagrangian before each multiplier
 step, to an accuracy that tightens with the constraint residual.
 `run` drives both through the same step functions.
 
-The u-system matrix A is fixed for a run. It is solved by conjugate
-gradients preconditioned with M = S^-1 K S^-1. K is A with every edge
-penalty w |e| replaced by its mean gamma over all edges, a Kronecker sum of
-two 1-D operators that fast diagonalization inverts exactly (Lynch, Rice
-and Thomas 1964; Concus and Golub 1973). The diagonal scaling
+The u-system matrix A is fixed for a run. With every edge penalty w |e| at
+its mean gamma it is K, the Kronecker sum of two 1-D operators, and A is K
+plus each edge's departure w |e| - gamma. Conjugate gradients solve it,
+preconditioned with M = S^-1 K S^-1, which fast diagonalization inverts
+exactly (Lynch, Rice and Thomas 1964; Concus and Golub 1973); the scaling
 S = sqrt(diag K / diag A) makes diag M = diag A. At p = 2, M = A. No factor
 is formed, so memory stays O(m + nx^2 + ny^2).
 """
@@ -27,7 +27,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .dg import DgScalar, DgVector, l2_norm, lifting, lifting_matrices
+from .dg import (DgScalar, DgVector, axis_lifting, l2_norm, lifting,
+                 lifting_matrices)
 from .energy import ProblemData, eval_Jh
 
 __all__ = [
@@ -121,10 +122,10 @@ class SolverState:
 class SystemMatrix:
     """The u-system and the data of its preconditioner.
 
-    matrix is the assembled CSR matrix A. The preconditioner is
-    M = S^-1 K S^-1 with K = I_y (x) K_x + K_y (x) I_x, the same operator
-    with every edge penalty at the mean gamma, and 1-D factors
-    K = Q diag(lam) Q^T, stored as qx (nx, nx), qy (ny, ny) and
+    matrix is the CSR matrix A = K + the edge departures, with
+    K = I_y (x) K_x + K_y (x) I_x the operator with every edge penalty at
+    the mean gamma. The preconditioner is M = S^-1 K S^-1. The 1-D factors
+    K = Q diag(lam) Q^T are stored as qx (nx, nx), qy (ny, ny) and
     eigsum[j, i] = lam_y[j] + lam_x[i]. scale is the m-vector
     S = sqrt(diag K / diag A), so that diag M = diag A.
     """
@@ -157,68 +158,57 @@ def _check_step_size(cfg: SolverConfig) -> None:
             "to proceed anyway")
 
 
-def _axis_eigen(n: int, h: float, area: float, r: float, jump: float,
-                mass: float = 0.0) -> tuple:
-    """Eigenpairs (lam, Q) and diagonal of mass I + r |k| D^T D + jump T
-    along one axis of n cells of width h.
+def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
+                   mass: float = 0.0) -> tuple:
+    """K = mass I + r |k| D^T D + jump T along one axis of n cells of width
+    h, and its eigenpairs: (K, lam, Q).
 
-    D is the 1-D lifting, (u[i+1] - u[i-1]) / (2h) with the half stencil
-    (u[1] - u[0]) / (2h) or (u[n-1] - u[n-2]) / (2h) at the ends; T is the
-    jump Laplacian tridiag(-1, 2, -1), whose end rows carry one interior and
-    one boundary edge, and jump prices every edge (weight times length).
-    The operator is pentadiagonal, and the banded eigensolver is used
-    because the dense one (LAPACK syevd) can take 10-100x longer at
-    n ~ 30-130 under multithreaded OpenBLAS.
+    D is axis_lifting(n, h). T = tridiag(-1, 2, -1) is the jump Laplacian,
+    whose end rows carry one interior and one boundary edge, and jump
+    prices every edge (weight times length). K is pentadiagonal, and the
+    banded eigensolver is used because the dense one (LAPACK syevd) can
+    take 10-100x longer at n ~ 30-130 under multithreaded OpenBLAS.
     """
-    grad = np.diff(np.eye(n), axis=0)  # (n - 1, n) differences across edges
-    lift = np.abs(grad).T @ grad / (2.0 * h)
-    k = mass * np.eye(n) + r * area * lift.T @ lift + jump * grad.T @ grad
-    k[0, 0] += jump
-    k[-1, -1] += jump
+    lift = axis_lifting(n, h).toarray()
+    k = (mass * np.eye(n) + (r * area) * (lift.T @ lift)
+         + jump * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)))
     kd = min(2, n - 1)  # superdiagonals; a band wider than n - 1 fails
     band = np.zeros((kd + 1, n))  # upper banded storage of diagonal d
     for d in range(kd + 1):
         band[kd - d, d:] = np.diagonal(k, d)
-    return (*sla.eig_banded(band), band[kd])
+    return (k, *sla.eig_banded(band))
 
 
 def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     """SPD system: mass + r B^T A B + interior jump and boundary penalties.
 
-    With every penalty weight times its edge length equal to gamma, the
-    system is I_y (x) K_x + K_y (x) I_x with K_x = |k| I + r |k| D_x^T D_x
-    + gamma T_x and K_y = r |k| D_y^T D_y + gamma T_y (see _axis_eigen). At
-    p = 2 that holds with gamma = 1. The preconditioner of solve_linear is
-    this operator at gamma = the mean of weight times length over all
-    edges, scaled to the diagonal of the system.
+    With every penalty weight times edge length at gamma, their mean over
+    all edges, the system is K = I_y (x) K_x + K_y (x) I_x, K_x = |k| I
+    + r |k| D_x^T D_x + gamma T_x and K_y = r |k| D_y^T D_y + gamma T_y
+    (see _axis_operator). A is K plus each edge's departure from gamma, all
+    0 at p = 2. solve_linear preconditions with K scaled to diag A.
     """
     mesh = data.mesh
     m = mesh.n_elements
-    lx, ly = lifting_matrices(mesh)
-    area = sp.diags(mesh.areas)
-    mat = sp.diags(mesh.areas) + cfg.r * (lx.T @ area @ lx + ly.T @ area @ ly)
-
     w_int, w_bnd = data.penalty_weights
     vals = w_int * mesh.int_length
     bnd_vals = w_bnd * mesh.bnd_length
-    ij = np.concatenate([mesh.int_plus, mesh.int_minus,
-                         mesh.int_plus, mesh.int_minus])
-    ji = np.concatenate([mesh.int_plus, mesh.int_minus,
-                         mesh.int_minus, mesh.int_plus])
-    dat = np.concatenate([vals, vals, -vals, -vals])
-    mat = mat + sp.csr_matrix((dat, (ij, ji)), shape=(m, m))
-    mat = sp.csr_matrix(mat + sp.csr_matrix(
-        (bnd_vals, (mesh.bnd_element, mesh.bnd_element)), shape=(m, m)))
-
     gamma = float(np.concatenate([vals, bnd_vals]).mean())
     cell = mesh.dx * mesh.dy
-    lam_x, qx, dx = _axis_eigen(mesh.nx, mesh.dx, cell, cfg.r, gamma,
-                                mass=cell)
-    lam_y, qy, dy = _axis_eigen(mesh.ny, mesh.dy, cell, cfg.r, gamma)
-    diag_k = (dy[:, None] + dx[None, :]).ravel()
+    kx, lam_x, qx = _axis_operator(mesh.nx, mesh.dx, cell, cfg.r, gamma,
+                                   mass=cell)
+    ky, lam_y, qy = _axis_operator(mesh.ny, mesh.dy, cell, cfg.r, gamma)
+    k = sp.kronsum(kx, ky, format="csr")
+    vals -= gamma
+    bnd_vals -= gamma
+    a, b, e = mesh.int_plus, mesh.int_minus, mesh.bnd_element
+    mat = k + sp.coo_matrix(
+        (np.concatenate([vals, vals, -vals, -vals, bnd_vals]),
+         (np.concatenate([a, b, a, b, e]), np.concatenate([a, b, b, a, e]))),
+        shape=(m, m))
     return SystemMatrix(matrix=mat, qx=qx, qy=qy,
                         eigsum=lam_y[:, None] + lam_x[None, :],
-                        scale=np.sqrt(diag_k / mat.diagonal()))
+                        scale=np.sqrt(k.diagonal() / mat.diagonal()))
 
 
 def assemble_rhs(state: SolverState, data: ProblemData,

@@ -51,6 +51,24 @@ BENCHMARK_HOOKS = {
 }
 
 
+# the module globals perfbench/worker.py wraps when traced; a name missing
+# here would leave its span absent from the trace without an error
+TRACED_HOOKS = {
+    "solver": ("assemble_matrix", "solve_linear", "_eta_from", "eval_Jh",
+               "lifting_matrices"),
+    "dg": ("lifting_matrices",),
+    "energy": ("edge_weights",),
+    "mesh": ("edge_weights",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_HOOKS))
+def test_traced_benchmark_hooks_exist(name):
+    module = importlib.import_module(f"pxdg.{name}")
+    for attr in TRACED_HOOKS[name]:
+        assert callable(getattr(module, attr, None)), f"pxdg.{name}.{attr}"
+
+
 def test_benchmark_hooks_see_every_setup_and_solve(tmp_path, monkeypatch):
     # every problem, mesh and solve of a CLI run goes through a wrapped
     # name, so no setup or solve time can leave setup_s or solve_s unseen

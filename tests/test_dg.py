@@ -104,9 +104,18 @@ def test_lifting_matrices_cached_and_consistent():
     assert np.allclose(r[:, 1], ly @ u, rtol=1e-14)
 
 
-def test_lifting_adjoint_identity():
+# the identity is the edge definition of R: it ties the Kronecker-built
+# lifting matrices to the mesh's edge arrays
+@pytest.mark.parametrize("domain, nx, ny", [
+    (SQUARE, 5, 4),
+    (Domain(0.5, 2.0, -0.3, 0.9), 7, 4),
+    (SQUARE, 1, 1),
+    (SQUARE, 2, 1),
+    (SQUARE, 1, 3),
+], ids=["5x4", "7x4-offset", "1x1", "2x1", "1x3"])
+def test_lifting_adjoint_identity(domain, nx, ny):
     # sum_k |k| <R(u), phi>_k = -sum_e |e| <[u]_e, {phi}_e> for all u, phi
-    mesh = build_uniform_mesh(SQUARE, 5, 4)
+    mesh = build_uniform_mesh(domain, nx, ny)
     rng = np.random.default_rng(1)
     fields = [np.eye(mesh.n_elements)[i] for i in range(mesh.n_elements)]
     fields += [rng.normal(size=mesh.n_elements) for _ in range(3)]

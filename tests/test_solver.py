@@ -8,13 +8,13 @@ import pytest
 
 import pxdg.energy
 import pxdg.solver
-from pxdg import (Algorithm, DgScalar, DgVector, Domain, ProblemData,
-                  SolverConfig, SolverState, StepSizeWarning, assemble_matrix,
-                  assemble_rhs, build_uniform_mesh, eta_update,
-                  eval_Jh, eval_lagrangian, l2_error, l2_norm, lambda_update,
-                  lifting, lifting_matrices, manufactured_exponent,
-                  manufactured_problem, run, scalar_root, solve_linear,
-                  stopping_check)
+from pxdg import (Algorithm, DgScalar, DgVector, Domain, ExponentField,
+                  ProblemData, SolverConfig, SolverState, StepSizeWarning,
+                  assemble_matrix, assemble_rhs, build_uniform_mesh,
+                  eta_update, eval_Jh, eval_lagrangian, l2_error, l2_norm,
+                  lambda_update, lifting, lifting_matrices,
+                  manufactured_exponent, manufactured_problem, run,
+                  scalar_root, solve_linear, stopping_check)
 from pxdg.cli import main
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -134,9 +134,9 @@ def test_solve_linear_round_trip():
     assert np.abs(sm.matrix @ u - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
 
-def _axis_operator(n, h, area, r, mass=0.0):
-    # written out row by row: mass + r |k| D^T D + tridiag(-1, 2, -1), with
-    # D the central difference over 2h and its half stencils at the ends
+def _axis_operator(n, h, area, r, mass=0.0, jump=1.0):
+    # written out row by row: mass + r |k| D^T D + jump tridiag(-1, 2, -1),
+    # with D the central difference over 2h and its half stencils at the ends
     d = np.zeros((n, n))
     for i in range(n):
         if i > 0:
@@ -147,33 +147,53 @@ def _axis_operator(n, h, area, r, mass=0.0):
             d[i, i] -= 1.0
     d /= 2.0 * h
     t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    return mass * np.eye(n) + r * area * d.T @ d + t
+    return mass * np.eye(n) + r * area * d.T @ d + jump * t
 
 
+def _kronecker_sum(mesh, r, jump):
+    cell = mesh.dx * mesh.dy
+    kx = _axis_operator(mesh.nx, mesh.dx, cell, r, mass=cell, jump=jump)
+    ky = _axis_operator(mesh.ny, mesh.dy, cell, r, jump=jump)
+    return np.kron(np.eye(mesh.ny), kx) + np.kron(ky, np.eye(mesh.nx))
+
+
+# the b = 0 cases keep the mesh's name as their id
 @pytest.mark.parametrize("r", [0.0, 1.0, 1e4])
-@pytest.mark.parametrize("domain, nx, ny", [
-    (Domain(0.5, 2.0, -1.0, 0.2), 5, 3),
-    (SQUARE, 1, 1),
-    (SQUARE, 2, 1),
-    (SQUARE, 40, 25),
-], ids=["5x3-offset", "1x1", "2x1", "40x25"])
-def test_matrix_is_kronecker_sum_at_p2(domain, nx, ny, r):
-    # at p = 2 the system is I_y (x) K_x + K_y (x) I_x, and the stored
-    # eigenpairs of K_x and K_y rebuild it
+@pytest.mark.parametrize("domain, nx, ny, b", [
+    pytest.param(domain, nx, ny, b, id=name if b == 0.0 else f"{name}-b{b:g}")
+    for domain, nx, ny, name in [
+        (Domain(0.5, 2.0, -1.0, 0.2), 5, 3, "5x3-offset"),
+        (SQUARE, 1, 1, "1x1"),
+        (SQUARE, 2, 1, "2x1"),
+        (SQUARE, 40, 25, "40x25")]
+    for b in (0.0, 0.5)])
+def test_matrix_is_kronecker_sum_at_p2(domain, nx, ny, b, r):
+    # at p = 2 the system is I_y (x) K_x + K_y (x) I_x with unit jump
+    # penalties; for b > 0 each edge adds its departure w |e| - 1 from them.
+    # The stored eigenpairs rebuild the Kronecker sum at the mean w |e|.
     mesh = build_uniform_mesh(domain, nx, ny)
-    data = ProblemData(mesh=mesh, exponent=manufactured_exponent(0.0),
+    data = ProblemData(mesh=mesh, exponent=manufactured_exponent(b),
                        xi=zero, u_D=zero)
     sm = assemble_matrix(data, SolverConfig(r=r))
-    cell = mesh.dx * mesh.dy
-    kx = _axis_operator(nx, mesh.dx, cell, r, mass=cell)
-    ky = _axis_operator(ny, mesh.dy, cell, r)
-    want = np.kron(np.eye(ny), kx) + np.kron(ky, np.eye(nx))
-    dense = sm.matrix.toarray()
+    want = _kronecker_sum(mesh, r, 1.0)
+    w_int, w_bnd = data.penalty_weights
+    for k in range(len(mesh.int_plus)):
+        i, j = mesh.int_plus[k], mesh.int_minus[k]
+        dev = w_int[k] * mesh.int_length[k] - 1.0
+        want[i, i] += dev
+        want[j, j] += dev
+        want[i, j] -= dev
+        want[j, i] -= dev
+    for k, i in enumerate(mesh.bnd_element):
+        want[i, i] += w_bnd[k] * mesh.bnd_length[k] - 1.0
     scale = np.abs(want).max()
-    assert np.abs(dense - want).max() <= 1e-14 * scale
+    assert np.abs(sm.matrix.toarray() - want).max() <= 1e-14 * scale
+    gamma = np.concatenate([w_int * mesh.int_length,
+                            w_bnd * mesh.bnd_length]).mean()
     q = np.kron(sm.qy, sm.qx)
     spectral = q @ (sm.eigsum.ravel()[:, None] * q.T)
-    assert np.abs(spectral - want).max() <= 1e-12 * scale
+    assert np.abs(spectral - _kronecker_sum(mesh, r, gamma)).max() \
+        <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("r", [0.0, 1.0, 1e4])
@@ -497,6 +517,24 @@ def test_run_stops_at_non_finite_u_increment():
     assert state.iteration == 1
     assert state.converged is False
     assert state.residual_u == np.inf
+
+
+@pytest.mark.parametrize("p, element", [
+    (lambda x, y: np.full_like(x, 1.0), 0),
+    (lambda x, y: np.full_like(x, 3.0), 0),
+    (lambda x, y: np.where(np.hypot(x - 0.25, y - 0.25) < 0.1, np.nan, 1.8),
+     10),
+], ids=["p=1", "p=3", "nan"])
+def test_run_rejects_exponent_outside_its_bounds(p, element):
+    # the declared 1.5 <= p <= 2 is checked, not trusted: at p = 1 the flux
+    # root divides by zero, and for p > 2 its monotone Newton is invalid.
+    # The NaN sits at the barycenter (0.25, 0.25) of element 10 alone, away
+    # from every edge midpoint.
+    mesh = build_uniform_mesh(SQUARE, 4, 4)
+    data = ProblemData(mesh=mesh, exponent=ExponentField(p, p1=1.5, p2=2.0),
+                       xi=lambda x, y: np.asarray(x, float) + y, u_D=zero)
+    with pytest.raises(ValueError, match=f"at element {element},"):
+        run(data, SolverConfig())
 
 
 def test_run_rejects_nonpositive_r():
