@@ -44,8 +44,8 @@ class ProblemData:
 
     @cached_property
     def p_bar(self) -> np.ndarray:
-        """Barycenter exponent of every element."""
-        return self.exponent.barycenter_values(self.mesh)
+        """Exponent of every element at its barycenter, checked by the field."""
+        return self.exponent(*self.mesh.barycenters.T)
 
     @cached_property
     def penalty_weights(self) -> tuple:

@@ -19,7 +19,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExponentField:
-    """Evaluator for a variable exponent p(x) with bounds 1 < p1 <= p2 <= 2."""
+    """Variable exponent p(x) with bounds 1 < p1 <= p2 <= 2. Calling the
+    field is the one way to sample p, and it checks every value it returns."""
 
     func: callable
     p1: float
@@ -29,19 +30,16 @@ class ExponentField:
         if not (1.0 < self.p1 <= self.p2 <= 2.0):
             raise ValueError("exponent bounds must satisfy 1 < p1 <= p2 <= 2")
 
-    def __call__(self, x, y):
-        return self.func(x, y)
-
-    def barycenter_values(self, mesh) -> np.ndarray:
-        """One-point (barycenter) samples p(x_bar) per element; a sample
-        outside [p1, p2], or not finite, is a ValueError naming its element."""
-        b = mesh.barycenters
-        p = np.asarray(self.func(b[:, 0], b[:, 1]), float)
+    def __call__(self, x, y) -> np.ndarray:
+        """p at the points (x, y) as a float array; a value outside
+        [p1, p2], or not finite, is a ValueError naming its point."""
+        p = np.asarray(self.func(x, y), float)
         # NaN fails both comparisons, and +-inf lies outside [p1, p2]
         bad = np.flatnonzero(~((self.p1 <= p) & (p <= self.p2)))
         if bad.size:
-            raise ValueError(f"exponent {p.flat[bad[0]]:g} at element "
-                             f"{bad[0]}, outside [{self.p1:g}, {self.p2:g}]")
+            x, y, p = (a.flat[bad[0]] for a in np.broadcast_arrays(x, y, p))
+            raise ValueError(f"exponent {p:g} at ({x:g}, {y:g}), "
+                             f"outside [{self.p1:g}, {self.p2:g}]")
         return p
 
 
@@ -78,7 +76,7 @@ def modular(field, exponent: ExponentField, mesh) -> float:
     """
     mag = _field_magnitude(field)
     xq, yq, wq = element_points(mesh)
-    pq = np.asarray(exponent(xq, yq), float)
+    pq = exponent(xq, yq)
     # p > 1, so a zero magnitude contributes 0 ** p = 0
     return float((mag[:, None] ** pq * wq[None, :]).sum())
 
@@ -89,7 +87,7 @@ def luxemburg_norm(field, exponent: ExponentField, mesh) -> float:
     if not np.any(mag > 0.0):
         return 0.0
     xq, yq, wq = element_points(mesh)
-    pq = np.asarray(exponent(xq, yq), float)
+    pq = exponent(xq, yq)
 
     def rho(k):
         return float(((mag[:, None] / k) ** pq * wq[None, :]).sum())

@@ -133,7 +133,7 @@ def edge_weights(mesh: Mesh, exponent) -> tuple:
     """Penalty weights diam(e)^(-2/p'(x_e)) for all (interior, boundary)
     edges, with p' the conjugate exponent at the edge midpoint."""
     def weights(mid, length):
-        p = np.asarray(exponent(mid[:, 0], mid[:, 1]), float)
+        p = exponent(mid[:, 0], mid[:, 1])
         return length ** (-2.0 * (p - 1.0) / p)
 
     return (weights(mesh.int_mid, mesh.int_length),

@@ -212,7 +212,7 @@ def test_criterion_5_dense_minimization_oracle():
     mesh = data.mesh
     m = mesh.n_elements
     areas = np.asarray(mesh.areas)
-    p_bar = data.exponent.barycenter_values(mesh)
+    p_bar = data.exponent(mesh.barycenters[:, 0], mesh.barycenters[:, 1])
     g3, w3 = np.polynomial.legendre.leggauss(3)
 
     bx, by = dense_lifting(mesh)

@@ -43,6 +43,20 @@ def test_only_the_cli_writes_files(name):
             assert called != "open", f"pxdg.{name} opens a file"
 
 
+@pytest.mark.parametrize("name", sorted({"__init__"} | set(SUBMODULES)))
+def test_only_the_exponent_field_reads_its_func(name):
+    # ExponentField.__call__ checks every value against [p1, p2]; reading
+    # .func anywhere else would sample p around that check
+    tree = ast.parse(Path(pxdg.__path__[0], f"{name}.py").read_text())
+    inside = {id(n) for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "ExponentField"
+              for n in ast.walk(node)}
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "func"
+             and id(node) not in inside]
+    assert not reads, f"pxdg.{name} reads .func at lines {reads}"
+
+
 # the module globals perfbench/worker.py wraps to time setup_s (problem and
 # mesh) and solve_s (run), and to read each solve's L2 error
 BENCHMARK_HOOKS = {

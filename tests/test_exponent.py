@@ -1,10 +1,13 @@
 """Exponent fields, conjugates, modulars, and the Luxemburg norm."""
 
+import re
+
 import numpy as np
 import pytest
 
 from pxdg import (Domain, ExponentField, build_uniform_mesh, conjugate,
-                  luxemburg_norm, manufactured_exponent, modular)
+                  edge_weights, element_points, luxemburg_norm,
+                  manufactured_exponent, modular)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -202,3 +205,32 @@ def test_norm_modular_trichotomy_and_bounds():
         else:
             assert norm ** p2 <= rho * slack
             assert rho <= slack * norm ** p1
+
+
+def test_call_returns_checked_float_array():
+    field = ExponentField(lambda x, y: np.where(x > y, 1.2, 1.6), p1=1.5,
+                          p2=2.0)
+    got = field(np.array([[0.0, 0.25]]), 0.5)
+    assert got.dtype == float and got.shape == (1, 2)
+    assert np.all(got == 1.6)
+    # the scalar y is broadcast to name the point of the first bad value
+    with pytest.raises(ValueError, match=r"exponent 1\.2 at \(0\.75, 0\.5\),"):
+        field(np.array([[0.0, 0.75, 1.0]]), 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.01, 2.5, np.inf])
+@pytest.mark.parametrize("measure", [modular, luxemburg_norm])
+def test_gauss_point_samples_are_checked(measure, bad):
+    # p leaves [1.5, 2] only at one corner Gauss point of element 0, which
+    # no barycenter or edge midpoint sees
+    mesh = build_uniform_mesh(SQUARE, 2, 2)
+    xq, yq, _ = element_points(mesh)
+    xg, yg = xq[0, 0], yq[0, 0]
+    field = ExponentField(
+        lambda x, y: np.where(np.hypot(x - xg, y - yg) < 1e-9, bad, 1.5),
+        p1=1.5, p2=2.0)
+    field(*mesh.barycenters.T)
+    edge_weights(mesh, field)
+    with pytest.raises(ValueError, match=re.escape(
+            f"exponent {bad:g} at ({xg:g}, {yg:g}),")):
+        measure(np.ones(mesh.n_elements), field, mesh)

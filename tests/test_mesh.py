@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pxdg import Domain, build_uniform_mesh, edge_weights, manufactured_exponent
+from pxdg import (Domain, ExponentField, build_uniform_mesh, edge_weights,
+                  manufactured_exponent)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -213,10 +214,12 @@ def test_edge_weight_values():
     w_int, w_bnd = edge_weights(fine, p2)
     assert np.allclose(w_int, 5.0) and np.allclose(w_bnd, 5.0)
     unit = build_uniform_mesh(Domain(0.0, 2.0, 0.0, 1.0), 2, 1)
-    # diameter-1 edge: weight 1 for any exponent
+    # diameter-1 edge: weight 1 for any exponent; the manufactured p falls
+    # to 1 + 1/2.25 at the corner (2, 1)
     assert unit.int_length[0] == 1.0
-    assert edge_weights(unit, manufactured_exponent(0.5))[0][0] == \
-        pytest.approx(1.0)
+    field = ExponentField(manufactured_exponent(0.5).func, p1=1.0 + 1.0 / 2.25,
+                          p2=2.0)
+    assert edge_weights(unit, field)[0][0] == pytest.approx(1.0)
 
 
 def test_edge_weights_vectorized_matches_scalar():

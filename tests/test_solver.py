@@ -1,6 +1,7 @@
 """System assembly, the per-element flux resolvent, and both iteration loops."""
 
 import copy
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,15 @@ def problem_data(nx, b=0.0, xi=zero, u_D=zero):
     mesh = build_uniform_mesh(SQUARE, nx, nx)
     return ProblemData(mesh=mesh, exponent=manufactured_exponent(b),
                        xi=xi, u_D=u_D)
+
+
+def exponent_on(domain, b):
+    # manufactured_exponent(b) declares its bounds for the square; p falls
+    # as x + y grows, so on another domain its least value is at the top
+    # right corner
+    func = manufactured_exponent(b).func
+    return ExponentField(func, p1=float(func(domain.x_max, domain.y_max)),
+                         p2=2.0)
 
 
 def manufactured_data(b, nx):
@@ -172,7 +182,7 @@ def test_matrix_is_kronecker_sum_at_p2(domain, nx, ny, b, r):
     # penalties; for b > 0 each edge adds its departure w |e| - 1 from them.
     # The stored eigenpairs rebuild the Kronecker sum at the mean w |e|.
     mesh = build_uniform_mesh(domain, nx, ny)
-    data = ProblemData(mesh=mesh, exponent=manufactured_exponent(b),
+    data = ProblemData(mesh=mesh, exponent=exponent_on(domain, b),
                        xi=zero, u_D=zero)
     sm = assemble_matrix(data, SolverConfig(r=r))
     want = _kronecker_sum(mesh, r, 1.0)
@@ -201,8 +211,9 @@ def test_matrix_is_kronecker_sum_at_p2(domain, nx, ny, b, r):
 def test_preconditioner_matches_the_diagonal(b, r):
     # the preconditioner is the inverse of M = S^-1 K S^-1, K the Kronecker
     # sum at the mean edge weight and S = sqrt(diag K / diag A)
-    mesh = build_uniform_mesh(Domain(0.5, 2.0, -1.0, 0.2), 7, 5)
-    data = ProblemData(mesh=mesh, exponent=manufactured_exponent(b),
+    domain = Domain(0.5, 2.0, -1.0, 0.2)
+    mesh = build_uniform_mesh(domain, 7, 5)
+    data = ProblemData(mesh=mesh, exponent=exponent_on(domain, b),
                        xi=zero, u_D=zero)
     sm = assemble_matrix(data, SolverConfig(r=r))
     q = np.kron(sm.qy, sm.qx) / sm.scale[:, None]
@@ -409,7 +420,7 @@ def test_eta_update_parallel_with_resolvent_magnitude():
     lam = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
     eta = eta_update(lifting(u), lam, data, cfg).values
     s = lam.values + cfg.r * bu_of(u.values, mesh)
-    p_bar = data.exponent.barycenter_values(mesh)
+    p_bar = data.p_bar
     for k in range(mesh.n_elements):
         c = float(np.hypot(*s[k]))
         cross = s[k, 0] * eta[k, 1] - s[k, 1] * eta[k, 0]
@@ -428,7 +439,7 @@ def test_eta_update_satisfies_flux_equation():
     lam = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
     eta = eta_update(lifting(u), lam, data, cfg).values
     bu = bu_of(u.values, mesh)
-    p_bar = data.exponent.barycenter_values(mesh)
+    p_bar = data.p_bar
     mag = np.hypot(eta[:, 0], eta[:, 1])
     with np.errstate(all="ignore"):
         factor = np.where(mag > 0.0, mag ** (p_bar - 2.0), 0.0)
@@ -519,21 +530,27 @@ def test_run_stops_at_non_finite_u_increment():
     assert state.residual_u == np.inf
 
 
-@pytest.mark.parametrize("p, element", [
-    (lambda x, y: np.full_like(x, 1.0), 0),
-    (lambda x, y: np.full_like(x, 3.0), 0),
+@pytest.mark.parametrize("p, point", [
+    (lambda x, y: np.full_like(x, 1.0), "exponent 1 at (-0.5, -0.75),"),
+    (lambda x, y: np.full_like(x, 3.0), "exponent 3 at (-0.5, -0.75),"),
     (lambda x, y: np.where(np.hypot(x - 0.25, y - 0.25) < 0.1, np.nan, 1.8),
-     10),
-], ids=["p=1", "p=3", "nan"])
-def test_run_rejects_exponent_outside_its_bounds(p, element):
+     "exponent nan at (0.25, 0.25),"),
+    (lambda x, y: np.where((x > 0) & (y > 0), np.nan, 1.8),
+     "exponent nan at (0.5, 0.25),"),
+    (lambda x, y: np.where(x == 0.0, 1.01, 1.8),
+     "exponent 1.01 at (0, -0.75),"),
+], ids=["p=1", "p=3", "nan", "nan-quarter", "x=0"])
+def test_run_rejects_exponent_outside_its_bounds(p, point):
     # the declared 1.5 <= p <= 2 is checked, not trusted: at p = 1 the flux
     # root divides by zero, and for p > 2 its monotone Newton is invalid.
-    # The NaN sits at the barycenter (0.25, 0.25) of element 10 alone, away
-    # from every edge midpoint.
+    # Every sample is checked: a constant p fails first at the midpoint of
+    # interior edge 0, the system matrix's first read. The NaN sits at the
+    # barycenter (0.25, 0.25) of element 10 alone, away from every edge
+    # midpoint; p = 1.01 on the grid line x = 0 meets edge midpoints only.
     mesh = build_uniform_mesh(SQUARE, 4, 4)
     data = ProblemData(mesh=mesh, exponent=ExponentField(p, p1=1.5, p2=2.0),
                        xi=lambda x, y: np.asarray(x, float) + y, u_D=zero)
-    with pytest.raises(ValueError, match=f"at element {element},"):
+    with pytest.raises(ValueError, match=re.escape(point)):
         run(data, SolverConfig())
 
 
