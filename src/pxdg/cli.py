@@ -14,6 +14,8 @@ from .study import l2_error, manufactured_problem, run_study
 
 __all__ = ["main"]
 
+CSV_CHUNK = 8192  # solution.csv rows formatted from one slice of the arrays
+
 
 class _UsageError(Exception):
     pass
@@ -97,6 +99,15 @@ def _write_csv(path, header, row_format, rows) -> None:
         fh.writelines(row_format % row + "\r\n" for row in rows)
 
 
+def _solution_rows(mesh, u):
+    """(k, x, y, u) per element, as Python numbers made CSV_CHUNK rows at a
+    time, so no list of all m values is held."""
+    for start in range(0, mesh.n_elements, CSV_CHUNK):
+        part = slice(start, start + CSV_CHUNK)
+        yield from zip(range(start, start + CSV_CHUNK),
+                       *mesh.barycenters[part].T.tolist(), u[part].tolist())
+
+
 def _cmd_solve(args) -> int:
     cfg = _solver_config(args)
     prob = manufactured_problem(args.b)
@@ -106,8 +117,7 @@ def _cmd_solve(args) -> int:
     state = run(data, cfg)
     err = l2_error(state.u, prob)
     _write_csv(args.out, "element,x,y,u", "%d,%.12g,%.12g,%.12g",
-               zip(range(mesh.n_elements), *mesh.barycenters.T.tolist(),
-                   state.u.values.tolist()))
+               _solution_rows(mesh, state.u.values))
     if args.trace:
         _write_csv(args.trace,
                    "iter,residual_u,residual_constraint,residual_lambda,Jh",

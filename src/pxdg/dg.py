@@ -1,4 +1,4 @@
-"""Broken P0 spaces: jumps, averages, the jump lifting, and B = grad + lifting.
+"""Broken P0 spaces: the jump lifting, and B = grad + lifting.
 
 For piecewise constants the broken gradient vanishes identically, so B
 reduces to the lifting; constants are in its kernel.
@@ -11,19 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, edge_weights
+from .mesh import Mesh
 
 __all__ = [
     "DgScalar",
     "DgVector",
-    "jump",
-    "average",
     "lifting",
     "axis_lifting",
     "lifting_matrices",
     "l2_norm",
-    "jump_l2_norm",
-    "weighted_jump_norm",
 ]
 
 
@@ -51,19 +47,6 @@ class DgVector:
         self.values = np.asarray(self.values, float)
         if self.values.shape != (self.mesh.n_elements, 2):
             raise ValueError("vector field needs one 2-vector per element")
-
-
-def jump(u: DgScalar) -> np.ndarray:
-    """Vector jumps (u_plus - u_minus) * nu_plus, one row per interior edge."""
-    mesh = u.mesh
-    du = u.values[mesh.int_plus] - u.values[mesh.int_minus]
-    return du[:, None] * mesh.int_normal
-
-
-def average(phi: DgVector) -> np.ndarray:
-    """Means of the two neighbor values, one row per interior edge."""
-    mesh = phi.mesh
-    return 0.5 * (phi.values[mesh.int_plus] + phi.values[mesh.int_minus])
 
 
 def axis_lifting(n: int, h: float) -> sp.csr_matrix:
@@ -112,22 +95,3 @@ def l2_norm(field) -> float:
     if vals.ndim == 2:
         return float(np.sqrt((a[:, None] * vals ** 2).sum()))
     return float(np.sqrt((a * vals ** 2).sum()))
-
-
-def jump_l2_norm(u: DgScalar) -> float:
-    """L2 norm of the jump field over all interior edges."""
-    mesh = u.mesh
-    du = u.values[mesh.int_plus] - u.values[mesh.int_minus]
-    return float(np.sqrt((mesh.int_length * du ** 2).sum()))
-
-
-def weighted_jump_norm(u: DgScalar, exponent) -> float:
-    """L2 norm over interior edges of diam(e)^(-1/p') |[u]|.
-
-    This is the jump part of the broken W^{1,p(.)} seminorm; for P0 fields
-    the gradient part vanishes, so it is the whole seminorm.
-    """
-    mesh = u.mesh
-    w = edge_weights(mesh, exponent)[0]
-    du = u.values[mesh.int_plus] - u.values[mesh.int_minus]
-    return float(np.sqrt((mesh.int_length * w * du ** 2).sum()))

@@ -53,6 +53,7 @@ LINEAR_TOL = 1e-12  # solve_linear stops at max|res| <= this * max(1, max|rhs|)
 MAX_LINEAR = 1000  # solve_linear: conjugate-gradient iterations per solve
 TOL_INNER = 1e-10  # coupled algorithm: eta increment ending the inner sweeps
 INNER_RATIO = 1e-2  # ... or this share of the previous outer ||Bu - eta||
+LINEAR_RATIO = 1e-3  # u-solves in run: this share of ||Bu - eta|| / ||eta||
 MAX_INNER = 200  # coupled algorithm: inner sweeps per multiplier step
 
 
@@ -115,6 +116,7 @@ class SolverState:
     energy: float = np.nan
     converged: bool = False
     inner_converged: bool = True
+    linear_iterations: int = 0  # conjugate-gradient iterations of the run
     history: list = field(default_factory=list)
 
 
@@ -230,36 +232,41 @@ def _precondition(matrix: SystemMatrix, res: np.ndarray) -> np.ndarray:
 
 
 def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
-                 u0: np.ndarray | None = None) -> np.ndarray:
+                 u0: np.ndarray | None = None,
+                 rtol: float = LINEAR_TOL) -> tuple:
     """Preconditioned conjugate gradients from u0 (default zero).
 
-    It returns once the true residual meets max|rhs - A u| <= LINEAR_TOL
-    max(1, max|rhs|), so a u0 that meets it comes back unchanged. Residuals
+    Returns (x, tight, iterations). It stops once the true residual meets
+    max|rhs - A u| <= rtol max(1, max|rhs|), so a u0 that meets it comes
+    back unchanged; tight says whether that residual also meets the test at
+    LINEAR_TOL, and iterations counts the preconditioner applies. Residuals
     and search directions are kept divided by max|rhs|, so huge data cannot
     overflow their inner products. At p = 2 the preconditioner is the
-    inverse and one iteration solves. A RuntimeWarning reports a miss: a
-    non-finite inner product, which returns NaN, or MAX_LINEAR iterations
-    without meeting the test, which return the last iterate.
+    inverse and one iteration solves. A RuntimeWarning reports a miss, which
+    is never tight: a non-finite inner product, which returns NaN, or
+    MAX_LINEAR iterations without meeting the test, which return the last
+    iterate.
     """
     a = matrix.matrix
     scale = float(np.abs(rhs).max(initial=0.0))
     if scale == 0.0:
-        return np.zeros(len(rhs))
+        return np.zeros(len(rhs)), True, 0
     x = np.zeros(len(rhs)) if u0 is None else np.array(u0, float)
-    tol = LINEAR_TOL * max(1.0, scale) / scale
+    tol = rtol * max(1.0, scale) / scale
     res = (rhs - a @ x) / scale
     rz_old, direction = 1.0, np.zeros_like(x)
-    for _ in range(MAX_LINEAR):
+    for n in range(MAX_LINEAR):
         if np.abs(res).max() <= tol:
             res = (rhs - a @ x) / scale  # accept only on the true residual
-            if np.abs(res).max() <= tol:
-                return x
+            err = np.abs(res).max()
+            if err <= tol:
+                return x, bool(err <= LINEAR_TOL * max(1.0, scale) / scale), n
         z = _precondition(matrix, res)
         rz = float(res @ z)
         if not np.isfinite(rz):
             warnings.warn("solve_linear: non-finite residual",
                           RuntimeWarning, stacklevel=2)
-            return np.full_like(x, np.nan)
+            return np.full_like(x, np.nan), False, n + 1
         direction = z + (rz / rz_old) * direction
         a_dir = a @ direction
         step = rz / float(direction @ a_dir)
@@ -269,7 +276,7 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
     warnings.warn(f"solve_linear: scaled residual {np.abs(res).max():.3g} "
                   f"above {tol:.3g} after {MAX_LINEAR} iterations",
                   RuntimeWarning, stacklevel=2)
-    return x
+    return x, False, MAX_LINEAR
 
 
 def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
@@ -392,11 +399,16 @@ def run(data: ProblemData, cfg: SolverConfig,
     lam until eta moves by at most max(TOL_INNER, INNER_RATIO ||Bu - eta||)
     with the constraint residual of the previous outer iteration, up to
     MAX_INNER sweeps; that residual starts at inf, so the first outer
-    iteration makes one sweep. Inexact inner minimizations keep the
-    augmented-Lagrangian iteration convergent when their errors are
-    summable (Eckstein and Bertsekas 1992), as they are while the constraint
-    residual decays geometrically. A non-finite u-increment ends the run
-    unconverged.
+    iteration makes one sweep. The u-solves stop at the relative residual
+    max(LINEAR_TOL, LINEAR_RATIO ||Bu - eta|| / max(1, ||eta||)) with the
+    same residual, and at LINEAR_TOL while it is inf. Inexact minimizations
+    keep the augmented-Lagrangian iteration convergent when their errors
+    are summable (Eckstein and Bertsekas 1992), as they are while the
+    constraint residual decays geometrically. A loose solve can return its
+    warm start, and so a zero u-increment: the run stops only on an
+    iteration whose last u-solve met LINEAR_TOL, and where the stopping
+    test passes after a looser one, the next iteration solves at LINEAR_TOL
+    and tests again. A non-finite u-increment ends the run unconverged.
     """
     if cfg.r <= 0:
         raise ValueError("iteration requires r > 0")
@@ -406,13 +418,16 @@ def run(data: ProblemData, cfg: SolverConfig,
     sweeps = MAX_INNER if cfg.algorithm == Algorithm.COUPLED else 1
     start = init if init is not None else _zero_state(mesh)
     state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
+    rtol = LINEAR_TOL
     for n in range(1, cfg.max_outer + 1):
         u_prev, lam_prev = state.u, state.lam
         tol_inner = max(TOL_INNER, INNER_RATIO * state.residual_constraint)
         for _ in range(sweeps):
             eta_prev = state.eta
-            state.u = DgScalar(mesh, solve_linear(
-                matrix, assemble_rhs(state, data, cfg), state.u.values))
+            u, tight, iterations = solve_linear(
+                matrix, assemble_rhs(state, data, cfg), state.u.values, rtol)
+            state.u = DgScalar(mesh, u)
+            state.linear_iterations += iterations
             bu = lifting(state.u)
             state.eta = eta_update(bu, state.lam, data, cfg)
             if sweeps == 1 or _distance(state.eta, eta_prev) <= tol_inner:
@@ -430,8 +445,13 @@ def run(data: ProblemData, cfg: SolverConfig,
             n, state.residual_u, state.residual_constraint,
             state.residual_lambda, state.energy))
         if stopping_check(state, cfg):
-            state.converged = True
-            break
-        if not np.isfinite(state.residual_u):
+            if tight:
+                state.converged = True
+                break
+            rtol = LINEAR_TOL
+        elif np.isfinite(state.residual_u):
+            rtol = max(LINEAR_TOL, LINEAR_RATIO * state.residual_constraint
+                       / max(1.0, l2_norm(state.eta)))
+        else:
             break
     return state

@@ -14,11 +14,10 @@ import pytest
 import scipy.optimize
 
 from pxdg import (Algorithm, DgScalar, DgVector, SolverConfig,
-                  StepSizeWarning, assemble_matrix, average, build_uniform_mesh,
-                  eval_F, eval_Jh, fit_rate, grad_F, jump, l2_norm,
-                  lifting, luxemburg_norm, manufactured_exponent,
-                  manufactured_problem, modular, run, run_study,
-                  scalar_root)
+                  StepSizeWarning, assemble_matrix, build_uniform_mesh,
+                  eval_F, eval_Jh, fit_rate, grad_F, l2_norm, lifting,
+                  luxemburg_norm, manufactured_exponent, manufactured_problem,
+                  modular, run, run_study, scalar_root)
 
 NX_LIST = [10, 14, 22, 31, 54]
 B_LIST = [0.0, 0.25, 0.5]
@@ -52,6 +51,19 @@ def element_bounds(mesh, k):
     dy = (dom.y_max - dom.y_min) / mesh.ny
     return (dom.x_min + i * dx, dom.x_min + (i + 1) * dx,
             dom.y_min + j * dy, dom.y_min + (j + 1) * dy)
+
+
+def jump(u):
+    """Oracle: vector jumps (u_plus - u_minus) * nu_plus per interior edge."""
+    mesh = u.mesh
+    du = u.values[mesh.int_plus] - u.values[mesh.int_minus]
+    return du[:, None] * mesh.int_normal
+
+
+def average(phi):
+    """Oracle: means of the two neighbor values per interior edge."""
+    mesh = phi.mesh
+    return 0.5 * (phi.values[mesh.int_plus] + phi.values[mesh.int_minus])
 
 
 def interior_edges(mesh):

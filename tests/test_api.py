@@ -68,8 +68,8 @@ BENCHMARK_HOOKS = {
 # the module globals perfbench/worker.py wraps when traced; a name missing
 # here would leave its span absent from the trace without an error
 TRACED_HOOKS = {
-    "solver": ("assemble_matrix", "solve_linear", "_eta_from", "eval_Jh",
-               "lifting_matrices"),
+    "solver": ("assemble_matrix", "solve_linear", "_precondition", "_eta_from",
+               "eval_Jh", "lifting_matrices"),
     "dg": ("lifting_matrices",),
     "energy": ("edge_weights",),
     "mesh": ("edge_weights",),

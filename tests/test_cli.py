@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+import pxdg.cli
 from pxdg import (Algorithm, SolverConfig, build_uniform_mesh,
                   manufactured_problem, run, run_study)
 from pxdg.cli import _build_parser, _solver_config, main
@@ -70,6 +71,24 @@ def test_csv_matches_csv_writer(tmp_path, table):
     writer.writerow(HEADERS[table].split(","))
     writer.writerows(_csv_writer_rows(table))
     assert path[table].read_bytes() == want.getvalue().encode()
+
+
+def test_solution_csv_written_in_chunks(tmp_path, monkeypatch):
+    # rows are formatted from slices of CSV_CHUNK elements; the bytes are
+    # those of one "%d,%.12g,%.12g,%.12g" row per element
+    monkeypatch.setattr(pxdg.cli, "CSV_CHUNK", 5)
+    out = tmp_path / "solution.csv"
+    assert main(["solve", "--b", "0.25", "--nx", "4", "--ny", "3",
+                 "--out", str(out)]) == 0
+    data = manufactured_problem(0.25).discretize(4, 3)
+    mesh = data.mesh
+    assert mesh.n_elements % 5 != 0
+    state = run(data, SolverConfig())
+    rows = zip(range(mesh.n_elements), *mesh.barycenters.T.tolist(),
+               state.u.values.tolist())
+    want = "element,x,y,u\r\n" + "".join(
+        "%d,%.12g,%.12g,%.12g\r\n" % row for row in rows)
+    assert out.read_bytes() == want.encode()
 
 
 def test_solve_reports_constraint_residual(tmp_path, capsys):
