@@ -1,11 +1,13 @@
 """Broken P0 spaces: the jump lifting, and B = grad + lifting.
 
 For piecewise constants the broken gradient vanishes identically, so B
-reduces to the lifting; constants are in its kernel.
+reduces to the lifting; constants are in its kernel. B and B^T act along
+the grid axes through one 1-D lifting per axis; no m x m matrix is formed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +19,8 @@ __all__ = [
     "DgScalar",
     "DgVector",
     "lifting",
+    "lifting_adjoint",
     "axis_lifting",
-    "lifting_matrices",
     "l2_norm",
 ]
 
@@ -49,32 +51,20 @@ class DgVector:
             raise ValueError("vector field needs one 2-vector per element")
 
 
+@functools.lru_cache(maxsize=64)
 def axis_lifting(n: int, h: float) -> sp.csr_matrix:
     """The 1-D lifting D along one axis of n cells of width h.
 
     (D u)[i] = (u[i+1] - u[i-1]) / (2h), with the half stencils
     (u[1] - u[0]) / (2h) and (u[n-1] - u[n-2]) / (2h) at the ends: half
-    the differences across the cell's interior edges, summed.
+    the differences across the cell's interior edges, summed. D is built
+    once per (n, h) and shared by every caller, so its data is read-only.
     """
-    grad = np.diff(np.eye(n), axis=0)  # (n - 1, n) differences across edges
-    return sp.csr_matrix(np.abs(grad).T @ grad / (2.0 * h))
-
-
-def lifting_matrices(mesh: Mesh) -> tuple:
-    """Sparse (Lx, Ly) with lifting(u) = (Lx @ u, Ly @ u); cached on the mesh.
-
-    On the uniform grid the lifting acts along each axis alone:
-    Lx = I_y (x) D_x and Ly = D_y (x) I_x, with D from axis_lifting.
-    """
-    cached = getattr(mesh, "_lifting_matrices", None)
-    if cached is not None:
-        return cached
-    mesh._lifting_matrices = (
-        sp.kron(sp.identity(mesh.ny), axis_lifting(mesh.nx, mesh.dx),
-                format="csr"),
-        sp.kron(axis_lifting(mesh.ny, mesh.dy), sp.identity(mesh.nx),
-                format="csr"))
-    return mesh._lifting_matrices
+    c = 1.0 / (2.0 * h)
+    ends = np.bincount([0, n - 1], [-c, c], minlength=n)  # n = 1: zero
+    lift = sp.diags([-c, ends, c], [-1, 0, 1], shape=(n, n), format="csr")
+    lift.data.flags.writeable = False
+    return lift
 
 
 def lifting(u: DgScalar) -> DgVector:
@@ -84,8 +74,21 @@ def lifting(u: DgScalar) -> DgVector:
     -sum_e |e| <[u]_e, {phi}_e> over all P0 vector test fields, which
     localizes to R(u)|_k = -(1/|k|) sum_{e in dk interior} (|e|/2) [u]_e.
     """
-    lx, ly = lifting_matrices(u.mesh)
-    return DgVector(u.mesh, np.column_stack([lx @ u.values, ly @ u.values]))
+    mesh = u.mesh
+    grid = u.values.reshape(mesh.ny, mesh.nx)
+    rx = (axis_lifting(mesh.nx, mesh.dx) @ grid.T).T  # not grid @ D_x^T: slower
+    ry = axis_lifting(mesh.ny, mesh.dy) @ grid
+    return DgVector(mesh, np.stack([rx, ry], axis=-1).reshape(-1, 2))
+
+
+def lifting_adjoint(q: DgVector) -> np.ndarray:
+    """The v with v . u = sum_k |k| <q_k, R(u)_k> for every m-vector u:
+    with w = |k| q as two (ny, nx) arrays, v = w_x D_x + D_y^T w_y."""
+    mesh = q.mesh
+    wx = (mesh.areas * q.values[:, 0]).reshape(mesh.ny, mesh.nx)
+    wy = (mesh.areas * q.values[:, 1]).reshape(mesh.ny, mesh.nx)
+    return ((axis_lifting(mesh.nx, mesh.dx).T @ wx.T).T
+            + axis_lifting(mesh.ny, mesh.dy).T @ wy).ravel()
 
 
 def l2_norm(field) -> float:

@@ -31,8 +31,9 @@ class Domain:
     y_max: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("domain must satisfy x_min < x_max and y_min < y_max")
+        if not (0 < self.x_max - self.x_min < np.inf
+                and 0 < self.y_max - self.y_min < np.inf):
+            raise ValueError("domain needs finite x_min < x_max and y_min < y_max")
 
     @property
     def area(self) -> float:
@@ -85,8 +86,8 @@ def _pairs(i, j) -> tuple:
 
 def build_uniform_mesh(domain: Domain, nx: int, ny: int) -> Mesh:
     """Partition the domain into nx*ny equal rectangles."""
-    if nx < 1 or ny < 1:
-        raise ValueError("element counts must be positive")
+    if not all(isinstance(n, (int, np.integer)) and n > 0 for n in (nx, ny)):
+        raise ValueError("element counts must be positive integers")
     dx = (domain.x_max - domain.x_min) / nx
     dy = (domain.y_max - domain.y_min) / ny
     xs = domain.x_min + np.arange(nx + 1) * dx

@@ -28,7 +28,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .dg import (DgScalar, DgVector, axis_lifting, l2_norm, lifting,
-                 lifting_matrices)
+                 lifting_adjoint)
 from .energy import ProblemData, eval_Jh
 
 __all__ = [
@@ -87,8 +87,8 @@ class SolverConfig:
         if not (np.isfinite(self.tol_outer) and self.tol_outer > 0):
             raise ValueError("tolerances must be positive and finite, "
                              f"got {self.tol_outer!r}")
-        if self.max_outer < 1:
-            raise ValueError("iteration limits must be positive")
+        if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 1:
+            raise ValueError("iteration limits must be positive integers")
 
     @property
     def effective_rho(self) -> float:
@@ -167,18 +167,16 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
 
     D is axis_lifting(n, h). T = tridiag(-1, 2, -1) is the jump Laplacian,
     whose end rows carry one interior and one boundary edge, and jump
-    prices every edge (weight times length). K is pentadiagonal, and the
-    banded eigensolver is used because the dense one (LAPACK syevd) can
-    take 10-100x longer at n ~ 30-130 under multithreaded OpenBLAS.
+    prices every edge (weight times length). K is sparse and pentadiagonal,
+    and the banded eigensolver is used because the dense one (LAPACK syevd)
+    can take 10-100x longer at n ~ 30-130 under multithreaded OpenBLAS.
     """
-    lift = axis_lifting(n, h).toarray()
-    k = (mass * np.eye(n) + (r * area) * (lift.T @ lift)
-         + jump * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)))
+    lift = axis_lifting(n, h)
+    k = (mass * sp.identity(n) + (r * area) * (lift.T @ lift)
+         + jump * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)))
     kd = min(2, n - 1)  # superdiagonals; a band wider than n - 1 fails
-    band = np.zeros((kd + 1, n))  # upper banded storage of diagonal d
-    for d in range(kd + 1):
-        band[kd - d, d:] = np.diagonal(k, d)
-    return (k, *sla.eig_banded(band))
+    band = [np.pad(k.diagonal(d), (d, 0)) for d in range(kd, -1, -1)]
+    return (k, *sla.eig_banded(band))  # upper banded storage
 
 
 def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
@@ -216,10 +214,8 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
 def assemble_rhs(state: SolverState, data: ProblemData,
                  cfg: SolverConfig) -> np.ndarray:
     """Load vector plus the flux coupling term integral (r eta - lam) . Bphi."""
-    lx, ly = lifting_matrices(data.mesh)
-    s = cfg.r * state.eta.values - state.lam.values
-    a = data.mesh.areas
-    return data.load + lx.T @ (a * s[:, 0]) + ly.T @ (a * s[:, 1])
+    return data.load + lifting_adjoint(
+        DgVector(data.mesh, cfg.r * state.eta.values - state.lam.values))
 
 
 def _precondition(matrix: SystemMatrix, res: np.ndarray) -> np.ndarray:

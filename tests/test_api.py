@@ -66,11 +66,13 @@ BENCHMARK_HOOKS = {
 
 
 # the module globals perfbench/worker.py wraps when traced; a name missing
-# here would leave its span absent from the trace without an error
+# here would leave its span absent from the trace without an error. Its
+# dg.lifting span still wraps the removed lifting_matrices, so it is absent
+# until that span is rewired.
 TRACED_HOOKS = {
     "solver": ("assemble_matrix", "solve_linear", "_precondition", "_eta_from",
-               "eval_Jh", "lifting_matrices"),
-    "dg": ("lifting_matrices",),
+               "eval_Jh"),
+    "dg": (),
     "energy": ("edge_weights",),
     "mesh": ("edge_weights",),
 }

@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from pxdg import (DgScalar, DgVector, Domain, build_uniform_mesh,
-                  edge_weights, l2_norm, lifting, lifting_matrices,
-                  luxemburg_norm, manufactured_exponent, modular)
+from pxdg import (DgScalar, DgVector, Domain, axis_lifting,
+                  build_uniform_mesh, edge_weights, l2_norm, lifting,
+                  lifting_adjoint, luxemburg_norm, manufactured_exponent,
+                  modular)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -116,19 +118,22 @@ def test_lifting_linearity():
     assert np.allclose(combo, parts, rtol=1e-12, atol=1e-14)
 
 
-def test_lifting_matrices_store_no_zeros():
-    for dom, nx, ny in [(SQUARE, 1, 1), (SQUARE, 2, 1), (SQUARE, 1, 3),
-                        (SQUARE, 6, 6), (Domain(0.5, 2.0, -0.3, 0.9), 7, 4)]:
-        mesh = build_uniform_mesh(dom, nx, ny)
-        for mat in lifting_matrices(mesh):
-            assert mat.has_canonical_format
-            assert np.count_nonzero(mat.data == 0.0) == 0
+def test_axis_lifting_stores_no_zeros():
+    for n in (1, 2, 3, 7):
+        mat = axis_lifting(n, 0.3)
+        assert mat.shape == (n, n)
+        assert mat.has_canonical_format
+        assert np.count_nonzero(mat.data == 0.0) == 0
+        # one shared, read-only D per (n, h)
+        assert axis_lifting(n, 0.3) is mat
+        assert not mat.data.flags.writeable
 
 
-def test_lifting_matrices_cached_and_consistent():
+def test_lifting_matches_kronecker_oracle():
+    # the m x m matrices I_y (x) D_x and D_y (x) I_x apply the same lifting
     mesh = build_uniform_mesh(SQUARE, 4, 3)
-    lx, ly = lifting_matrices(mesh)
-    assert lifting_matrices(mesh) == (lx, ly)
+    lx = sp.kron(sp.identity(mesh.ny), axis_lifting(mesh.nx, mesh.dx))
+    ly = sp.kron(axis_lifting(mesh.ny, mesh.dy), sp.identity(mesh.nx))
     rng = np.random.default_rng(8)
     u = rng.normal(size=mesh.n_elements)
     r = lifting(DgScalar(mesh, u)).values
@@ -136,8 +141,8 @@ def test_lifting_matrices_cached_and_consistent():
     assert np.allclose(r[:, 1], ly @ u, rtol=1e-14)
 
 
-# the identity is the edge definition of R: it ties the Kronecker-built
-# lifting matrices to the mesh's edge arrays
+# the identity is the edge definition of R: it ties the lifting along the
+# grid axes, and its adjoint, to the mesh's edge arrays
 @pytest.mark.parametrize("domain, nx, ny", [
     (SQUARE, 5, 4),
     (Domain(0.5, 2.0, -0.3, 0.9), 7, 4),
@@ -146,7 +151,8 @@ def test_lifting_matrices_cached_and_consistent():
     (SQUARE, 1, 3),
 ], ids=["5x4", "7x4-offset", "1x1", "2x1", "1x3"])
 def test_lifting_adjoint_identity(domain, nx, ny):
-    # sum_k |k| <R(u), phi>_k = -sum_e |e| <[u]_e, {phi}_e> for all u, phi
+    # sum_k |k| <R(u), phi>_k = -sum_e |e| <[u]_e, {phi}_e> for all u, phi,
+    # and lifting_adjoint(phi) . u is its left side
     mesh = build_uniform_mesh(domain, nx, ny)
     rng = np.random.default_rng(1)
     fields = [np.eye(mesh.n_elements)[i] for i in range(mesh.n_elements)]
@@ -161,6 +167,8 @@ def test_lifting_adjoint_identity(domain, nx, ny):
             rhs = -float(mesh.int_length
                          @ (jump(u) * average(phi)).sum(axis=1))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+            adj = float(lifting_adjoint(phi) @ uv)
+            assert abs(adj - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_lifting_bounded_by_jump_seminorm_under_refinement():

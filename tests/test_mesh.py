@@ -245,3 +245,14 @@ def test_invalid_inputs():
         build_uniform_mesh(SQUARE, 0, 3)
     with pytest.raises(ValueError):
         build_uniform_mesh(SQUARE, 3, -1)
+    inf, nan = float("inf"), float("nan")
+    for bounds in [(0.0, inf, 0.0, 1.0), (-inf, 0.0, 0.0, 1.0),
+                   (0.0, 1.0, -inf, inf), (0.0, 1.0, 0.0, nan),
+                   (-1e308, 1e308, 0.0, 1.0)]:  # the width overflows
+        with pytest.raises(ValueError):
+            Domain(*bounds)
+    for nx, ny in [(2.5, 3), (3, 2.5), (3.0, 3)]:
+        with pytest.raises(ValueError):
+            build_uniform_mesh(SQUARE, nx, ny)
+    mesh = build_uniform_mesh(SQUARE, np.int64(3), np.int64(2))
+    assert mesh.n_elements == 6

@@ -7,14 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import pxdg.energy
 import pxdg.solver
 from pxdg import (Algorithm, DgScalar, DgVector, Domain, ExponentField,
                   ProblemData, SolverConfig, SolverState, StepSizeWarning,
-                  assemble_matrix, assemble_rhs, build_uniform_mesh,
-                  eta_update, eval_Jh, eval_lagrangian, l2_error, l2_norm,
-                  lambda_update, lifting, lifting_matrices,
+                  assemble_matrix, assemble_rhs, axis_lifting,
+                  build_uniform_mesh, eta_update, eval_Jh, eval_lagrangian,
+                  l2_error, l2_norm, lambda_update, lifting,
                   manufactured_exponent, manufactured_problem, run,
                   scalar_root, solve_linear, stopping_check)
 from pxdg.cli import main
@@ -54,8 +55,7 @@ def manufactured_data(b, nx):
 
 
 def bu_of(u_values, mesh):
-    lx, ly = lifting_matrices(mesh)
-    return np.column_stack([lx @ u_values, ly @ u_values])
+    return lifting(DgScalar(mesh, u_values)).values
 
 
 def gap_of(state):
@@ -121,7 +121,9 @@ def test_rhs_flux_coupling_term():
     state.eta = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
     state.lam = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
     got = assemble_rhs(state, data, cfg) - assemble_rhs(zero_state(mesh), data, cfg)
-    lx, ly = lifting_matrices(mesh)
+    # B^T from the m x m lifting matrices I_y (x) D_x and D_y (x) I_x
+    lx = sp.kron(sp.identity(mesh.ny), axis_lifting(mesh.nx, mesh.dx))
+    ly = sp.kron(axis_lifting(mesh.ny, mesh.dy), sp.identity(mesh.nx))
     s = cfg.r * state.eta.values - state.lam.values
     want = lx.T @ (mesh.areas * s[:, 0]) + ly.T @ (mesh.areas * s[:, 1])
     assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
@@ -971,8 +973,9 @@ def test_config_validation():
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError):
                 SolverConfig(**{key: value})
-    with pytest.raises(ValueError):
-        SolverConfig(max_outer=0)
+    for value in (0, 2.5, float("nan")):
+        with pytest.raises(ValueError):
+            SolverConfig(max_outer=value)
     cfg = SolverConfig(r=2.0)
     assert cfg.effective_rho == 2.0
     assert SolverConfig(r=2.0, rho=0.5).effective_rho == 0.5
