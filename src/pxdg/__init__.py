@@ -9,7 +9,7 @@ from .energy import (EnergyReport, ProblemData, eval_F, eval_G, eval_Jh,
 from .exponent import (ExponentField, conjugate, luxemburg_norm,
                        manufactured_exponent, modular)
 from .mesh import Domain, Mesh, build_uniform_mesh, edge_weights
-from .quadrature import boundary_points, element_points, gauss_1d
+from .quadrature import element_points, gauss_1d
 from .solver import (Algorithm, IterationRecord, SolverConfig, SolverState,
                      StepSizeWarning, SystemMatrix, assemble_matrix,
                      assemble_rhs, eta_update, lambda_update, run,

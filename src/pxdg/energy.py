@@ -16,7 +16,7 @@ import numpy as np
 from .dg import DgScalar, DgVector, lifting
 from .exponent import ExponentField
 from .mesh import Mesh, edge_weights
-from .quadrature import boundary_points, element_points
+from .quadrature import element_points, gauss_1d
 
 __all__ = [
     "ProblemData",
@@ -49,7 +49,7 @@ class ProblemData:
 
     @cached_property
     def penalty_weights(self) -> tuple:
-        """Edge penalty weights (interior, boundary)."""
+        """Penalty weight times length on the edge grids (cx, cy)."""
         return edge_weights(self.mesh, self.exponent)
 
     @cached_property
@@ -59,7 +59,7 @@ class ProblemData:
         xbar = I / W of xi, and C = sum_k sum_q w_q (xi_kq - xbar_k)^2, so
         that the data misfit of any v is W sum_k (v_k - xbar_k)^2 + C."""
         xq, yq, wq = element_points(self.mesh)
-        xi = np.asarray(self.xi(xq, yq), float)
+        xi = np.broadcast_to(np.asarray(self.xi(xq, yq), float), xq.shape)
         total = float(wq.sum())
         integrals = (xi * wq[None, :]).sum(axis=1)
         xbar = integrals / total
@@ -67,20 +67,45 @@ class ProblemData:
         return total, xbar, spread, integrals
 
     @cached_property
-    def boundary_quadrature(self) -> tuple:
-        """(bw, u_D): Gauss weights and u_D values on every boundary edge."""
-        bx, by, bw = boundary_points(self.mesh)
-        return bw, np.asarray(self.u_D(bx, by), float)
+    def boundary_moments(self) -> tuple:
+        """(ux, uy, C) from u_D at every boundary edge's 3 Gauss points:
+        its means ux (ny, 2) on the left and right sides and uy (2, nx) on
+        the bottom and top, and C = sum_e c_e sum_q w_q (u_D,eq - ubar_e)^2,
+        with c_e the edge's penalty weight times length and w_q the Gauss
+        weights over 2, so that the boundary penalty of any v is
+        sum_e c_e (v_k - ubar_e)^2 + C, k the element on edge e."""
+        mesh = self.mesh
+        xs, ys, xc, yc = mesh.axes()
+        g, w = gauss_1d(3)
+        g, w = 0.5 * g[:, None, None], 0.5 * w  # on [-1/2, 1/2], sum 1
+        cx, cy = self.penalty_weights
+
+        def moments(x, y, c):
+            # u_D at points (3, ...): its means over axis 0, and C's share
+            x, y = np.broadcast_arrays(x, y)
+            vals = np.broadcast_to(np.asarray(self.u_D(x, y), float), x.shape)
+            mean = np.tensordot(w, vals, 1)
+            spread = np.tensordot(w, (vals - mean) ** 2, 1)
+            return mean, float((c * spread).sum())
+
+        ux, sides = moments(xs[[0, -1]], yc[:, None] + g * mesh.dy,
+                            cx[:, [0, -1]])
+        uy, ends = moments(xc + g * mesh.dx, ys[[0, -1], None], cy[[0, -1]])
+        return ux, uy, sides + ends
 
     @cached_property
     def load(self) -> np.ndarray:
-        """Iteration-independent part of the right-hand side: data and
-        boundary terms."""
-        bw, u_d = self.boundary_quadrature
-        load = self.xi_moments[3].copy()
-        bvals = (u_d * bw).sum(axis=1) * self.penalty_weights[1]
-        np.add.at(load, self.mesh.bnd_element, bvals)
-        return load
+        """Iteration-independent part of the right-hand side: the xi
+        integrals plus c_e ubar_e on the element of every boundary edge."""
+        mesh = self.mesh
+        cx, cy = self.penalty_weights
+        ux, uy, _ = self.boundary_moments
+        load = self.xi_moments[3].reshape(mesh.ny, mesh.nx).copy()
+        load[:, 0] += cx[:, 0] * ux[:, 0]
+        load[:, -1] += cx[:, -1] * ux[:, 1]
+        load[0] += cy[0] * uy[0]
+        load[-1] += cy[-1] * uy[1]
+        return load.ravel()
 
 
 @dataclass(frozen=True)
@@ -112,14 +137,14 @@ def eval_G(v: DgScalar, data: ProblemData) -> float:
     total, xbar, spread, _ = data.xi_moments
     data_term = total * float(((v.values - xbar) ** 2).sum()) + spread
 
-    w_int, w_bnd = data.penalty_weights
-    du = v.values[mesh.int_plus] - v.values[mesh.int_minus]
-    jump_term = float((w_int * mesh.int_length * du ** 2).sum())
-
-    bw, u_d = data.boundary_quadrature
-    diff = v.values[mesh.bnd_element][:, None] - u_d
-    bnd_term = float((w_bnd[:, None] * bw * diff ** 2).sum())
-    return 0.5 * (data_term + jump_term + bnd_term)
+    # the jumps across every edge, the grid padded with ubar on each side
+    cx, cy = data.penalty_weights
+    ux, uy, bnd_spread = data.boundary_moments
+    grid = v.values.reshape(mesh.ny, mesh.nx)
+    jx = np.diff(grid, axis=1, prepend=ux[:, :1], append=ux[:, 1:])
+    jy = np.diff(grid, axis=0, prepend=uy[:1], append=uy[1:])
+    edge_term = float((cx * jx ** 2).sum() + (cy * jy ** 2).sum()) + bnd_spread
+    return 0.5 * (data_term + edge_term)
 
 
 def eval_Jh(v: DgScalar, data: ProblemData) -> EnergyReport:

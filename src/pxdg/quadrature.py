@@ -1,10 +1,10 @@
-"""Tensor-product Gauss-Legendre quadrature on mesh elements and edges."""
+"""Tensor-product Gauss-Legendre quadrature on mesh elements."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gauss_1d", "element_points", "boundary_points"]
+__all__ = ["gauss_1d", "element_points"]
 
 
 def gauss_1d(n: int) -> tuple:
@@ -26,16 +26,3 @@ def element_points(mesh) -> tuple:
     yq = mesh.barycenters[:, 1:2] + gy.ravel()[None, :] * (mesh.dy / 2.0)
     return xq, yq, wq
 
-
-def boundary_points(mesh) -> tuple:
-    """Per-boundary-edge 3-point quadrature: (xq, yq, wq), each (n_bnd, 3)."""
-    g, w = gauss_1d(3)
-    p0, p1 = mesh.bnd_p0, mesh.bnd_p1
-    cx = 0.5 * (p0[:, 0] + p1[:, 0])
-    cy = 0.5 * (p0[:, 1] + p1[:, 1])
-    hx = 0.5 * (p1[:, 0] - p0[:, 0])
-    hy = 0.5 * (p1[:, 1] - p0[:, 1])
-    xq = cx[:, None] + g[None, :] * hx[:, None]
-    yq = cy[:, None] + g[None, :] * hy[:, None]
-    wq = w[None, :] * (mesh.bnd_length[:, None] / 2.0)
-    return xq, yq, wq

@@ -87,6 +87,12 @@ class SolverConfig:
         if not (np.isfinite(self.tol_outer) and self.tol_outer > 0):
             raise ValueError("tolerances must be positive and finite, "
                              f"got {self.tol_outer!r}")
+        # below the u-solve's resolution the u-increment drops to 0 once the
+        # warm start meets it, which would pass any tol_outer
+        if self.tol_outer < LINEAR_TOL:
+            raise ValueError(f"tol_outer {self.tol_outer:g} is below "
+                             f"LINEAR_TOL = {LINEAR_TOL:g}, the resolution "
+                             "of the u-solves")
         if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 1:
             raise ValueError("iteration limits must be positive integers")
 
@@ -171,8 +177,10 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
     and the banded eigensolver is used because the dense one (LAPACK syevd)
     can take 10-100x longer at n ~ 30-130 under multithreaded OpenBLAS.
     """
-    lift = axis_lifting(n, h)
-    k = (mass * sp.identity(n) + (r * area) * (lift.T @ lift)
+    # scaling D, not D^T D: on a tiny domain (1/2h)^2 overflows while
+    # r |k| / (2h)^2 stays O(1)
+    lift = np.sqrt(r * area) * axis_lifting(n, h)
+    k = (mass * sp.identity(n) + lift.T @ lift
          + jump * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)))
     kd = min(2, n - 1)  # superdiagonals; a band wider than n - 1 fails
     band = [np.pad(k.diagonal(d), (d, 0)) for d in range(kd, -1, -1)]
@@ -189,23 +197,23 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     0 at p = 2. solve_linear preconditions with K scaled to diag A.
     """
     mesh = data.mesh
-    m = mesh.n_elements
-    w_int, w_bnd = data.penalty_weights
-    vals = w_int * mesh.int_length
-    bnd_vals = w_bnd * mesh.bnd_length
-    gamma = float(np.concatenate([vals, bnd_vals]).mean())
+    nx, m = mesh.nx, mesh.n_elements
+    cx, cy = data.penalty_weights
+    gamma = float((cx.sum() + cy.sum()) / (cx.size + cy.size))
     cell = mesh.dx * mesh.dy
-    kx, lam_x, qx = _axis_operator(mesh.nx, mesh.dx, cell, cfg.r, gamma,
-                                   mass=cell)
+    kx, lam_x, qx = _axis_operator(nx, mesh.dx, cell, cfg.r, gamma, mass=cell)
     ky, lam_y, qy = _axis_operator(mesh.ny, mesh.dy, cell, cfg.r, gamma)
     k = sp.kronsum(kx, ky, format="csr")
-    vals -= gamma
-    bnd_vals -= gamma
-    a, b, e = mesh.int_plus, mesh.int_minus, mesh.bnd_element
-    mat = k + sp.coo_matrix(
-        (np.concatenate([vals, vals, -vals, -vals, bnd_vals]),
-         (np.concatenate([a, b, a, b, e]), np.concatenate([a, b, b, a, e]))),
-        shape=(m, m))
+    # departures from gamma: each element's four edges on the diagonal, and
+    # minus each interior edge's between its two elements. The offset-1
+    # band pairs (j, i) with (j, i + 1); where i = nx - 1 it pairs two rows
+    # and is 0. At nx = 1 that band is all 0 and offset nx replaces it.
+    dev_x, dev_y = cx - gamma, cy - gamma
+    diag = (dev_x[:, :-1] + dev_x[:, 1:] + dev_y[:-1] + dev_y[1:]).ravel()
+    right = -np.pad(dev_x[:, 1:-1], ((0, 0), (0, 1))).ravel()[:-1]
+    up = -dev_y[1:-1].ravel()
+    bands = {0: diag, 1: right, -1: right, nx: up, -nx: up}
+    mat = k + sp.diags(list(bands.values()), list(bands), shape=(m, m))
     return SystemMatrix(matrix=mat, qx=qx, qy=qy,
                         eigsum=lam_y[:, None] + lam_x[None, :],
                         scale=np.sqrt(k.diagonal() / mat.diagonal()))

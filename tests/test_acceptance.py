@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from edge_loop import average, dense_lifting, edges, jump
 from pxdg import (Algorithm, DgScalar, DgVector, SolverConfig,
                   StepSizeWarning, assemble_matrix, build_uniform_mesh,
                   eval_F, eval_Jh, fit_rate, grad_F, l2_norm, lifting,
@@ -53,45 +54,19 @@ def element_bounds(mesh, k):
             dom.y_min + j * dy, dom.y_min + (j + 1) * dy)
 
 
-def jump(u):
-    """Oracle: vector jumps (u_plus - u_minus) * nu_plus per interior edge."""
-    mesh = u.mesh
-    du = u.values[mesh.int_plus] - u.values[mesh.int_minus]
-    return du[:, None] * mesh.int_normal
-
-
-def average(phi):
-    """Oracle: means of the two neighbor values per interior edge."""
-    mesh = phi.mesh
-    return 0.5 * (phi.values[mesh.int_plus] + phi.values[mesh.int_minus])
-
-
 def interior_edges(mesh):
     """(plus, minus, length, normal, midpoint) per interior edge."""
-    return zip(mesh.int_plus.tolist(), mesh.int_minus.tolist(),
-               mesh.int_length.tolist(), mesh.int_normal.tolist(),
-               mesh.int_mid.tolist())
+    e = edges(mesh)
+    return zip(e["int_plus"].tolist(), e["int_minus"].tolist(),
+               e["int_length"].tolist(), e["int_normal"].tolist(),
+               e["int_mid"].tolist())
 
 
 def boundary_edges(mesh):
     """(element, length, p0, p1) per boundary edge."""
-    return zip(mesh.bnd_element.tolist(), mesh.bnd_length.tolist(),
-               mesh.bnd_p0.tolist(), mesh.bnd_p1.tolist())
-
-
-def dense_lifting(mesh):
-    """Dense (Bx, By) from R(u)|_k = -(1/|k|) sum_e (|e|/2) [u]_e."""
-    m = mesh.n_elements
-    bx = np.zeros((m, m))
-    by = np.zeros((m, m))
-    for a, b, length, nu, _ in interior_edges(mesh):
-        for k in (a, b):
-            coef = -(length / 2.0) / mesh.areas[k]
-            bx[k, a] += coef * nu[0]
-            bx[k, b] -= coef * nu[0]
-            by[k, a] += coef * nu[1]
-            by[k, b] -= coef * nu[1]
-    return bx, by
+    e = edges(mesh)
+    return zip(e["bnd_element"].tolist(), e["bnd_length"].tolist(),
+               e["bnd_p0"].tolist(), e["bnd_p1"].tolist())
 
 
 def area_l2_diff(mesh, a, b):
@@ -329,7 +304,8 @@ def test_criterion_7_structural_invariants(tight_states):
         u = DgScalar(mesh, rng.normal(size=mesh.n_elements))
         phi = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
         lhs = float((mesh.areas[:, None] * lifting(u).values * phi.values).sum())
-        rhs = -float(mesh.int_length @ (jump(u) * average(phi)).sum(axis=1))
+        rhs = -float(edges(mesh)["int_length"]
+                     @ (jump(u) * average(phi)).sum(axis=1))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     if worst > 1e-12:
         failures.append(f"lifting adjoint identity off by {worst:.2e}")

@@ -169,6 +169,10 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["solve", "--b", "0.5", "--nx", "4", "--r", "nan",
                  "--out", out]) == 1
     assert "penalty parameter r" in capsys.readouterr().err
+    # a tolerance the u-solves cannot resolve would be met trivially
+    assert main(["solve", "--b", "0.5", "--nx", "3", "--tol", "1e-300",
+                 "--max-iter", "50", "--out", out]) == 1
+    assert "LINEAR_TOL" in capsys.readouterr().err
     # b whose manufactured solution overflows the doubles
     assert main(["solve", "--b", "400", "--nx", "4", "--out", out]) == 1
     err = capsys.readouterr().err

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from edge_loop import edges, penalty
 from pxdg import (DgScalar, DgVector, Domain, EnergyReport, ExponentField,
-                  ProblemData, boundary_points, build_uniform_mesh,
-                  edge_weights, element_points, eval_F, eval_G, eval_Jh,
-                  eval_lagrangian, grad_F, lifting, manufactured_exponent)
+                  ProblemData, build_uniform_mesh, element_points, eval_F,
+                  eval_G, eval_Jh, eval_lagrangian, gauss_1d, grad_F, lifting,
+                  manufactured_exponent)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -128,15 +129,21 @@ def test_eval_G_quadratic_second_difference():
 
 
 def pointwise_G(v, data):
-    """Reference G: every misfit evaluated at the 3x3 Gauss points."""
+    """Reference G: every misfit evaluated at the 3x3 element and 3-point
+    boundary Gauss points, edge by edge over the oracle's edges."""
     mesh = data.mesh
     xq, yq, wq = element_points(mesh)
     data_term = (wq * (v[:, None] - data.xi(xq, yq)) ** 2).sum()
-    w_int, w_bnd = edge_weights(mesh, data.exponent)
-    du = v[mesh.int_plus] - v[mesh.int_minus]
-    jump_term = (w_int * mesh.int_length * du ** 2).sum()
-    bx, by, bw = boundary_points(mesh)
-    diff = v[mesh.bnd_element][:, None] - data.u_D(bx, by)
+    e = edges(mesh)
+    w_int = penalty(data.exponent, e["int_length"], e["int_mid"])
+    du = v[e["int_plus"]] - v[e["int_minus"]]
+    jump_term = (w_int * e["int_length"] * du ** 2).sum()
+    p0, p1 = e["bnd_p0"], e["bnd_p1"]
+    w_bnd = penalty(data.exponent, e["bnd_length"], 0.5 * (p0 + p1))
+    g, w = gauss_1d(3)
+    pts = 0.5 * ((p0 + p1)[:, None] + g[:, None] * (p1 - p0)[:, None])
+    diff = v[e["bnd_element"]][:, None] - data.u_D(pts[..., 0], pts[..., 1])
+    bw = 0.5 * e["bnd_length"][:, None] * w
     bnd_term = (w_bnd[:, None] * bw * diff ** 2).sum()
     return 0.5 * (data_term + jump_term + bnd_term), data_term
 
@@ -254,8 +261,9 @@ def test_problem_data_evaluates_inputs_once():
     seen = dict(calls)
     # p at the barycenters and the interior and boundary edge midpoints,
     # xi at the 3x3 element and u_D at the 3-point boundary Gauss points
-    n_bnd = len(mesh.bnd_element)
-    assert seen == {"p": mesh.n_elements + len(mesh.int_plus) + n_bnd,
+    e = edges(mesh)
+    n_bnd = len(e["bnd_element"])
+    assert seen == {"p": mesh.n_elements + len(e["int_plus"]) + n_bnd,
                     "xi": 9 * mesh.n_elements, "u_D": 3 * n_bnd}
     second = (eval_Jh(v, data).J_value, eval_F(q, data),
               grad_F(q, data).values, data.load)

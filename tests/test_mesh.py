@@ -1,56 +1,67 @@
-"""Mesh construction: counts, geometry, orientation, and penalty weights."""
+"""Mesh construction: counts, geometry, the edge oracle's orientation, and
+penalty weights on the edge grids."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from edge_loop import edges, grid_loop
 from pxdg import (Domain, ExponentField, build_uniform_mesh, edge_weights,
                   manufactured_exponent)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
 
-def n_interior(mesh):
-    return len(mesh.int_plus)
-
-
-def n_boundary(mesh):
-    return len(mesh.bnd_element)
+def edge_counts(mesh):
+    """(interior, boundary) edge counts read off the two edge grids."""
+    cx, cy = edge_weights(mesh, manufactured_exponent(0.0))
+    assert cx.shape == (mesh.ny, mesh.nx + 1)
+    assert cy.shape == (mesh.ny + 1, mesh.nx)
+    return (cx[:, 1:-1].size + cy[1:-1].size,
+            cx[:, [0, -1]].size + cy[[0, -1]].size)
 
 
 def test_counts_10x10():
     mesh = build_uniform_mesh(SQUARE, 10, 10)
     assert mesh.n_elements == 100
-    assert n_interior(mesh) == 180
-    assert n_boundary(mesh) == 40
+    assert edge_counts(mesh) == (180, 40)
 
 
 def test_counts_single_element():
     mesh = build_uniform_mesh(SQUARE, 1, 1)
     assert mesh.n_elements == 1
-    assert n_interior(mesh) == 0
-    assert n_boundary(mesh) == 4
+    assert edge_counts(mesh) == (0, 4)
 
 
 def test_counts_two_elements():
     mesh = build_uniform_mesh(SQUARE, 2, 1)
     assert mesh.n_elements == 2
-    assert n_interior(mesh) == 1
-    assert mesh.int_length[0] == 2.0
-    assert n_boundary(mesh) == 6
+    assert edge_counts(mesh) == (1, 6)
+    assert mesh.dy == 2.0  # the length of the interior edge
 
 
 def test_counts_formula_general():
     mesh = build_uniform_mesh(Domain(0.0, 3.0, -1.0, 1.0), 5, 3)
     assert mesh.n_elements == 15
-    assert n_interior(mesh) == 5 * 2 + 3 * 4
-    assert n_boundary(mesh) == 2 * 5 + 2 * 3
+    assert edge_counts(mesh) == (5 * 2 + 3 * 4, 2 * 5 + 2 * 3)
+    e = edges(mesh)
     for name in ("int_plus", "int_minus", "int_length", "int_normal",
                  "int_mid"):
-        assert len(getattr(mesh, name)) == n_interior(mesh)
+        assert len(e[name]) == 5 * 2 + 3 * 4
     for name in ("bnd_element", "bnd_length", "bnd_p0", "bnd_p1"):
-        assert len(getattr(mesh, name)) == n_boundary(mesh)
+        assert len(e[name]) == 2 * 5 + 2 * 3
+
+
+def test_mesh_holds_no_per_edge_arrays():
+    # the arrays a Mesh keeps are O(m): its edges are read off the grid on
+    # demand, and nothing sized by the edge count is kept, not even a cache
+    mesh = build_uniform_mesh(Domain(0.3, 2.5, -1.2, -0.1), 7, 4)
+    edge_weights(mesh, manufactured_exponent(0.0))
+    mesh.axes()
+    arrays = {name: a.shape for name, a in vars(mesh).items()
+              if isinstance(a, np.ndarray)}
+    assert arrays == {"areas": (28,), "barycenters": (28, 2)}
 
 
 def test_area_partition():
@@ -72,11 +83,15 @@ def test_element_geometry():
     assert np.all(mesh.areas <= diameter ** 2)
 
 
+# the edge oracle's conventions, which the edge-by-edge tests rely on
+
+
 def test_normal_points_plus_to_minus():
     mesh = build_uniform_mesh(SQUARE, 5, 4)
-    d = mesh.barycenters[mesh.int_minus] - mesh.barycenters[mesh.int_plus]
-    assert np.all((d * mesh.int_normal).sum(axis=1) > 0.0)
-    assert np.all(mesh.int_plus < mesh.int_minus)
+    e = edges(mesh)
+    d = mesh.barycenters[e["int_minus"]] - mesh.barycenters[e["int_plus"]]
+    assert np.all((d * e["int_normal"]).sum(axis=1) > 0.0)
+    assert np.all(e["int_plus"] < e["int_minus"])
 
 
 def test_normal_perpendicular_to_edge():
@@ -84,10 +99,12 @@ def test_normal_perpendicular_to_edge():
     # length int_length, must end on grid vertices
     dom = Domain(0.3, 2.5, -1.2, -0.1)
     mesh = build_uniform_mesh(dom, 5, 3)
-    assert np.allclose(np.hypot(*mesh.int_normal.T), 1.0, rtol=0, atol=1e-15)
-    tangent = np.column_stack([-mesh.int_normal[:, 1], mesh.int_normal[:, 0]])
-    half = 0.5 * mesh.int_length[:, None] * tangent
-    for end in (mesh.int_mid - half, mesh.int_mid + half):
+    e = edges(mesh)
+    normal = e["int_normal"]
+    assert np.allclose(np.hypot(*normal.T), 1.0, rtol=0, atol=1e-15)
+    tangent = np.column_stack([-normal[:, 1], normal[:, 0]])
+    half = 0.5 * e["int_length"][:, None] * tangent
+    for end in (e["int_mid"] - half, e["int_mid"] + half):
         grid = (end - [dom.x_min, dom.y_min]) / [mesh.dx, mesh.dy]
         assert np.allclose(grid, np.round(grid), rtol=0, atol=1e-12)
 
@@ -95,11 +112,11 @@ def test_normal_perpendicular_to_edge():
 def test_boundary_normals_outward():
     # boundary edges run counterclockwise: the edge direction turned
     # clockwise is the outward normal
-    mesh = build_uniform_mesh(SQUARE, 3, 3)
-    tangent = mesh.bnd_p1 - mesh.bnd_p0
+    e = edges(build_uniform_mesh(SQUARE, 3, 3))
+    tangent = e["bnd_p1"] - e["bnd_p0"]
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
-    normal /= mesh.bnd_length[:, None]
-    mid = 0.5 * (mesh.bnd_p0 + mesh.bnd_p1)
+    normal /= e["bnd_length"][:, None]
+    mid = 0.5 * (e["bnd_p0"] + e["bnd_p1"])
     outward = mid + 0.1 * normal
     assert np.all(np.abs(outward).max(axis=1) > 1.0)
     inward = mid - 0.1 * normal
@@ -111,14 +128,15 @@ def test_edge_element_incidence_symmetric():
     # midpoint is halfway between its two barycenters, a boundary edge's
     # midpoint half a cell from its element's barycenter
     mesh = build_uniform_mesh(SQUARE, 4, 3)
-    plus = mesh.barycenters[mesh.int_plus]
-    minus = mesh.barycenters[mesh.int_minus]
-    assert np.allclose(mesh.int_mid, 0.5 * (plus + minus), rtol=0, atol=1e-15)
+    e = edges(mesh)
+    plus = mesh.barycenters[e["int_plus"]]
+    minus = mesh.barycenters[e["int_minus"]]
+    assert np.allclose(e["int_mid"], 0.5 * (plus + minus), rtol=0, atol=1e-15)
     step = np.abs(minus - plus)
-    assert np.allclose(step, mesh.int_normal * [mesh.dx, mesh.dy],
+    assert np.allclose(step, e["int_normal"] * [mesh.dx, mesh.dy],
                        rtol=0, atol=1e-15)
-    offset = np.abs(0.5 * (mesh.bnd_p0 + mesh.bnd_p1)
-                    - mesh.barycenters[mesh.bnd_element])
+    offset = np.abs(0.5 * (e["bnd_p0"] + e["bnd_p1"])
+                    - mesh.barycenters[e["bnd_element"]])
     half = [0.5 * mesh.dx, 0.5 * mesh.dy]
     on_side = (np.isclose(offset, half, rtol=0, atol=1e-15)
                & np.isclose(offset[:, ::-1], 0.0, rtol=0, atol=1e-15))
@@ -127,10 +145,11 @@ def test_edge_element_incidence_symmetric():
 
 def test_interior_count_of_incident_edges():
     mesh = build_uniform_mesh(SQUARE, 3, 3)
+    e = edges(mesh)
     m = mesh.n_elements
-    interior = np.bincount(np.concatenate([mesh.int_plus, mesh.int_minus]),
+    interior = np.bincount(np.concatenate([e["int_plus"], e["int_minus"]]),
                            minlength=m)
-    boundary = np.bincount(mesh.bnd_element, minlength=m)
+    boundary = np.bincount(e["bnd_element"], minlength=m)
     assert np.all(interior + boundary == 4)
     # corner element: 2 interior + 2 boundary edges; center: 4 interior
     assert (interior[0], boundary[0]) == (2, 2)
@@ -146,94 +165,79 @@ def test_deterministic_build():
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
-def grid_loop(domain, nx, ny):
-    """The mesh arrays rebuilt cell by cell from the grid definition."""
-    dx = (domain.x_max - domain.x_min) / nx
-    dy = (domain.y_max - domain.y_min) / ny
-
-    def x(i):
-        return domain.x_min + i * dx
-
-    def y(j):
-        return domain.y_min + j * dy
-
-    def cell(i, j):
-        return j * nx + i
-
-    areas, barycenters, vertical, horizontal = [], [], [], []
-    for j in range(ny):
-        for i in range(nx):
-            areas.append(dx * dy)
-            barycenters.append((x(i) + dx / 2, y(j) + dy / 2))
-            if i + 1 < nx:  # the right side, shared with cell (i+1, j)
-                vertical.append((cell(i, j), cell(i + 1, j), dy, (1.0, 0.0),
-                                 (x(i + 1), y(j) + dy / 2)))
-            if j + 1 < ny:  # the top side, shared with cell (i, j+1)
-                horizontal.append((cell(i, j), cell(i, j + 1), dx,
-                                   (0.0, 1.0), (x(i) + dx / 2, y(j + 1))))
-    # counterclockwise from the bottom left corner
-    boundary = (
-        [(cell(i, 0), dx, (x(i), y(0)), (x(i + 1), y(0)))
-         for i in range(nx)]
-        + [(cell(nx - 1, j), dy, (x(nx), y(j)), (x(nx), y(j + 1)))
-           for j in range(ny)]
-        + [(cell(i, ny - 1), dx, (x(i + 1), y(ny)), (x(i), y(ny)))
-           for i in reversed(range(nx))]
-        + [(cell(0, j), dy, (x(0), y(j + 1)), (x(0), y(j)))
-           for j in reversed(range(ny))])
-    plus, minus, length, normal, mid = zip(*(vertical + horizontal))
-    element, b_length, p0, p1 = zip(*boundary)
-    return {"int_plus": plus, "int_minus": minus, "int_length": length,
-            "int_normal": normal, "int_mid": mid, "bnd_element": element,
-            "bnd_length": b_length, "bnd_p0": p0, "bnd_p1": p1,
-            "areas": areas, "barycenters": barycenters}
-
-
 def test_arrays_match_grid_loop_offset_rectangle():
     dom = Domain(0.3, 2.5, -1.2, -0.1)
     mesh = build_uniform_mesh(dom, 5, 3)
     want = grid_loop(dom, 5, 3)
-    for name in ("int_plus", "int_minus", "bnd_element"):
-        got = getattr(mesh, name)
-        assert got.dtype.kind == "i", name
-        assert np.array_equal(got, want[name]), name
-    for name in ("int_length", "int_normal", "int_mid", "bnd_length",
-                 "bnd_p0", "bnd_p1", "areas", "barycenters"):
-        got, ref = getattr(mesh, name), np.array(want[name])
+    for name in ("areas", "barycenters"):
+        got, ref = getattr(mesh, name), want[name]
         assert got.shape == ref.shape, name
         assert np.allclose(got, ref, rtol=0, atol=1e-14), name
 
 
+def priced_loop(mesh, exponent):
+    """(cx, cy) priced edge by edge from grid_loop, one scalar call of p per
+    edge, each edge placed on its grid by its midpoint."""
+    e = edges(mesh)
+    cx = np.full((mesh.ny, mesh.nx + 1), np.nan)
+    cy = np.full((mesh.ny + 1, mesh.nx), np.nan)
+    mids = np.concatenate([e["int_mid"], 0.5 * (e["bnd_p0"] + e["bnd_p1"])])
+    lengths = np.concatenate([e["int_length"], e["bnd_length"]])
+    dom = mesh.domain
+    for (xm, ym), le in zip(mids.tolist(), lengths.tolist()):
+        p = float(exponent(xm, ym))
+        i = (xm - dom.x_min) / mesh.dx  # an integer on a vertical edge
+        j = (ym - dom.y_min) / mesh.dy
+        if abs(i - round(i)) < 1e-9:
+            cx[round(j - 0.5), round(i)] = le ** (-2.0 * (p - 1.0) / p) * le
+        else:
+            cy[round(j), round(i - 0.5)] = le ** (-2.0 * (p - 1.0) / p) * le
+    assert not (np.isnan(cx).any() or np.isnan(cy).any())  # every slot once
+    return cx, cy
+
+
 def test_edge_weight_values():
+    # c = w |e| = |e|^(1 - 2/p'): 1 for every edge at p = 2
     mesh = build_uniform_mesh(SQUARE, 2, 1)
-    p2 = manufactured_exponent(0.0)
-    # the interior edge has diameter 2: 2^(-2/2) = 0.5
-    assert edge_weights(mesh, p2)[0][0] == pytest.approx(0.5)
-    fine = build_uniform_mesh(SQUARE, 10, 10)
-    # any edge of the 10x10 square mesh has diameter 0.2: 0.2^(-1) = 5
-    w_int, w_bnd = edge_weights(fine, p2)
-    assert np.allclose(w_int, 5.0) and np.allclose(w_bnd, 5.0)
+    cx, cy = edge_weights(mesh, manufactured_exponent(0.0))
+    assert np.array_equal(cx, np.ones((1, 3)))
+    assert np.array_equal(cy, np.ones((2, 2)))
+    # at p = 1.5, c = |e|^(1/3): the vertical edges are 2 long, the
+    # horizontal ones 1
+    cx, cy = edge_weights(mesh, ExponentField(
+        lambda x, y: np.full_like(x, 1.5), p1=1.5, p2=1.5))
+    assert np.allclose(cx, 2.0 ** (1.0 / 3.0), rtol=1e-15, atol=0)
+    assert np.allclose(cy, 1.0, rtol=1e-15, atol=0)
     unit = build_uniform_mesh(Domain(0.0, 2.0, 0.0, 1.0), 2, 1)
-    # diameter-1 edge: weight 1 for any exponent; the manufactured p falls
-    # to 1 + 1/2.25 at the corner (2, 1)
-    assert unit.int_length[0] == 1.0
+    # diameter-1 edge: 1 for any exponent; the manufactured p falls to
+    # 1 + 1/2.25 at the corner (2, 1)
     field = ExponentField(manufactured_exponent(0.5).func, p1=1.0 + 1.0 / 2.25,
                           p2=2.0)
-    assert edge_weights(unit, field)[0][0] == pytest.approx(1.0)
+    assert edge_weights(unit, field)[0][0, 1] == pytest.approx(1.0)
 
 
 def test_edge_weights_vectorized_matches_scalar():
     mesh = build_uniform_mesh(SQUARE, 5, 3)
     field = manufactured_exponent(0.25)
-    w_int, w_bnd = edge_weights(mesh, field)
-    edges = [(w_int, mesh.int_mid, mesh.int_length),
-             (w_bnd, 0.5 * (mesh.bnd_p0 + mesh.bnd_p1), mesh.bnd_length)]
-    for weights, mids, lengths in edges:
-        assert len(weights) == len(lengths)
-        for k, ((xm, ym), le) in enumerate(zip(mids.tolist(), lengths.tolist())):
-            pv = float(field(xm, ym))
-            want = le ** (-2.0 * (pv - 1.0) / pv)
-            assert weights[k] == pytest.approx(want, rel=1e-14)
+    for got, want in zip(edge_weights(mesh, field), priced_loop(mesh, field)):
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("domain, nx, ny", [
+    (Domain(0.3, 2.5, -1.2, -0.1), 5, 3),
+    (SQUARE, 1, 3),
+    (SQUARE, 3, 1),
+    (SQUARE, 1, 1),
+], ids=["5x3-offset", "1x3", "3x1", "1x1"])
+def test_edge_weights_match_grid_loop(domain, nx, ny):
+    # the outer columns of cx and rows of cy are the boundary edges
+    mesh = build_uniform_mesh(domain, nx, ny)
+    func = manufactured_exponent(0.5).func
+    field = ExponentField(func, p1=float(func(domain.x_max, domain.y_max)),
+                          p2=2.0)
+    for got, want in zip(edge_weights(mesh, field), priced_loop(mesh, field)):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_invalid_inputs():

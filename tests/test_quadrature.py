@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pxdg import Domain, boundary_points, build_uniform_mesh, element_points, gauss_1d
+from pxdg import (Domain, ProblemData, build_uniform_mesh, element_points,
+                  gauss_1d, manufactured_exponent)
 
 
 def test_gauss_1d_exact_for_degree_2n_minus_1():
@@ -41,18 +42,42 @@ def test_element_points_integrate_polynomials_exactly():
         pytest.approx(32.0 / 5.0 * 2.0 / 3.0, rel=1e-13)
 
 
-def test_boundary_points_cover_perimeter():
+def record_points(fn, seen):
+    def recorded(x, y):
+        seen.append((np.asarray(x), np.asarray(y)))
+        return fn(x, y)
+    return recorded
+
+
+def boundary_data(mesh, u_D, exponent=manufactured_exponent(0.0)):
+    return ProblemData(mesh=mesh, exponent=exponent, u_D=u_D,
+                       xi=lambda x, y: np.zeros_like(x))
+
+
+def test_boundary_moments_cover_perimeter():
     mesh = build_uniform_mesh(Domain(-1.0, 1.0, -1.0, 1.0), 5, 3)
-    xq, yq, wq = boundary_points(mesh)
-    assert xq.shape == (16, 3)
-    assert wq.sum() == pytest.approx(8.0)
+    seen = []
+    ux, uy, spread = boundary_data(
+        mesh, record_points(lambda x, y: np.ones_like(x), seen)
+    ).boundary_moments
+    xq = np.concatenate([x.ravel() for x, _ in seen])
+    yq = np.concatenate([y.ravel() for _, y in seen])
+    assert xq.shape == (3 * 16,)
     on_edge = (np.isclose(np.abs(xq), 1.0) | np.isclose(np.abs(yq), 1.0))
     assert np.all(on_edge)
+    assert ux.shape == (3, 2) and uy.shape == (2, 5)
+    # the means of 1 integrate |e| over the perimeter
+    assert (ux * mesh.dy).sum() + (uy * mesh.dx).sum() == pytest.approx(8.0)
+    assert spread == pytest.approx(0.0, abs=1e-15)
 
 
-def test_boundary_points_integrate_along_edges():
+def test_boundary_moments_integrate_along_edges():
     mesh = build_uniform_mesh(Domain(-1.0, 1.0, -1.0, 1.0), 1, 1)
-    xq, yq, wq = boundary_points(mesh)
+    ux, uy, _ = boundary_data(mesh, lambda x, y: x ** 2).boundary_moments
     # integral of x^2 over the four sides: 2*(2/3) + 2*2 = 16/3
-    total = float((wq * xq**2).sum())
+    total = (ux * mesh.dy).sum() + (uy * mesh.dx).sum()
     assert total == pytest.approx(16.0 / 3.0, rel=1e-13)
+    # the spread of x about its mean, 1/3 on the bottom and top sides and
+    # 0 on the others, each priced at w |e| = 1 (p = 2)
+    _, _, spread = boundary_data(mesh, lambda x, y: x).boundary_moments
+    assert spread == pytest.approx(2.0 / 3.0, rel=1e-13)

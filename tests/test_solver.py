@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 import pxdg.energy
 import pxdg.solver
+from edge_loop import dense_lifting, edges, penalty
 from pxdg import (Algorithm, DgScalar, DgVector, Domain, ExponentField,
                   ProblemData, SolverConfig, SolverState, StepSizeWarning,
                   assemble_matrix, assemble_rhs, axis_lifting,
@@ -93,9 +94,10 @@ def test_matrix_couples_second_neighbors_only():
     dense = assemble_matrix(data, SolverConfig(r=1.0)).matrix.toarray()
     # graph distance on the element adjacency (shared edge) graph
     m = mesh.n_elements
+    e = edges(mesh)
     adj = np.zeros((m, m), int)
-    adj[mesh.int_plus, mesh.int_minus] = 1
-    adj[mesh.int_minus, mesh.int_plus] = 1
+    adj[e["int_plus"], e["int_minus"]] = 1
+    adj[e["int_minus"], e["int_plus"]] = 1
     within_two = (adj + adj @ adj + np.eye(m, dtype=int)) > 0
     assert not np.any((np.abs(dense) > 1e-14) & ~within_two)
 
@@ -170,42 +172,76 @@ def _kronecker_sum(mesh, r, jump):
     return np.kron(np.eye(mesh.ny), kx) + np.kron(ky, np.eye(mesh.nx))
 
 
+def edge_pieces(mesh, exponent):
+    """Per edge from the oracle: (i, j, w |e|) for the interior edges and
+    (k, w |e|) for the boundary ones."""
+    e = edges(mesh)
+    c_int = penalty(exponent, e["int_length"], e["int_mid"]) * e["int_length"]
+    c_bnd = penalty(exponent, e["bnd_length"],
+                    0.5 * (e["bnd_p0"] + e["bnd_p1"])) * e["bnd_length"]
+    return (zip(e["int_plus"], e["int_minus"], c_int),
+            zip(e["bnd_element"], c_bnd))
+
+
+MESHES = [(Domain(0.5, 2.0, -1.0, 0.2), 5, 3, "5x3-offset"),
+          (SQUARE, 1, 1, "1x1"),
+          (SQUARE, 2, 1, "2x1"),
+          (SQUARE, 1, 3, "1x3"),
+          (SQUARE, 3, 1, "3x1")]
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0])
+@pytest.mark.parametrize("b", [0.0, 0.5])
+@pytest.mark.parametrize("domain, nx, ny", [
+    pytest.param(domain, nx, ny, id=name) for domain, nx, ny, name in MESHES])
+def test_matrix_matches_dense_edge_loop(domain, nx, ny, b, r):
+    # A = mass + r B^T |k| B + sum_e w |e| (jump of e)^2, assembled densely
+    # edge by edge from the oracle's edges and the dense lifting
+    mesh = build_uniform_mesh(domain, nx, ny)
+    exponent = exponent_on(domain, b)
+    data = ProblemData(mesh=mesh, exponent=exponent, xi=zero, u_D=zero)
+    bx, by = dense_lifting(mesh)
+    a = mesh.areas
+    want = np.diag(a) + r * (bx.T @ (a[:, None] * bx) + by.T @ (a[:, None] * by))
+    interior, boundary = edge_pieces(mesh, exponent)
+    for i, j, c in interior:
+        want[[i, j], [i, j]] += c
+        want[[i, j], [j, i]] -= c
+    for k, c in boundary:
+        want[k, k] += c
+    got = assemble_matrix(data, SolverConfig(r=r)).matrix.toarray()
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 # the b = 0 cases keep the mesh's name as their id
 @pytest.mark.parametrize("r", [0.0, 1.0, 1e4])
 @pytest.mark.parametrize("domain, nx, ny, b", [
     pytest.param(domain, nx, ny, b, id=name if b == 0.0 else f"{name}-b{b:g}")
-    for domain, nx, ny, name in [
-        (Domain(0.5, 2.0, -1.0, 0.2), 5, 3, "5x3-offset"),
-        (SQUARE, 1, 1, "1x1"),
-        (SQUARE, 2, 1, "2x1"),
-        (SQUARE, 40, 25, "40x25")]
+    for domain, nx, ny, name in MESHES + [(SQUARE, 40, 25, "40x25")]
     for b in (0.0, 0.5)])
 def test_matrix_is_kronecker_sum_at_p2(domain, nx, ny, b, r):
     # at p = 2 the system is I_y (x) K_x + K_y (x) I_x with unit jump
     # penalties; for b > 0 each edge adds its departure w |e| - 1 from them.
     # The stored eigenpairs rebuild the Kronecker sum at the mean w |e|.
     mesh = build_uniform_mesh(domain, nx, ny)
-    data = ProblemData(mesh=mesh, exponent=exponent_on(domain, b),
-                       xi=zero, u_D=zero)
+    exponent = exponent_on(domain, b)
+    data = ProblemData(mesh=mesh, exponent=exponent, xi=zero, u_D=zero)
     sm = assemble_matrix(data, SolverConfig(r=r))
     want = _kronecker_sum(mesh, r, 1.0)
-    w_int, w_bnd = data.penalty_weights
-    for k in range(len(mesh.int_plus)):
-        i, j = mesh.int_plus[k], mesh.int_minus[k]
-        dev = w_int[k] * mesh.int_length[k] - 1.0
-        want[i, i] += dev
-        want[j, j] += dev
-        want[i, j] -= dev
-        want[j, i] -= dev
-    for k, i in enumerate(mesh.bnd_element):
-        want[i, i] += w_bnd[k] * mesh.bnd_length[k] - 1.0
+    interior, boundary = edge_pieces(mesh, exponent)
+    prices = []
+    for i, j, c in interior:
+        want[[i, j], [i, j]] += c - 1.0
+        want[[i, j], [j, i]] -= c - 1.0
+        prices.append(c)
+    for k, c in boundary:
+        want[k, k] += c - 1.0
+        prices.append(c)
     scale = np.abs(want).max()
     assert np.abs(sm.matrix.toarray() - want).max() <= 1e-14 * scale
-    gamma = np.concatenate([w_int * mesh.int_length,
-                            w_bnd * mesh.bnd_length]).mean()
     q = np.kron(sm.qy, sm.qx)
     spectral = q @ (sm.eigsum.ravel()[:, None] * q.T)
-    assert np.abs(spectral - _kronecker_sum(mesh, r, gamma)).max() \
+    assert np.abs(spectral - _kronecker_sum(mesh, r, np.mean(prices))).max() \
         <= 1e-12 * scale
 
 
@@ -643,8 +679,8 @@ def test_run_stops_at_non_finite_u_increment():
 
 
 @pytest.mark.parametrize("p, point", [
-    (lambda x, y: np.full_like(x, 1.0), "exponent 1 at (-0.5, -0.75),"),
-    (lambda x, y: np.full_like(x, 3.0), "exponent 3 at (-0.5, -0.75),"),
+    (lambda x, y: np.full_like(x, 1.0), "exponent 1 at (-1, -0.75),"),
+    (lambda x, y: np.full_like(x, 3.0), "exponent 3 at (-1, -0.75),"),
     (lambda x, y: np.where(np.hypot(x - 0.25, y - 0.25) < 0.1, np.nan, 1.8),
      "exponent nan at (0.25, 0.25),"),
     (lambda x, y: np.where((x > 0) & (y > 0), np.nan, 1.8),
@@ -656,7 +692,8 @@ def test_run_rejects_exponent_outside_its_bounds(p, point):
     # the declared 1.5 <= p <= 2 is checked, not trusted: at p = 1 the flux
     # root divides by zero, and for p > 2 its monotone Newton is invalid.
     # Every sample is checked: a constant p fails first at the midpoint of
-    # interior edge 0, the system matrix's first read. The NaN sits at the
+    # the bottom row's left boundary edge, the first entry of the vertical
+    # edge grid and the system matrix's first read. The NaN sits at the
     # barycenter (0.25, 0.25) of element 10 alone, away from every edge
     # midpoint; p = 1.01 on the grid line x = 0 meets edge midpoints only.
     mesh = build_uniform_mesh(SQUARE, 4, 4)
@@ -976,6 +1013,45 @@ def test_config_validation():
     for value in (0, 2.5, float("nan")):
         with pytest.raises(ValueError):
             SolverConfig(max_outer=value)
+    # below the u-solves' resolution the u-increment drops to 0 once the
+    # warm start meets LINEAR_TOL, so the stopping test would pass trivially
+    for value in (1e-300, 0.5 * pxdg.solver.LINEAR_TOL):
+        with pytest.raises(ValueError, match="LINEAR_TOL"):
+            SolverConfig(tol_outer=value)
+    assert SolverConfig(tol_outer=1e-12).tol_outer == pxdg.solver.LINEAR_TOL
     cfg = SolverConfig(r=2.0)
     assert cfg.effective_rho == 2.0
     assert SolverConfig(r=2.0, rho=0.5).effective_rho == 0.5
+
+
+def test_run_on_a_tiny_domain():
+    # r |k| D^T D is O(1) at any cell size, though D^T D alone overflows on
+    # a domain of side 1e-160
+    domain = Domain(0.0, 1e-160, 0.0, 1e-160)
+    one = lambda x, y: np.ones_like(np.asarray(x, float))
+    data = ProblemData(
+        mesh=build_uniform_mesh(domain, 4, 4),
+        exponent=ExponentField(lambda x, y: np.full_like(x, 2.0), 2.0, 2.0),
+        xi=one, u_D=one)
+    state = run(data, SolverConfig())
+    assert state.converged and state.iteration == 1
+    assert np.allclose(state.u.values, 1.0, rtol=1e-12, atol=0)
+
+
+def test_scalar_valued_exponent_and_data():
+    # p, xi and u_D may return one number for all points, as a constant
+    # function written without numpy does; it stands for every point
+    mesh = build_uniform_mesh(SQUARE, 4, 3)
+
+    def solve(p, xi, u_D):
+        state = run(ProblemData(mesh=mesh, exponent=ExponentField(p, 1.5, 1.5),
+                                xi=xi, u_D=u_D), SolverConfig())
+        assert state.converged
+        return state.u.values
+
+    scalar = solve(lambda x, y: 1.5, lambda x, y: 0.5, lambda x, y: 1.0)
+    full = solve(lambda x, y: np.full_like(x, 1.5),
+                 lambda x, y: np.full_like(x, 0.5),
+                 lambda x, y: np.ones_like(x))
+    assert np.ptp(full) > 0.01
+    assert np.array_equal(scalar, full)

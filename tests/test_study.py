@@ -5,10 +5,11 @@ import csv
 import numpy as np
 import pytest
 
+from edge_loop import weighted_jump_norm
 from pxdg import (DgScalar, Domain, FLUX_CONSTANT, ManufacturedProblem,
-                  SolverConfig, StudyRow, build_uniform_mesh, edge_weights,
-                  fit_rate, l2_error, manufactured_exponent,
-                  manufactured_problem, run_study)
+                  SolverConfig, StudyRow, build_uniform_mesh, fit_rate,
+                  l2_error, manufactured_exponent, manufactured_problem,
+                  run_study)
 from pxdg.cli import main
 
 
@@ -214,14 +215,6 @@ def test_fit_rate_input_validation():
     mixed = synthetic_rows([4], [0.1], b=0.0) + synthetic_rows([8], [0.05], b=0.5)
     with pytest.raises(ValueError):
         fit_rate(mixed)
-
-
-def weighted_jump_norm(u, exponent):
-    """Oracle: L2 norm over interior edges of diam(e)^(-1/p') |[u]|."""
-    mesh = u.mesh
-    w = edge_weights(mesh, exponent)[0]
-    du = u.values[mesh.int_plus] - u.values[mesh.int_minus]
-    return float(np.sqrt((mesh.int_length * w * du ** 2).sum()))
 
 
 def test_solution_jump_seminorm_is_finite():
