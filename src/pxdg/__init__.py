@@ -9,12 +9,13 @@ from .energy import (EnergyReport, ProblemData, eval_F, eval_G, eval_Jh,
 from .exponent import (ExponentField, conjugate, luxemburg_norm,
                        manufactured_exponent, modular)
 from .mesh import Domain, Mesh, build_uniform_mesh, edge_weights
-from .quadrature import element_points, gauss_1d
+from .quadrature import element_points, gauss_1d, gauss_points
 from .solver import (Algorithm, IterationRecord, SolverConfig, SolverState,
                      StepSizeWarning, SystemMatrix, assemble_matrix,
                      assemble_rhs, eta_update, lambda_update, run,
                      scalar_root, solve_linear, stopping_check)
-from .study import (FLUX_CONSTANT, ManufacturedProblem, StudyRow, fit_rate,
-                    l2_error, manufactured_problem, run_study)
+from .study import (FLUX_CONSTANT, ManufacturedProblem, StudyRow,
+                    exact_l2_norm, fit_rate, l2_error, manufactured_problem,
+                    run_study)
 
 __version__ = "0.1.0"

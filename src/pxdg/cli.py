@@ -10,7 +10,7 @@ import sys
 from dataclasses import astuple
 
 from .solver import Algorithm, SolverConfig, run
-from .study import l2_error, manufactured_problem, run_study
+from .study import exact_l2_norm, l2_error, manufactured_problem, run_study
 
 __all__ = ["main"]
 
@@ -116,6 +116,7 @@ def _cmd_solve(args) -> int:
     mesh = data.mesh
     state = run(data, cfg)
     err = l2_error(state.u, prob)
+    rel_err = err / exact_l2_norm(prob, mesh)
     _write_csv(args.out, "element,x,y,u", "%d,%.12g,%.12g,%.12g",
                _solution_rows(mesh, state.u.values))
     if args.trace:
@@ -124,8 +125,9 @@ def _cmd_solve(args) -> int:
                    "%d,%.12g,%.12g,%.12g,%.12g",
                    map(astuple, state.history))
     print(f"b={args.b:g} nx={args.nx} ny={ny} m={mesh.n_elements} "
-          f"l2_error={err:.6g} iterations={state.iteration} "
-          f"jh={state.energy:.6g} converged={state.converged} "
+          f"l2_error={err:.6g} rel_l2_error={rel_err:.6g} "
+          f"iterations={state.iteration} jh={state.energy:.6g} "
+          f"converged={state.converged} "
           f"constraint_residual={state.residual_constraint:.6g}")
     return 0 if state.converged else 2
 

@@ -16,7 +16,7 @@ import numpy as np
 from .dg import DgScalar, DgVector, lifting
 from .exponent import ExponentField
 from .mesh import Mesh, edge_weights
-from .quadrature import element_points, gauss_1d
+from .quadrature import gauss_1d, gauss_points
 
 __all__ = [
     "ProblemData",
@@ -54,12 +54,15 @@ class ProblemData:
 
     @cached_property
     def xi_moments(self) -> tuple:
-        """(W, xbar, C, I) from xi at every element's 3x3 Gauss points:
+        """(W, xbar, C, I) from xi at every element's 3x3 Gauss points,
+        sampled one point at a time into one (m, 9) array:
         the element weight sum W, per-element integrals I and means
         xbar = I / W of xi, and C = sum_k sum_q w_q (xi_kq - xbar_k)^2, so
         that the data misfit of any v is W sum_k (v_k - xbar_k)^2 + C."""
-        xq, yq, wq = element_points(self.mesh)
-        xi = np.broadcast_to(np.asarray(self.xi(xq, yq), float), xq.shape)
+        xi, wq = np.empty((self.mesh.n_elements, 9)), np.empty(9)
+        for q, (x, y, w) in enumerate(gauss_points(self.mesh)):
+            xi[:, q], wq[q] = self.xi(x, y), w
+        del x, y  # the last point's m-vectors would outlive the loop
         total = float(wq.sum())
         integrals = (xi * wq[None, :]).sum(axis=1)
         xbar = integrals / total

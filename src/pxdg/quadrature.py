@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gauss_1d", "element_points"]
+__all__ = ["gauss_1d", "gauss_points", "element_points"]
 
 
 def gauss_1d(n: int) -> tuple:
@@ -12,17 +12,29 @@ def gauss_1d(n: int) -> tuple:
     return np.polynomial.legendre.leggauss(n)
 
 
-def element_points(mesh) -> tuple:
-    """3x3 Gauss quadrature for every element at once.
+def gauss_points(mesh):
+    """3x3 Gauss quadrature one point at a time.
 
-    Returns (xq, yq, wq): xq, yq of shape (m, 9); wq of shape (9,) and
-    shared by all elements (uniform mesh), including the Jacobian dx*dy/4.
+    Yields (x, y, w) for each of the 9 points: x, y the m-vectors of that
+    point in every element, and w its weight, shared by all elements
+    (uniform mesh) and including the Jacobian dx*dy/4. The points run
+    along x first, then along y.
     """
     g, w = gauss_1d(3)
     gx, gy = np.meshgrid(g, g)
     wx, wy = np.meshgrid(w, w)
     wq = (wx * wy).ravel() * (mesh.dx * mesh.dy / 4.0)
-    xq = mesh.barycenters[:, 0:1] + gx.ravel()[None, :] * (mesh.dx / 2.0)
-    yq = mesh.barycenters[:, 1:2] + gy.ravel()[None, :] * (mesh.dy / 2.0)
-    return xq, yq, wq
+    bx, by = mesh.barycenters.T
+    for ox, oy, wt in zip(gx.ravel() * (mesh.dx / 2.0),
+                          gy.ravel() * (mesh.dy / 2.0), wq):
+        yield bx + ox, by + oy, wt
 
+
+def element_points(mesh) -> tuple:
+    """3x3 Gauss quadrature for every element at once.
+
+    Returns (xq, yq, wq): xq, yq of shape (m, 9), column q holding
+    gauss_points' q-th point; wq of shape (9,).
+    """
+    xq, yq, wq = zip(*gauss_points(mesh))
+    return np.column_stack(xq), np.column_stack(yq), np.array(wq)

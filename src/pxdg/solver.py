@@ -13,8 +13,9 @@ its mean gamma it is K, the Kronecker sum of two 1-D operators, and A is K
 plus each edge's departure w |e| - gamma. Conjugate gradients solve it,
 preconditioned with M = S^-1 K S^-1, which fast diagonalization inverts
 exactly (Lynch, Rice and Thomas 1964; Concus and Golub 1973); the scaling
-S = sqrt(diag K / diag A) makes diag M = diag A. At p = 2, M = A. No factor
-is formed, so memory stays O(m + nx^2 + ny^2).
+S = sqrt(diag K / diag A) makes diag M = diag A. At p = 2, M = A. A is
+stored as its nine bands, written from the 1-D operators' diagonals, and
+no factor is formed, so memory stays O(m + nx^2 + ny^2).
 """
 
 from __future__ import annotations
@@ -130,15 +131,16 @@ class SolverState:
 class SystemMatrix:
     """The u-system and the data of its preconditioner.
 
-    matrix is the CSR matrix A = K + the edge departures, with
-    K = I_y (x) K_x + K_y (x) I_x the operator with every edge penalty at
-    the mean gamma. The preconditioner is M = S^-1 K S^-1. The 1-D factors
+    matrix is A = K + the edge departures, stored as its nine bands in
+    DIA format (see assemble_matrix), with K = I_y (x) K_x + K_y (x) I_x
+    the operator with every edge penalty at the mean gamma. The
+    preconditioner is M = S^-1 K S^-1. The 1-D factors
     K = Q diag(lam) Q^T are stored as qx (nx, nx), qy (ny, ny) and
     eigsum[j, i] = lam_y[j] + lam_x[i]. scale is the m-vector
     S = sqrt(diag K / diag A), so that diag M = diag A.
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.dia_matrix
     qx: np.ndarray
     qy: np.ndarray
     eigsum: np.ndarray
@@ -169,13 +171,14 @@ def _check_step_size(cfg: SolverConfig) -> None:
 def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
                    mass: float = 0.0) -> tuple:
     """K = mass I + r |k| D^T D + jump T along one axis of n cells of width
-    h, and its eigenpairs: (K, lam, Q).
+    h: its diagonals and eigenpairs, (diags, lam, Q), with diags[d] the
+    diagonal of K at offset d for |d| <= min(2, n - 1).
 
     D is axis_lifting(n, h). T = tridiag(-1, 2, -1) is the jump Laplacian,
     whose end rows carry one interior and one boundary edge, and jump
-    prices every edge (weight times length). K is sparse and pentadiagonal,
-    and the banded eigensolver is used because the dense one (LAPACK syevd)
-    can take 10-100x longer at n ~ 30-130 under multithreaded OpenBLAS.
+    prices every edge (weight times length). K is pentadiagonal, and the
+    banded eigensolver is used because the dense one (LAPACK syevd) can
+    take 10-100x longer at n ~ 30-130 under multithreaded OpenBLAS.
     """
     # scaling D, not D^T D: on a tiny domain (1/2h)^2 overflows while
     # r |k| / (2h)^2 stays O(1)
@@ -183,8 +186,9 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
     k = (mass * sp.identity(n) + lift.T @ lift
          + jump * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)))
     kd = min(2, n - 1)  # superdiagonals; a band wider than n - 1 fails
-    band = [np.pad(k.diagonal(d), (d, 0)) for d in range(kd, -1, -1)]
-    return (k, *sla.eig_banded(band))  # upper banded storage
+    diags = {d: k.diagonal(d) for d in range(-kd, kd + 1)}
+    band = [np.pad(diags[d], (d, 0)) for d in range(kd, -1, -1)]
+    return (diags, *sla.eig_banded(band))  # upper banded storage
 
 
 def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
@@ -195,28 +199,42 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     + r |k| D_x^T D_x + gamma T_x and K_y = r |k| D_y^T D_y + gamma T_y
     (see _axis_operator). A is K plus each edge's departure from gamma, all
     0 at p = 2. solve_linear preconditions with K scaled to diag A.
+
+    A has nine bands: K_x's offsets 0, +-1, +-2 within each grid row, and
+    K_y's 0, +-nx, +-2nx across the rows. They are written into one
+    (bands, m) array, each band indexed by column as DIA storage keeps it.
+    Where offsets coincide (nx <= 2) their bands are merged. The offsets
+    ascend, so A @ x sums each row in column order, as CSR does.
     """
     mesh = data.mesh
-    nx, m = mesh.nx, mesh.n_elements
+    nx, ny, m = mesh.nx, mesh.ny, mesh.n_elements
     cx, cy = data.penalty_weights
     gamma = float((cx.sum() + cy.sum()) / (cx.size + cy.size))
     cell = mesh.dx * mesh.dy
     kx, lam_x, qx = _axis_operator(nx, mesh.dx, cell, cfg.r, gamma, mass=cell)
-    ky, lam_y, qy = _axis_operator(mesh.ny, mesh.dy, cell, cfg.r, gamma)
-    k = sp.kronsum(kx, ky, format="csr")
+    ky, lam_y, qy = _axis_operator(ny, mesh.dy, cell, cfg.r, gamma)
+    offsets = sorted({*kx} | {d * nx for d in ky})
+    bands = np.zeros((len(offsets), m))
+    # band d as an (ny, nx) grid: grid[d][j, i] = A[c - d, c], c = j nx + i
+    grid = {d: band.reshape(ny, nx) for d, band in zip(offsets, bands)}
+    for d, diag in kx.items():
+        grid[d][:, max(d, 0):nx + min(d, 0)] += diag
+    for d, diag in ky.items():
+        grid[d * nx][max(d, 0):ny + min(d, 0)] += diag[:, None]
     # departures from gamma: each element's four edges on the diagonal, and
-    # minus each interior edge's between its two elements. The offset-1
-    # band pairs (j, i) with (j, i + 1); where i = nx - 1 it pairs two rows
-    # and is 0. At nx = 1 that band is all 0 and offset nx replaces it.
+    # minus each interior edge's between its two elements
     dev_x, dev_y = cx - gamma, cy - gamma
-    diag = (dev_x[:, :-1] + dev_x[:, 1:] + dev_y[:-1] + dev_y[1:]).ravel()
-    right = -np.pad(dev_x[:, 1:-1], ((0, 0), (0, 1))).ravel()[:-1]
-    up = -dev_y[1:-1].ravel()
-    bands = {0: diag, 1: right, -1: right, nx: up, -nx: up}
-    mat = k + sp.diags(list(bands.values()), list(bands), shape=(m, m))
-    return SystemMatrix(matrix=mat, qx=qx, qy=qy,
-                        eigsum=lam_y[:, None] + lam_x[None, :],
-                        scale=np.sqrt(k.diagonal() / mat.diagonal()))
+    grid[0] += dev_x[:, :-1] + dev_x[:, 1:] + dev_y[:-1] + dev_y[1:]
+    if nx > 1:
+        grid[1][:, 1:] -= dev_x[:, 1:-1]
+        grid[-1][:, :-1] -= dev_x[:, 1:-1]
+    if ny > 1:
+        grid[nx][1:] -= dev_y[1:-1]
+        grid[-nx][:-1] -= dev_y[1:-1]
+    scale = np.sqrt((ky[0][:, None] + kx[0]) / grid[0]).ravel()
+    return SystemMatrix(matrix=sp.dia_matrix((bands, offsets), shape=(m, m)),
+                        qx=qx, qy=qy, eigsum=lam_y[:, None] + lam_x[None, :],
+                        scale=scale)
 
 
 def assemble_rhs(state: SolverState, data: ProblemData,
@@ -412,7 +430,9 @@ def run(data: ProblemData, cfg: SolverConfig,
     warm start, and so a zero u-increment: the run stops only on an
     iteration whose last u-solve met LINEAR_TOL, and where the stopping
     test passes after a looser one, the next iteration solves at LINEAR_TOL
-    and tests again. A non-finite u-increment ends the run unconverged.
+    and tests again. A non-finite u-increment, ||Bu - eta|| or energy ends
+    the run unconverged, before the next u-solve could take the non-finite
+    flux into u.
     """
     if cfg.r <= 0:
         raise ValueError("iteration requires r > 0")
@@ -434,7 +454,8 @@ def run(data: ProblemData, cfg: SolverConfig,
             state.linear_iterations += iterations
             bu = lifting(state.u)
             state.eta = eta_update(bu, state.lam, data, cfg)
-            if sweeps == 1 or _distance(state.eta, eta_prev) <= tol_inner:
+            # a NaN flux passes too; the checks below end the run on it
+            if sweeps == 1 or not _distance(state.eta, eta_prev) > tol_inner:
                 break
         else:
             state.inner_converged = False
@@ -448,14 +469,15 @@ def run(data: ProblemData, cfg: SolverConfig,
         state.history.append(IterationRecord(
             n, state.residual_u, state.residual_constraint,
             state.residual_lambda, state.energy))
+        if not np.isfinite([state.residual_u, state.residual_constraint,
+                            state.energy]).all():
+            break
         if stopping_check(state, cfg):
             if tight:
                 state.converged = True
                 break
             rtol = LINEAR_TOL
-        elif np.isfinite(state.residual_u):
+        else:
             rtol = max(LINEAR_TOL, LINEAR_RATIO * state.residual_constraint
                        / max(1.0, l2_norm(state.eta)))
-        else:
-            break
     return state

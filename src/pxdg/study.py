@@ -16,7 +16,7 @@ from .dg import DgScalar
 from .energy import ProblemData
 from .exponent import ExponentField, manufactured_exponent
 from .mesh import Domain, build_uniform_mesh
-from .quadrature import element_points
+from .quadrature import gauss_points
 from .solver import SolverConfig, run
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "StudyRow",
     "manufactured_problem",
     "l2_error",
+    "exact_l2_norm",
     "run_study",
     "fit_rate",
 ]
@@ -87,13 +88,23 @@ def manufactured_problem(b: float) -> ManufacturedProblem:
     return prob
 
 
+def _gauss_l2(mesh, values, func) -> float:
+    """L2 norm of values - func, values P0, under 3x3 Gauss taken one point
+    of every element at a time: m-vector temporaries."""
+    total = sum(w * float(np.square(values - func(x, y)).sum())
+                for x, y, w in gauss_points(mesh))
+    return float(np.sqrt(total))
+
+
 def l2_error(u_h: DgScalar, prob: ManufacturedProblem) -> float:
     """L2 distance between a P0 field and the exact solution, 3x3 Gauss."""
-    xq, yq, wq = element_points(u_h.mesh)
-    # one Gauss point of every element at a time: m-vector temporaries
-    total = sum(w * float(np.square(u_h.values - prob.exact_u(x, y)).sum())
-                for x, y, w in zip(xq.T, yq.T, wq))
-    return float(np.sqrt(total))
+    return _gauss_l2(u_h.mesh, u_h.values, prob.exact_u)
+
+
+def exact_l2_norm(prob: ManufacturedProblem, mesh) -> float:
+    """L2 norm of the exact solution under l2_error's quadrature on mesh,
+    the denominator of the relative error."""
+    return _gauss_l2(mesh, 0.0, prob.exact_u)
 
 
 @dataclass

@@ -3,11 +3,12 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 import pxdg.cli
-from pxdg import (Algorithm, SolverConfig, build_uniform_mesh,
-                  manufactured_problem, run, run_study)
+from pxdg import (Algorithm, SolverConfig, build_uniform_mesh, element_points,
+                  l2_error, manufactured_problem, run, run_study)
 from pxdg.cli import _build_parser, _solver_config, main
 
 
@@ -99,6 +100,22 @@ def test_solve_reports_constraint_residual(tmp_path, capsys):
     fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
     assert fields["converged"] == "True" and fields["iterations"] == "2"
     assert float(fields["constraint_residual"]) > 0.1
+
+
+def test_solve_reports_relative_error(tmp_path, capsys):
+    # rel_l2_error is l2_error over the exact solution's L2 norm under the
+    # same 3x3 Gauss rule
+    out = tmp_path / "solution.csv"
+    assert main(["solve", "--b", "0.5", "--nx", "6", "--ny", "5",
+                 "--out", str(out)]) == 0
+    fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+    prob = manufactured_problem(0.5)
+    state = run(prob.discretize(6, 5), SolverConfig())
+    xq, yq, wq = element_points(state.u.mesh)
+    norm = np.sqrt((wq * prob.exact_u(xq, yq) ** 2).sum())
+    want = l2_error(state.u, prob) / norm
+    assert 0.0 < want < 1.0
+    assert float(fields["rel_l2_error"]) == pytest.approx(want, rel=1e-5)
 
 
 def test_solve_rectangular_mesh(tmp_path):

@@ -1,5 +1,7 @@
 """Energy functionals: flux term F, data term G, total objective, Lagrangian."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from edge_loop import edges, penalty
 from pxdg import (DgScalar, DgVector, Domain, EnergyReport, ExponentField,
                   ProblemData, build_uniform_mesh, element_points, eval_F,
                   eval_G, eval_Jh, eval_lagrangian, gauss_1d, grad_F, lifting,
-                  manufactured_exponent)
+                  manufactured_exponent, manufactured_problem)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -159,6 +161,21 @@ def test_eval_G_matches_pointwise_quadrature():
         assert eval_G(DgScalar(mesh, v), data) == pytest.approx(want, rel=1e-12)
     # at v = xbar the data misfit is the within-element spread C alone
     assert spread == pytest.approx(data_term, rel=1e-12)
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (128, 96)])
+def test_xi_moments_memory(nx, ny):
+    # xi is sampled one Gauss point at a time into one (m, 9) array: the
+    # traced peak stays under 24 m-vectors, where (m, 9) arrays of the
+    # points' coordinates and values take ~40
+    data = manufactured_problem(0.5).discretize(nx, ny)
+    tracemalloc.start()
+    try:
+        data.xi_moments
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * data.mesh.n_elements
 
 
 def test_eval_Jh_report():

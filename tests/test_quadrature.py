@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pxdg import (Domain, ProblemData, build_uniform_mesh, element_points,
-                  gauss_1d, manufactured_exponent)
+                  gauss_1d, gauss_points, manufactured_exponent)
 
 
 def test_gauss_1d_exact_for_degree_2n_minus_1():
@@ -40,6 +40,22 @@ def test_element_points_integrate_polynomials_exactly():
     # int_0^2 x^4 dx * int_-1^1 y^2 dy = (32/5) * (2/3)
     assert integrate(lambda x, y: x**4 * y**2) == \
         pytest.approx(32.0 / 5.0 * 2.0 / 3.0, rel=1e-13)
+
+
+def test_gauss_points_one_point_at_a_time():
+    # each point in every element at once, along x first, with its weight
+    mesh = build_uniform_mesh(Domain(0.0, 2.0, -1.0, 1.0), 3, 2)
+    points = list(gauss_points(mesh))
+    assert len(points) == 9
+    for x, y, w in points:
+        assert x.shape == y.shape == (mesh.n_elements,) and np.ndim(w) == 0
+        assert np.all(np.abs(x - mesh.barycenters[:, 0]) < mesh.dx / 2.0)
+        assert np.all(np.abs(y - mesh.barycenters[:, 1]) < mesh.dy / 2.0)
+    ys = [y[0] for _, y, _ in points]
+    assert ys[0] == ys[1] == ys[2] < ys[3] == ys[4] == ys[5] < ys[6]
+    # int_0^2 x^4 dx * int_-1^1 y^2 dy = (32/5) * (2/3)
+    total = sum(w * (x ** 4 * y ** 2).sum() for x, y, w in points)
+    assert total == pytest.approx(32.0 / 5.0 * 2.0 / 3.0, rel=1e-13)
 
 
 def record_points(fn, seen):

@@ -2,6 +2,7 @@
 
 import copy
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -183,11 +184,17 @@ def edge_pieces(mesh, exponent):
             zip(e["bnd_element"], c_bnd))
 
 
+# at nx = 2 the band at offset 2 is the one at offset nx, and at nx = 1
+# offsets +-1 and +-2 are +-nx and +-2nx: A stores each such pair merged
 MESHES = [(Domain(0.5, 2.0, -1.0, 0.2), 5, 3, "5x3-offset"),
           (SQUARE, 1, 1, "1x1"),
           (SQUARE, 2, 1, "2x1"),
           (SQUARE, 1, 3, "1x3"),
-          (SQUARE, 3, 1, "3x1")]
+          (SQUARE, 3, 1, "3x1"),
+          (SQUARE, 2, 2, "2x2"),
+          (SQUARE, 2, 3, "2x3"),
+          (SQUARE, 3, 2, "3x2"),
+          (SQUARE, 1, 4, "1x4")]
 
 
 @pytest.mark.parametrize("r", [0.0, 1.0])
@@ -243,6 +250,42 @@ def test_matrix_is_kronecker_sum_at_p2(domain, nx, ny, b, r):
     spectral = q @ (sm.eigsum.ravel()[:, None] * q.T)
     assert np.abs(spectral - _kronecker_sum(mesh, r, np.mean(prices))).max() \
         <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_matrix_product_matches_csr_bit_for_bit(b):
+    # the bands ascend by offset, so A @ x adds each row's products in the
+    # column order of a CSR product
+    domain = Domain(0.5, 2.0, -1.0, 0.2)
+    mesh = build_uniform_mesh(domain, 7, 5)
+    data = ProblemData(mesh=mesh, exponent=exponent_on(domain, b),
+                       xi=zero, u_D=zero)
+    sm = assemble_matrix(data, SolverConfig())
+    x = np.random.default_rng(31).normal(size=mesh.n_elements)
+    assert np.array_equal(sm.matrix @ x, sm.matrix.tocsr() @ x)
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (128, 96)])
+def test_assemble_matrix_memory(nx, ny):
+    # A is stored as its nine bands and no other m x m matrix is formed:
+    # assembly's traced peak stays under 24 m-vectors (a Kronecker sum
+    # built in CSR takes ~57), and A's arrays hold nine m-vectors and the
+    # offsets (CSR adds an index to every value)
+    data = manufactured_problem(0.5).discretize(nx, ny)
+    data.penalty_weights  # cached on data; not assembly's own memory
+    m = data.mesh.n_elements
+    tracemalloc.start()
+    try:
+        sm = assemble_matrix(data, SolverConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * m
+    assert sm.matrix.data.size <= 9 * m
+    stored = [getattr(sm.matrix, name) for name in
+              ("data", "offsets", "indices", "indptr")
+              if hasattr(sm.matrix, name)]
+    assert sum(a.nbytes for a in stored) <= 8 * 9 * (m + 1)
 
 
 @pytest.mark.parametrize("r", [0.0, 1.0, 1e4])
@@ -676,6 +719,24 @@ def test_run_stops_at_non_finite_u_increment():
     assert state.iteration == 1
     assert state.converged is False
     assert state.residual_u == np.inf
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+@pytest.mark.parametrize("name", ["_eta_from", "eval_Jh"])
+def test_run_stops_at_non_finite_flux_or_energy(name, algorithm, monkeypatch):
+    # a NaN flux makes ||Bu - eta|| NaN, and a NaN energy is J_h's: either
+    # ends the run unconverged before the next u-solve, so u stays finite
+    # and solve_linear never sees a NaN right-hand side
+    nan = {"_eta_from": lambda bu, *args: np.full_like(bu, np.nan),
+           "eval_Jh": lambda *args: pxdg.energy.EnergyReport(
+               np.nan, np.nan, np.nan)}
+    monkeypatch.setattr(pxdg.solver, name, nan[name])
+    _, data = manufactured_data(0.5, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = run(data, SolverConfig(algorithm=algorithm))
+    assert state.iteration == 1 and state.converged is False
+    assert np.isfinite(state.u.values).all() and np.any(state.u.values)
 
 
 @pytest.mark.parametrize("p, point", [

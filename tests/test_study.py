@@ -1,15 +1,16 @@
 """Manufactured problems, error measurement, refinement studies, rate fits."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from edge_loop import weighted_jump_norm
 from pxdg import (DgScalar, Domain, FLUX_CONSTANT, ManufacturedProblem,
-                  SolverConfig, StudyRow, build_uniform_mesh, fit_rate,
-                  l2_error, manufactured_exponent, manufactured_problem,
-                  run_study)
+                  SolverConfig, StudyRow, build_uniform_mesh, exact_l2_norm,
+                  fit_rate, l2_error, manufactured_exponent,
+                  manufactured_problem, run_study)
 from pxdg.cli import main
 
 
@@ -134,6 +135,28 @@ def test_l2_error_against_finer_quadrature():
         diff = u_h.values[k] - prob.exact_u(xm, ym)
         total += float((wm * diff**2).sum())
     assert l2_error(u_h, prob) == pytest.approx(np.sqrt(total), rel=1e-8)
+
+
+def test_exact_l2_norm_is_the_error_of_zero():
+    prob = manufactured_problem(0.5)
+    mesh = build_uniform_mesh(prob.domain, 5, 4)
+    zero = DgScalar(mesh, np.zeros(mesh.n_elements))
+    assert exact_l2_norm(prob, mesh) == l2_error(zero, prob) > 0.0
+
+
+def test_l2_error_memory():
+    # the exact solution is sampled one Gauss point at a time: m-vector
+    # temporaries only, where (m, 9) point arrays take ~20 m-vectors
+    prob = manufactured_problem(0.5)
+    mesh = build_uniform_mesh(prob.domain, 64, 64)
+    u_h = DgScalar(mesh, np.zeros(mesh.n_elements))
+    tracemalloc.start()
+    try:
+        l2_error(u_h, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * mesh.n_elements
 
 
 def test_l2_error_scales_linearly():
