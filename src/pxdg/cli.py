@@ -9,6 +9,8 @@ import argparse
 import sys
 from dataclasses import astuple
 
+import numpy as np
+
 from .solver import Algorithm, SolverConfig, run
 from .study import exact_l2_norm, l2_error, manufactured_problem, run_study
 
@@ -102,10 +104,11 @@ def _write_csv(path, header, row_format, rows) -> None:
 def _solution_rows(mesh, u):
     """(k, x, y, u) per element, as Python numbers made CSV_CHUNK rows at a
     time, so no list of all m values is held."""
+    _, _, xc, yc = mesh.axes()
     for start in range(0, mesh.n_elements, CSV_CHUNK):
-        part = slice(start, start + CSV_CHUNK)
-        yield from zip(range(start, start + CSV_CHUNK),
-                       *mesh.barycenters[part].T.tolist(), u[part].tolist())
+        k = np.arange(start, min(start + CSV_CHUNK, mesh.n_elements))
+        yield from zip(k.tolist(), xc[k % mesh.nx].tolist(),
+                       yc[k // mesh.nx].tolist(), u[k].tolist())
 
 
 def _cmd_solve(args) -> int:

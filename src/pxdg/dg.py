@@ -85,16 +85,14 @@ def lifting_adjoint(q: DgVector) -> np.ndarray:
     """The v with v . u = sum_k |k| <q_k, R(u)_k> for every m-vector u:
     with w = |k| q as two (ny, nx) arrays, v = w_x D_x + D_y^T w_y."""
     mesh = q.mesh
-    wx = (mesh.areas * q.values[:, 0]).reshape(mesh.ny, mesh.nx)
-    wy = (mesh.areas * q.values[:, 1]).reshape(mesh.ny, mesh.nx)
+    area = mesh.dx * mesh.dy
+    wx = (area * q.values[:, 0]).reshape(mesh.ny, mesh.nx)
+    wy = (area * q.values[:, 1]).reshape(mesh.ny, mesh.nx)
     return ((axis_lifting(mesh.nx, mesh.dx).T @ wx.T).T
             + axis_lifting(mesh.ny, mesh.dy).T @ wy).ravel()
 
 
 def l2_norm(field) -> float:
     """Area-weighted L2 norm of a P0 scalar or vector field."""
-    vals = field.values
-    a = field.mesh.areas
-    if vals.ndim == 2:
-        return float(np.sqrt((a[:, None] * vals ** 2).sum()))
-    return float(np.sqrt((a * vals ** 2).sum()))
+    mesh = field.mesh
+    return float(np.sqrt((mesh.dx * mesh.dy * field.values ** 2).sum()))

@@ -45,7 +45,8 @@ class ProblemData:
     @cached_property
     def p_bar(self) -> np.ndarray:
         """Exponent of every element at its barycenter, checked by the field."""
-        return self.exponent(*self.mesh.barycenters.T)
+        _, _, xc, yc = self.mesh.axes()
+        return self.exponent(*np.broadcast_arrays(xc, yc[:, None])).ravel()
 
     @cached_property
     def penalty_weights(self) -> tuple:
@@ -55,14 +56,16 @@ class ProblemData:
     @cached_property
     def xi_moments(self) -> tuple:
         """(W, xbar, C, I) from xi at every element's 3x3 Gauss points,
-        sampled one point at a time into one (m, 9) array:
-        the element weight sum W, per-element integrals I and means
-        xbar = I / W of xi, and C = sum_k sum_q w_q (xi_kq - xbar_k)^2, so
-        that the data misfit of any v is W sum_k (v_k - xbar_k)^2 + C."""
-        xi, wq = np.empty((self.mesh.n_elements, 9)), np.empty(9)
-        for q, (x, y, w) in enumerate(gauss_points(self.mesh)):
-            xi[:, q], wq[q] = self.xi(x, y), w
-        del x, y  # the last point's m-vectors would outlive the loop
+        sampled one point at a time on the (ny, nx) grid into one
+        (ny, nx, 9) array: the element weight sum W, per-element integrals
+        I and means xbar = I / W of xi as m-vectors, and
+        C = sum_k sum_q w_q (xi_kq - xbar_k)^2, so that the data misfit of
+        any v is W sum_k (v_k - xbar_k)^2 + C."""
+        mesh = self.mesh
+        xi, wq = np.empty((mesh.ny, mesh.nx, 9)), np.empty(9)
+        for q, (x, y, w) in enumerate(gauss_points(mesh)):
+            xi[..., q], wq[q] = self.xi(x, y), w
+        xi = xi.reshape(-1, 9)
         total = float(wq.sum())
         integrals = (xi * wq[None, :]).sum(axis=1)
         xbar = integrals / total
@@ -123,7 +126,7 @@ def eval_F(q: DgVector, data: ProblemData) -> float:
     p_bar = data.p_bar
     mag = np.hypot(q.values[:, 0], q.values[:, 1])
     vals = mag ** p_bar / p_bar
-    return float((data.mesh.areas * vals).sum())
+    return float((data.mesh.dx * data.mesh.dy * vals).sum())
 
 
 def grad_F(q: DgVector, data: ProblemData) -> DgVector:
@@ -162,6 +165,7 @@ def eval_lagrangian(v: DgScalar, q: DgVector, lam: DgVector,
     """F(q) + G(v) + <lam, Bv - q> + (r/2) ||Bv - q||^2 (L2 pairings)."""
     mesh = data.mesh
     gap = lifting(v).values - q.values
-    inner = float((mesh.areas[:, None] * lam.values * gap).sum())
-    penalty = float((mesh.areas[:, None] * gap ** 2).sum())
+    area = mesh.dx * mesh.dy
+    inner = float((area * lam.values * gap).sum())
+    penalty = float((area * gap ** 2).sum())
     return eval_F(q, data) + eval_G(v, data) + inner + 0.5 * r * penalty

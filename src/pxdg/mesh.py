@@ -45,8 +45,8 @@ class Domain:
 class Mesh:
     """Uniform nx-by-ny partition of dx-by-dy cells.
 
-    Element k has area areas[k] and barycenter barycenters[k]; the edges
-    are implied by the grid (see the module docstring).
+    Every element has area dx * dy; its barycenter and its edges are
+    implied by the grid (see axes() and the module docstring).
     """
 
     domain: Domain
@@ -54,8 +54,6 @@ class Mesh:
     ny: int
     dx: float = field(repr=False)
     dy: float = field(repr=False)
-    areas: np.ndarray = field(repr=False)
-    barycenters: np.ndarray = field(repr=False)
 
     @property
     def n_elements(self) -> int:
@@ -67,7 +65,8 @@ class Mesh:
         d = self.domain
         return (np.linspace(d.x_min, d.x_max, self.nx + 1),
                 np.linspace(d.y_min, d.y_max, self.ny + 1),
-                self.barycenters[:self.nx, 0], self.barycenters[::self.nx, 1])
+                d.x_min + np.arange(self.nx) * self.dx + 0.5 * self.dx,
+                d.y_min + np.arange(self.ny) * self.dy + 0.5 * self.dy)
 
 
 def build_uniform_mesh(domain: Domain, nx: int, ny: int) -> Mesh:
@@ -76,11 +75,7 @@ def build_uniform_mesh(domain: Domain, nx: int, ny: int) -> Mesh:
         raise ValueError("element counts must be positive integers")
     dx = (domain.x_max - domain.x_min) / nx
     dy = (domain.y_max - domain.y_min) / ny
-    bx, by = np.meshgrid(domain.x_min + np.arange(nx) * dx + 0.5 * dx,
-                         domain.y_min + np.arange(ny) * dy + 0.5 * dy)
-    return Mesh(domain=domain, nx=nx, ny=ny, dx=dx, dy=dy,
-                areas=np.full(nx * ny, dx * dy),
-                barycenters=np.column_stack([bx.ravel(), by.ravel()]))
+    return Mesh(domain=domain, nx=nx, ny=ny, dx=dx, dy=dy)
 
 
 def edge_weights(mesh: Mesh, exponent) -> tuple:

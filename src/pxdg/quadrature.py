@@ -15,19 +15,20 @@ def gauss_1d(n: int) -> tuple:
 def gauss_points(mesh):
     """3x3 Gauss quadrature one point at a time.
 
-    Yields (x, y, w) for each of the 9 points: x, y the m-vectors of that
-    point in every element, and w its weight, shared by all elements
-    (uniform mesh) and including the Jacobian dx*dy/4. The points run
-    along x first, then along y.
+    Yields (x, y, w) for each of the 9 points: x, y that point's
+    coordinates in every element, as (ny, nx) views broadcast from the
+    grid axes, and w its weight, shared by all elements (uniform mesh)
+    and including the Jacobian dx*dy/4. The points run along x first,
+    then along y.
     """
     g, w = gauss_1d(3)
     gx, gy = np.meshgrid(g, g)
     wx, wy = np.meshgrid(w, w)
     wq = (wx * wy).ravel() * (mesh.dx * mesh.dy / 4.0)
-    bx, by = mesh.barycenters.T
+    _, _, xc, yc = mesh.axes()
     for ox, oy, wt in zip(gx.ravel() * (mesh.dx / 2.0),
                           gy.ravel() * (mesh.dy / 2.0), wq):
-        yield bx + ox, by + oy, wt
+        yield *np.broadcast_arrays(xc + ox, (yc + oy)[:, None]), wt
 
 
 def element_points(mesh) -> tuple:
@@ -37,4 +38,5 @@ def element_points(mesh) -> tuple:
     gauss_points' q-th point; wq of shape (9,).
     """
     xq, yq, wq = zip(*gauss_points(mesh))
-    return np.column_stack(xq), np.column_stack(yq), np.array(wq)
+    return (np.stack(xq, axis=-1).reshape(-1, 9),
+            np.stack(yq, axis=-1).reshape(-1, 9), np.array(wq))

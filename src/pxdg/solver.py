@@ -75,7 +75,6 @@ class SolverConfig:
     tol_outer: float = 1e-8
     max_outer: int = 500
     require_constraint: bool = False
-    force_step_size: bool = False
 
     def __post_init__(self):
         # r = 0 is permitted for bare assembly; run insists on r > 0, which
@@ -162,10 +161,7 @@ def _check_step_size(cfg: SolverConfig) -> None:
     warnings.warn(
         f"step size rho={rho:g} outside the convergence range (0, {bound:g}) "
         f"for algorithm {int(cfg.algorithm)}", StepSizeWarning, stacklevel=3)
-    if not cfg.force_step_size:
-        raise ValueError(
-            "step size violates the convergence bound; set force_step_size "
-            "to proceed anyway")
+    raise ValueError("step size violates the convergence bound")
 
 
 def _axis_operator(n: int, h: float, area: float, r: float, jump: float,

@@ -89,8 +89,8 @@ def manufactured_problem(b: float) -> ManufacturedProblem:
 
 
 def _gauss_l2(mesh, values, func) -> float:
-    """L2 norm of values - func, values P0, under 3x3 Gauss taken one point
-    of every element at a time: m-vector temporaries."""
+    """L2 norm of values - func, values P0 on the (ny, nx) grid, under 3x3
+    Gauss taken one point of every element at a time."""
     total = sum(w * float(np.square(values - func(x, y)).sum())
                 for x, y, w in gauss_points(mesh))
     return float(np.sqrt(total))
@@ -98,7 +98,8 @@ def _gauss_l2(mesh, values, func) -> float:
 
 def l2_error(u_h: DgScalar, prob: ManufacturedProblem) -> float:
     """L2 distance between a P0 field and the exact solution, 3x3 Gauss."""
-    return _gauss_l2(u_h.mesh, u_h.values, prob.exact_u)
+    mesh = u_h.mesh
+    return _gauss_l2(mesh, u_h.values.reshape(mesh.ny, mesh.nx), prob.exact_u)
 
 
 def exact_l2_norm(prob: ManufacturedProblem, mesh) -> float:

@@ -1,7 +1,8 @@
 """Test oracle: the mesh's edges enumerated cell by cell from the grid
 definition, and the edge quantities written edge by edge from them.
 
-The library keeps no per-edge arrays; it reads the edges off the grid.
+The library keeps no per-edge or per-element arrays; it reads the
+elements and edges off the grid.
 Tests that check it edge by edge get the edges from `grid_loop` alone.
 """
 
@@ -115,7 +116,7 @@ def dense_lifting(mesh):
     for a, b, length, nu in zip(e["int_plus"], e["int_minus"],
                                 e["int_length"], e["int_normal"]):
         for k in (a, b):
-            coef = -(length / 2.0) / mesh.areas[k]
+            coef = -(length / 2.0) / e["areas"][k]
             bx[k, a] += coef * nu[0]
             bx[k, b] -= coef * nu[0]
             by[k, a] += coef * nu[1]

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import pxdg.cli
-from pxdg import (Algorithm, SolverConfig, build_uniform_mesh, element_points,
-                  l2_error, manufactured_problem, run, run_study)
+from edge_loop import edges
+from pxdg import (Algorithm, Domain, ExponentField, ManufacturedProblem,
+                  SolverConfig, build_uniform_mesh, element_points, l2_error,
+                  manufactured_problem, run, run_study)
 from pxdg.cli import _build_parser, _solver_config, main
 
 
@@ -47,7 +49,8 @@ def _csv_writer_rows(table):
     if table == "solution":
         return [[k, "%.12g" % x, "%.12g" % y, "%.12g" % u]
                 for k, ((x, y), u) in enumerate(zip(
-                    mesh.barycenters.tolist(), state.u.values.tolist()))]
+                    edges(mesh)["barycenters"].tolist(),
+                    state.u.values.tolist()))]
     return [[rec.iteration] + ["%.12g" % v for v in (
                 rec.residual_u, rec.residual_constraint,
                 rec.residual_lambda, rec.energy)]
@@ -85,7 +88,7 @@ def test_solution_csv_written_in_chunks(tmp_path, monkeypatch):
     mesh = data.mesh
     assert mesh.n_elements % 5 != 0
     state = run(data, SolverConfig())
-    rows = zip(range(mesh.n_elements), *mesh.barycenters.T.tolist(),
+    rows = zip(range(mesh.n_elements), *edges(mesh)["barycenters"].T.tolist(),
                state.u.values.tolist())
     want = "element,x,y,u\r\n" + "".join(
         "%d,%.12g,%.12g,%.12g\r\n" % row for row in rows)
@@ -118,6 +121,39 @@ def test_solve_reports_relative_error(tmp_path, capsys):
     assert float(fields["rel_l2_error"]) == pytest.approx(want, rel=1e-5)
 
 
+def test_solve_samples_every_datum_on_the_grid(tmp_path, monkeypatch):
+    # p, xi, u_D and the exact u each get two arrays of one shape laid out
+    # on the grid: (ny, nx) at the cell centers and Gauss points, the edge
+    # grids for p, and a leading axis of 3 Gauss points on the boundary
+    calls = {}
+
+    def sampled(name, func):
+        def wrapper(x, y):
+            calls.setdefault(name, []).append((x, y))
+            return func(x, y)
+        return wrapper
+
+    def offset_problem(b):
+        prob = manufactured_problem(b)
+        p = prob.exponent
+        return ManufacturedProblem(
+            b=b, exponent=ExponentField(sampled("p", p.func), p.p1, p.p2),
+            exact_u=sampled("exact_u", prob.exact_u), grad_u=prob.grad_u,
+            xi=sampled("xi", prob.xi), u_D=sampled("u_D", prob.u_D),
+            domain=Domain(0.3, 1.4, -1.2, -0.1))
+
+    monkeypatch.setattr(pxdg.cli, "manufactured_problem", offset_problem)
+    assert main(["solve", "--b", "0.5", "--nx", "5", "--ny", "3",
+                 "--out", str(tmp_path / "solution.csv")]) == 0
+    for name, args in calls.items():
+        for x, y in args:
+            assert isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+            assert x.ndim >= 2 and x.shape == y.shape, (name, x.shape, y.shape)
+    shapes = {name: {x.shape for x, _ in args} for name, args in calls.items()}
+    assert shapes == {"p": {(3, 5), (3, 6), (4, 5)}, "xi": {(3, 5)},
+                      "u_D": {(3, 3, 2), (3, 2, 5)}, "exact_u": {(3, 5)}}
+
+
 def test_solve_rectangular_mesh(tmp_path):
     out = tmp_path / "solution.csv"
     code = main(["solve", "--b", "0", "--nx", "4", "--ny", "3",
@@ -129,7 +165,7 @@ def test_solve_rectangular_mesh(tmp_path):
     for k, row in enumerate(rows):
         # row-major: element k = j*nx + i sits in column i, row j
         j, i = divmod(k, 4)
-        x, y = mesh.barycenters[k]
+        x, y = edges(mesh)["barycenters"][k]
         assert x == pytest.approx(-1.0 + (i + 0.5) * 0.5, rel=1e-12)
         assert y == pytest.approx(-1.0 + (j + 0.5) * 2.0 / 3.0, rel=1e-12)
         assert (float(row[1]), float(row[2])) == pytest.approx((x, y), rel=1e-11)

@@ -135,7 +135,7 @@ def test_lifting_adjoint_identity(domain, nx, ny):
         r = lifting(u).values
         for pv in tests:
             phi = DgVector(mesh, pv)
-            lhs = float((mesh.areas[:, None] * r * pv).sum())
+            lhs = float((mesh.dx * mesh.dy * r * pv).sum())
             rhs = -float(edges(mesh)["int_length"]
                          @ (jump(u) * average(phi)).sum(axis=1))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))

@@ -79,7 +79,7 @@ def test_grad_F_matches_central_difference():
     qv = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
     delta = rng.normal(size=qv.shape)
     grad = grad_F(DgVector(mesh, qv), data).values
-    want = float((mesh.areas[:, None] * grad * delta).sum())
+    want = float((mesh.dx * mesh.dy * grad * delta).sum())
     eps = 1e-4
     plus = eval_F(DgVector(mesh, qv + eps * delta), data)
     minus = eval_F(DgVector(mesh, qv - eps * delta), data)
@@ -223,7 +223,7 @@ def test_lagrangian_r_scaling():
     low = eval_lagrangian(v, q, lam, data, r0)
     high = eval_lagrangian(v, q, lam, data, 2.0 * r0)
     gap = lifting(v).values - q.values
-    penalty = float((mesh.areas[:, None] * gap**2).sum())
+    penalty = float((mesh.dx * mesh.dy * gap**2).sum())
     assert high - low == pytest.approx(0.5 * r0 * penalty, rel=1e-10)
 
 

@@ -2,6 +2,7 @@
 penalty weights on the edge grids."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,33 +55,46 @@ def test_counts_formula_general():
 
 
 def test_mesh_holds_no_per_edge_arrays():
-    # the arrays a Mesh keeps are O(m): its edges are read off the grid on
-    # demand, and nothing sized by the edge count is kept, not even a cache
+    # a Mesh keeps no arrays: its elements and edges are read off the grid
+    # on demand, and nothing sized by them is kept, not even a cache
     mesh = build_uniform_mesh(Domain(0.3, 2.5, -1.2, -0.1), 7, 4)
     edge_weights(mesh, manufactured_exponent(0.0))
     mesh.axes()
     arrays = {name: a.shape for name, a in vars(mesh).items()
               if isinstance(a, np.ndarray)}
-    assert arrays == {"areas": (28,), "barycenters": (28, 2)}
+    assert arrays == {}
+
+
+def test_mesh_build_allocates_no_per_element_arrays():
+    # one element array of a 1000 x 1000 mesh is 8 MB
+    tracemalloc.start()
+    try:
+        build_uniform_mesh(SQUARE, 1000, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_area_partition():
     for dom, nx, ny in [(SQUARE, 7, 4), (Domain(0.0, 2.5, 1.0, 1.7), 3, 9)]:
         mesh = build_uniform_mesh(dom, nx, ny)
-        assert mesh.areas.shape == (nx * ny,)
-        assert abs(mesh.areas.sum() - dom.area) <= 1e-12 * dom.area
+        areas = np.full(mesh.n_elements, mesh.dx * mesh.dy)
+        assert areas.shape == (nx * ny,)
+        assert abs(areas.sum() - dom.area) <= 1e-12 * dom.area
 
 
 def test_element_geometry():
     mesh = build_uniform_mesh(SQUARE, 4, 4)
     # element 5 is row 1, col 1: the cell [-0.5, 0] x [-0.5, 0]
-    assert tuple(mesh.barycenters[5]) == (-0.25, -0.25)
+    _, _, xc, yc = mesh.axes()
+    assert (xc[5 % 4], yc[5 // 4]) == (-0.25, -0.25)
     assert (mesh.dx, mesh.dy) == (0.5, 0.5)
-    assert mesh.areas[5] == pytest.approx(0.25)
+    assert mesh.dx * mesh.dy == pytest.approx(0.25)
     # shape regularity with fixed constants for these aspect ratios
     diameter = np.hypot(mesh.dx, mesh.dy)
-    assert np.all(0.1 * diameter ** 2 <= mesh.areas)
-    assert np.all(mesh.areas <= diameter ** 2)
+    assert np.all(0.1 * diameter ** 2 <= mesh.dx * mesh.dy)
+    assert np.all(mesh.dx * mesh.dy <= diameter ** 2)
 
 
 # the edge oracle's conventions, which the edge-by-edge tests rely on
@@ -89,7 +103,7 @@ def test_element_geometry():
 def test_normal_points_plus_to_minus():
     mesh = build_uniform_mesh(SQUARE, 5, 4)
     e = edges(mesh)
-    d = mesh.barycenters[e["int_minus"]] - mesh.barycenters[e["int_plus"]]
+    d = e["barycenters"][e["int_minus"]] - e["barycenters"][e["int_plus"]]
     assert np.all((d * e["int_normal"]).sum(axis=1) > 0.0)
     assert np.all(e["int_plus"] < e["int_minus"])
 
@@ -129,14 +143,14 @@ def test_edge_element_incidence_symmetric():
     # midpoint half a cell from its element's barycenter
     mesh = build_uniform_mesh(SQUARE, 4, 3)
     e = edges(mesh)
-    plus = mesh.barycenters[e["int_plus"]]
-    minus = mesh.barycenters[e["int_minus"]]
+    plus = e["barycenters"][e["int_plus"]]
+    minus = e["barycenters"][e["int_minus"]]
     assert np.allclose(e["int_mid"], 0.5 * (plus + minus), rtol=0, atol=1e-15)
     step = np.abs(minus - plus)
     assert np.allclose(step, e["int_normal"] * [mesh.dx, mesh.dy],
                        rtol=0, atol=1e-15)
     offset = np.abs(0.5 * (e["bnd_p0"] + e["bnd_p1"])
-                    - mesh.barycenters[e["bnd_element"]])
+                    - e["barycenters"][e["bnd_element"]])
     half = [0.5 * mesh.dx, 0.5 * mesh.dy]
     on_side = (np.isclose(offset, half, rtol=0, atol=1e-15)
                & np.isclose(offset[:, ::-1], 0.0, rtol=0, atol=1e-15))
@@ -169,8 +183,12 @@ def test_arrays_match_grid_loop_offset_rectangle():
     dom = Domain(0.3, 2.5, -1.2, -0.1)
     mesh = build_uniform_mesh(dom, 5, 3)
     want = grid_loop(dom, 5, 3)
-    for name in ("areas", "barycenters"):
-        got, ref = getattr(mesh, name), want[name]
+    _, _, xc, yc = mesh.axes()
+    bx, by = np.meshgrid(xc, yc)
+    arrays = {"areas": np.full(mesh.n_elements, mesh.dx * mesh.dy),
+              "barycenters": np.column_stack([bx.ravel(), by.ravel()])}
+    for name, got in arrays.items():
+        ref = want[name]
         assert got.shape == ref.shape, name
         assert np.allclose(got, ref, rtol=0, atol=1e-14), name
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edge_loop import edges
 from pxdg import (Domain, ProblemData, build_uniform_mesh, element_points,
                   gauss_1d, gauss_points, manufactured_exponent)
 
@@ -43,15 +44,17 @@ def test_element_points_integrate_polynomials_exactly():
 
 
 def test_gauss_points_one_point_at_a_time():
-    # each point in every element at once, along x first, with its weight
+    # each point in every element at once, on the (ny, nx) grid, along x
+    # first, with its weight
     mesh = build_uniform_mesh(Domain(0.0, 2.0, -1.0, 1.0), 3, 2)
+    bc = edges(mesh)["barycenters"].reshape(mesh.ny, mesh.nx, 2)
     points = list(gauss_points(mesh))
     assert len(points) == 9
     for x, y, w in points:
-        assert x.shape == y.shape == (mesh.n_elements,) and np.ndim(w) == 0
-        assert np.all(np.abs(x - mesh.barycenters[:, 0]) < mesh.dx / 2.0)
-        assert np.all(np.abs(y - mesh.barycenters[:, 1]) < mesh.dy / 2.0)
-    ys = [y[0] for _, y, _ in points]
+        assert x.shape == y.shape == (mesh.ny, mesh.nx) and np.ndim(w) == 0
+        assert np.all(np.abs(x - bc[..., 0]) < mesh.dx / 2.0)
+        assert np.all(np.abs(y - bc[..., 1]) < mesh.dy / 2.0)
+    ys = [y[0, 0] for _, y, _ in points]
     assert ys[0] == ys[1] == ys[2] < ys[3] == ys[4] == ys[5] < ys[6]
     # int_0^2 x^4 dx * int_-1^1 y^2 dy = (32/5) * (2/3)
     total = sum(w * (x ** 4 * y ** 2).sum() for x, y, w in points)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edge_loop import weighted_jump_norm
+from edge_loop import edges, weighted_jump_norm
 from pxdg import (DgScalar, Domain, FLUX_CONSTANT, ManufacturedProblem,
                   SolverConfig, StudyRow, build_uniform_mesh, exact_l2_norm,
                   fit_rate, l2_error, manufactured_exponent,
@@ -111,7 +111,7 @@ def test_l2_error_of_barycenter_interpolant_analytic():
     prob = manufactured_problem(0.0)
     for nx in (5, 10):
         mesh = build_uniform_mesh(prob.domain, nx, nx)
-        bc = mesh.barycenters
+        bc = edges(mesh)["barycenters"]
         u_h = DgScalar(mesh, prob.exact_u(bc[:, 0], bc[:, 1]))
         want = np.e * np.sqrt((mesh.dx**2 + mesh.dy**2) / 6.0)
         assert l2_error(u_h, prob) == pytest.approx(want, rel=1e-12)
