@@ -102,13 +102,17 @@ def _write_csv(path, header, row_format, rows) -> None:
 
 
 def _solution_rows(mesh, u):
-    """(k, x, y, u) per element, as Python numbers made CSV_CHUNK rows at a
-    time, so no list of all m values is held."""
+    """(k, x, y, u) per element, made CSV_CHUNK rows at a time, so no list
+    of all m values is held. x and y come as the "%.12g" text of their grid
+    line, formatted once per line."""
     _, _, xc, yc = mesh.axes()
+    xs = ["%.12g" % x for x in xc.tolist()]
+    ys = ["%.12g" % y for y in yc.tolist()]
     for start in range(0, mesh.n_elements, CSV_CHUNK):
         k = np.arange(start, min(start + CSV_CHUNK, mesh.n_elements))
-        yield from zip(k.tolist(), xc[k % mesh.nx].tolist(),
-                       yc[k // mesh.nx].tolist(), u[k].tolist())
+        yield from zip(k.tolist(), map(xs.__getitem__, (k % mesh.nx).tolist()),
+                       map(ys.__getitem__, (k // mesh.nx).tolist()),
+                       u[k].tolist())
 
 
 def _cmd_solve(args) -> int:
@@ -120,7 +124,7 @@ def _cmd_solve(args) -> int:
     state = run(data, cfg)
     err = l2_error(state.u, prob)
     rel_err = err / exact_l2_norm(prob, mesh)
-    _write_csv(args.out, "element,x,y,u", "%d,%.12g,%.12g,%.12g",
+    _write_csv(args.out, "element,x,y,u", "%d,%s,%s,%.12g",
                _solution_rows(mesh, state.u.values))
     if args.trace:
         _write_csv(args.trace,

@@ -153,9 +153,11 @@ def eval_G(v: DgScalar, data: ProblemData) -> float:
     return 0.5 * (data_term + edge_term)
 
 
-def eval_Jh(v: DgScalar, data: ProblemData) -> EnergyReport:
-    """Total objective F(Bv) + G(v), the functional the solver minimizes."""
-    fv = eval_F(lifting(v), data)
+def eval_Jh(v: DgScalar, data: ProblemData,
+            bv: DgVector | None = None) -> EnergyReport:
+    """Total objective F(Bv) + G(v), the functional the solver minimizes;
+    bv, if given, is the lifting Bv, which is then not formed again."""
+    fv = eval_F(lifting(v) if bv is None else bv, data)
     gv = eval_G(v, data)
     return EnergyReport(F_value=fv, G_value=gv, J_value=fv + gv)
 

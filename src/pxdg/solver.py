@@ -56,6 +56,7 @@ TOL_INNER = 1e-10  # coupled algorithm: eta increment ending the inner sweeps
 INNER_RATIO = 1e-2  # ... or this share of the previous outer ||Bu - eta||
 LINEAR_RATIO = 1e-3  # u-solves in run: this share of ||Bu - eta|| / ||eta||
 MAX_INNER = 200  # coupled algorithm: inner sweeps per multiplier step
+MAX_NEWTON = 200  # flux root: Newton passes per call
 
 
 class Algorithm(IntEnum):
@@ -123,6 +124,7 @@ class SolverState:
     converged: bool = False
     inner_converged: bool = True
     linear_iterations: int = 0  # conjugate-gradient iterations of the run
+    flux_passes: int = 0  # Newton passes of the run's flux root solves
     history: list = field(default_factory=list)
 
 
@@ -297,54 +299,105 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
     return x, False, MAX_LINEAR
 
 
-def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
+def _cold_start(e: np.ndarray, r: float, c: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """A point at or left of the root of x^e + r x = c, e = p_bar - 1 (see
+    _root_many), not normal where every lower bound tried underflows."""
+    x = np.divide(c, 1.0 + r, out=out)
+    with np.errstate(under="ignore", over="ignore"):
+        np.power(x, 1.0 / e, out=x, where=x < 1.0)
+        low = x < np.finfo(float).tiny
+        if low.any():
+            c_low, e = c[low], e[low]
+            y = np.maximum(c_low - r * c_low ** (1.0 / e), 0.0) ** (1.0 / e)
+            x[low] = np.maximum(y, (c_low - (c_low / r) ** e) / r)
+    return x
+
+
+def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray,
+               x0: np.ndarray | None = None,
+               state: SolverState | None = None) -> np.ndarray:
     """Vector solve of x^{p_bar - 1} + r x = c, x >= 0, by monotone Newton.
 
     f(x) = x^{p_bar - 1} + r x - c is increasing and concave for
     1 < p_bar <= 2, so Newton climbs from any x with f(x) <= 0 to the root
-    without overshooting. The left point t if t >= 1, else t^{1/(p_bar - 1)},
-    with t = c / (1 + r), is such an x. Where it falls below the smallest
-    normal double, the larger of two other lower bounds of the root x*
-    replaces it: x* <= c^{1/(p_bar - 1)} gives x*^{p_bar - 1} = c - r x* >=
-    c - r c^{1/(p_bar - 1)}, and x* <= c / r gives r x* >=
-    c - (c / r)^{p_bar - 1}. Where that start is not normal either, the root
-    returned is 0. A RuntimeWarning counts misses of |f| <= 1e-12 max(1, c).
+    without overshooting. The cold start is the left point t if t >= 1,
+    else t^{1/(p_bar - 1)}, with t = c / (1 + r). Where it falls below the
+    smallest normal double, the larger of two other lower bounds of the
+    root x* replaces it: x* <= c^{1/(p_bar - 1)} gives x*^{p_bar - 1} =
+    c - r x* >= c - r c^{1/(p_bar - 1)}, and x* <= c / r gives r x* >=
+    c - (c / r)^{p_bar - 1}. Where that start is not normal either, the
+    root returned is 0.
+
+    A warm start x0, such as the previous root, saves passes: the tangent
+    of the concave f lies above it, so one Newton step from right of the
+    root lands at or left of it, and Newton climbs from there. Entries
+    where x0 is not a positive normal number, or where a step leaves one
+    (x0 far right of a root near 0, where the step cancels), take the cold
+    start instead. A RuntimeWarning counts misses of
+    |f| <= 1e-12 max(1, c). With state, the Newton passes, one per
+    evaluation of f, are added to state.flux_passes.
     """
     if r <= 0:
         raise ValueError("flux root solve requires r > 0")
     c = np.asarray(c, float)
     p_bar = np.broadcast_to(np.asarray(p_bar, float), c.shape)
-    x = c / (1.0 + r)
-    tiny = np.finfo(float).tiny
-    with np.errstate(under="ignore", over="ignore"):
-        np.power(x, 1.0 / (p_bar - 1.0), out=x, where=x < 1.0)
-        low = x < tiny
-        if low.any():
-            c_low, e = c[low], p_bar[low] - 1.0
-            y = np.maximum(c_low - r * c_low ** (1.0 / e), 0.0) ** (1.0 / e)
-            x[low] = np.maximum(y, (c_low - (c_low / r) ** e) / r)
-    tol = 1e-12 * np.maximum(1.0, c)
-    # below the smallest normal, x^{p_bar - 2} can overflow to inf; such
-    # entries get x = 1 and c = 1 + r, whose residual is exactly 0
-    normal = x >= tiny
-    missed = np.count_nonzero(~normal & (c > tol))
-    x[~normal] = 1.0
-    c = np.where(normal, c, 1.0 + r)
     p_m1 = p_bar - 1.0
     p_m2 = p_m1 - 1.0
-    for _ in range(200):
-        xp = x ** p_m2
-        f = x * (xp + r) - c
-        done = np.abs(f) <= tol
-        x -= f / (p_m1 * xp + r)
-        if done.all():
+    tol = np.maximum(1.0, c)
+    tol *= 1e-12
+    tiny = np.finfo(float).tiny
+    xp, f = np.empty_like(c), np.empty_like(c)
+    done = np.zeros(c.shape, bool)
+    zero = np.zeros(c.shape, bool)  # roots returned as 0
+    missed = 0
+
+    def restart(x, cold):
+        # the cold start where cold is set. Below the smallest normal,
+        # x^{p_bar - 2} can overflow to inf: where that start is not normal
+        # either, x = 1 and c = 1 + r, whose residual is exactly 0
+        nonlocal c, missed
+        if cold.all():
+            _cold_start(p_m1, r, c, out=x)
+        else:
+            x[cold] = _cold_start(p_m1[cold], r, c[cold])
+        park = cold & ~(x >= tiny)
+        if park.any():
+            missed += np.count_nonzero(park & (c > tol))
+            x[park] = 1.0
+            c = np.where(park, 1.0 + r, c)
+            zero[park] = True
+        done[cold] = False
+
+    def newton_pass(x):
+        # x -= f(x) / f'(x) in place, and done = |f(x)| <= tol
+        np.power(x, p_m2, out=xp)
+        np.multiply(x, np.add(xp, r, out=f), out=f)
+        np.subtract(f, c, out=f)
+        np.add(np.multiply(p_m1, xp, out=xp), r, out=xp)
+        np.subtract(x, np.divide(f, xp, out=xp), out=x)
+        np.less_equal(np.abs(f, out=f), tol, out=done)
+
+    # no start at all is a NaN start: every entry starts cold
+    x = np.full(c.shape, np.nan if x0 is None else x0, float)
+    restart(x, ~((x >= tiny) & (x < np.inf)))
+    passes = 0
+    while not done.all():
+        if passes == MAX_NEWTON:
+            missed += np.count_nonzero(~done)
             break
-    else:
-        missed += np.count_nonzero(~done)
+        newton_pass(x)
+        passes += 1
+        out = ~(x >= tiny)
+        if out.any():
+            restart(x, out)
+    if state is not None:
+        state.flux_passes += passes
     if missed:
         warnings.warn(f"flux root solve: {missed} of {c.size} entries "
                       "missed the residual test", RuntimeWarning, stacklevel=2)
-    return np.where(normal, x, 0.0)
+    x[zero] = 0.0
+    return x
 
 
 def scalar_root(p_bar: float, r: float, c: float) -> float:
@@ -357,24 +410,36 @@ def scalar_root(p_bar: float, r: float, c: float) -> float:
 
 
 def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
-              r: float) -> np.ndarray:
+              r: float, state: SolverState | None = None) -> np.ndarray:
     """Per-element minimizer of the flux subproblem.
 
     Solves |eta|^{p_bar - 2} eta + r (eta - bu) = lam elementwise: the
     solution is parallel to s = lam + r bu, its magnitude x solves
     x^{p_bar - 1} + r x = |s|, and eta = s / (x^{p_bar - 2} + r) = s x / |s|.
+    With state, the root starts from |state.eta|, the previous root, and
+    counts its Newton passes in state.flux_passes.
     """
     s = lam + r * bu
     c = np.hypot(s[:, 0], s[:, 1])
-    x = _root_many(p_bar, r, c)
-    return s * np.divide(x, c, out=np.zeros_like(c), where=c > 0.0)[:, None]
+    x0 = None
+    if state is not None:
+        # a start need not be exact: where |eta|^2 overflows or underflows,
+        # the start is inf or 0 and the root starts cold
+        eta = state.eta.values
+        x0 = np.einsum("ij,ij->i", eta, eta)
+        np.sqrt(x0, out=x0)
+    x = _root_many(p_bar, r, c, x0, state)
+    np.divide(x, c, out=x, where=c > 0.0)  # s = 0 where c = 0
+    s *= x[:, None]
+    return s
 
 
 def eta_update(bu: DgVector, lam: DgVector, data: ProblemData,
-               cfg: SolverConfig) -> DgVector:
-    """Flux recovery step for the lifted field bu = Bu and the multiplier."""
+               cfg: SolverConfig, state: SolverState | None = None) -> DgVector:
+    """Flux recovery step for the lifted field bu = Bu and the multiplier,
+    warm-started from state's flux if given (see _eta_from)."""
     return DgVector(data.mesh, _eta_from(bu.values, lam.values, data.p_bar,
-                                         cfg.r))
+                                         cfg.r, state))
 
 
 def lambda_update(lam: DgVector, gap: DgVector, cfg: SolverConfig) -> DgVector:
@@ -407,28 +472,45 @@ def _distance(a, b) -> float:
     return l2_norm(replace(a, values=a.values - b.values))
 
 
+def _extrapolated_start(u: DgScalar, u_older: DgScalar | None,
+                        history: list) -> np.ndarray:
+    """u + theta (u - u_older), u_older the u of the outer iteration before
+    u's, with theta = min(0.9, ||du_n|| / ||du_{n-1}||) from the last two
+    records of history; u itself where that ratio is undefined."""
+    if len(history) < 2 or not history[-2].residual_u > 0.0:
+        return u.values
+    theta = min(0.9, history[-1].residual_u / history[-2].residual_u)
+    return u.values + theta * (u.values - u_older.values)
+
+
 def run(data: ProblemData, cfg: SolverConfig,
         init: SolverState | None = None) -> SolverState:
     """Iterate cfg.algorithm from init (default zero) to a saddle point.
 
-    An outer iteration sweeps a u-solve, warm-started from the current u,
-    and a flux recovery, then updates the multiplier. The uncoupled
-    algorithm makes one sweep. The coupled one repeats the sweep at frozen
-    lam until eta moves by at most max(TOL_INNER, INNER_RATIO ||Bu - eta||)
-    with the constraint residual of the previous outer iteration, up to
-    MAX_INNER sweeps; that residual starts at inf, so the first outer
-    iteration makes one sweep. The u-solves stop at the relative residual
-    max(LINEAR_TOL, LINEAR_RATIO ||Bu - eta|| / max(1, ||eta||)) with the
-    same residual, and at LINEAR_TOL while it is inf. Inexact minimizations
-    keep the augmented-Lagrangian iteration convergent when their errors
-    are summable (Eckstein and Bertsekas 1992), as they are while the
-    constraint residual decays geometrically. A loose solve can return its
-    warm start, and so a zero u-increment: the run stops only on an
-    iteration whose last u-solve met LINEAR_TOL, and where the stopping
-    test passes after a looser one, the next iteration solves at LINEAR_TOL
-    and tests again. A non-finite u-increment, ||Bu - eta|| or energy ends
-    the run unconverged, before the next u-solve could take the non-finite
-    flux into u.
+    An outer iteration sweeps a u-solve and a flux recovery, then updates
+    the multiplier. The uncoupled algorithm makes one sweep. The coupled one
+    repeats the sweep at frozen lam until eta moves by at most
+    max(TOL_INNER, INNER_RATIO ||Bu - eta||) with the constraint residual of
+    the previous outer iteration, up to MAX_INNER sweeps; that residual
+    starts at inf, so the first outer iteration makes one sweep.
+
+    u converges linearly, so the first u-solve of an outer iteration starts
+    from u extrapolated along its last increment, u + theta (u - u_prev),
+    with theta the ratio of the last two u-increments capped at 0.9 and 0
+    for the first two iterations (see _extrapolated_start); later sweeps
+    start from the current u. Each flux root starts from the previous one,
+    and the energy reuses the flux step's lifting of u. The u-solves stop at
+    the relative residual max(LINEAR_TOL, LINEAR_RATIO ||Bu - eta|| /
+    max(1, ||eta||)) with the same residual, and at LINEAR_TOL while it is
+    inf. Inexact minimizations keep the augmented-Lagrangian iteration
+    convergent when their errors are summable (Eckstein and Bertsekas
+    1992), as they are while the constraint residual decays geometrically.
+    A loose solve can return its start, and so a zero u-increment: the run
+    stops only on an iteration whose last u-solve met LINEAR_TOL, and where
+    the stopping test passes after a looser one, the next iteration solves
+    at LINEAR_TOL and tests again. A non-finite u-increment, ||Bu - eta|| or
+    energy ends the run unconverged, before the next u-solve could take the
+    non-finite flux into u.
     """
     if cfg.r <= 0:
         raise ValueError("iteration requires r > 0")
@@ -439,17 +521,20 @@ def run(data: ProblemData, cfg: SolverConfig,
     start = init if init is not None else _zero_state(mesh)
     state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
     rtol = LINEAR_TOL
+    u_prev = None
     for n in range(1, cfg.max_outer + 1):
-        u_prev, lam_prev = state.u, state.lam
+        u_older, u_prev, lam_prev = u_prev, state.u, state.lam
         tol_inner = max(TOL_INNER, INNER_RATIO * state.residual_constraint)
+        u0 = _extrapolated_start(state.u, u_older, state.history)
         for _ in range(sweeps):
             eta_prev = state.eta
             u, tight, iterations = solve_linear(
-                matrix, assemble_rhs(state, data, cfg), state.u.values, rtol)
+                matrix, assemble_rhs(state, data, cfg), u0, rtol)
             state.u = DgScalar(mesh, u)
             state.linear_iterations += iterations
+            u0 = u
             bu = lifting(state.u)
-            state.eta = eta_update(bu, state.lam, data, cfg)
+            state.eta = eta_update(bu, state.lam, data, cfg, state)
             # a NaN flux passes too; the checks below end the run on it
             if sweeps == 1 or not _distance(state.eta, eta_prev) > tol_inner:
                 break
@@ -461,7 +546,7 @@ def run(data: ProblemData, cfg: SolverConfig,
         state.residual_u = _distance(state.u, u_prev)
         state.residual_constraint = l2_norm(gap)
         state.residual_lambda = _distance(state.lam, lam_prev)
-        state.energy = eval_Jh(state.u, data).J_value
+        state.energy = eval_Jh(state.u, data, bu).J_value
         state.history.append(IterationRecord(
             n, state.residual_u, state.residual_constraint,
             state.residual_lambda, state.energy))

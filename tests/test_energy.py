@@ -191,6 +191,10 @@ def test_eval_Jh_report():
     v2 = DgScalar(mesh, rng.normal(size=mesh.n_elements))
     rep2 = eval_Jh(v2, data)
     assert rep2.J_value == pytest.approx(rep2.F_value + rep2.G_value, rel=1e-14)
+    # a given lifting of v is used as it is, in place of lifting v again
+    assert eval_Jh(v2, data, lifting(v2)) == rep2
+    zero_flux = DgVector(mesh, np.zeros((mesh.n_elements, 2)))
+    assert eval_Jh(v2, data, zero_flux).F_value == 0.0
 
 
 def test_lagrangian_at_feasible_point_equals_objective():
