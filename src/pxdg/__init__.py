@@ -4,16 +4,16 @@ and a manufactured-solution convergence-study harness."""
 
 from .dg import (DgScalar, DgVector, axis_lifting, l2_norm, lifting,
                  lifting_adjoint)
-from .energy import (EnergyReport, ProblemData, eval_F, eval_G, eval_Jh,
-                     eval_lagrangian, grad_F)
-from .exponent import (ExponentField, conjugate, luxemburg_norm,
-                       manufactured_exponent, modular)
+from .energy import (ProblemData, eval_F, eval_G, eval_Jh, eval_lagrangian,
+                     grad_F)
+from .exponent import (ExponentField, luxemburg_norm, manufactured_exponent,
+                       modular)
 from .mesh import Domain, Mesh, build_uniform_mesh, edge_weights
-from .quadrature import element_points, gauss_1d, gauss_points
+from .quadrature import gauss_points
 from .solver import (Algorithm, IterationRecord, SolverConfig, SolverState,
                      StepSizeWarning, SystemMatrix, assemble_matrix,
                      assemble_rhs, eta_update, lambda_update, run,
-                     scalar_root, solve_linear, stopping_check)
+                     solve_linear, stopping_check)
 from .study import (FLUX_CONSTANT, ManufacturedProblem, StudyRow,
                     exact_l2_norm, fit_rate, l2_error, manufactured_problem,
                     run_study)

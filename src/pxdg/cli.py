@@ -11,7 +11,7 @@ from dataclasses import astuple
 
 import numpy as np
 
-from .solver import Algorithm, SolverConfig, run
+from .solver import SolverConfig, run
 from .study import exact_l2_norm, l2_error, manufactured_problem, run_study
 
 __all__ = ["main"]
@@ -87,8 +87,6 @@ def _solver_config(args) -> SolverConfig:
     flags = vars(args)
     given.update({key: flags[key] for key in _CONFIG_KEYS
                   if flags[key] is not None})
-    if "alg" in given:
-        given["alg"] = Algorithm(given["alg"])
     return SolverConfig(**{_FIELDS.get(key, key): value
                            for key, value in given.items()})
 

@@ -16,11 +16,10 @@ import numpy as np
 from .dg import DgScalar, DgVector, lifting
 from .exponent import ExponentField
 from .mesh import Mesh, edge_weights
-from .quadrature import gauss_1d, gauss_points
+from .quadrature import gauss_points
 
 __all__ = [
     "ProblemData",
-    "EnergyReport",
     "eval_F",
     "grad_F",
     "eval_G",
@@ -82,7 +81,7 @@ class ProblemData:
         sum_e c_e (v_k - ubar_e)^2 + C, k the element on edge e."""
         mesh = self.mesh
         xs, ys, xc, yc = mesh.axes()
-        g, w = gauss_1d(3)
+        g, w = np.polynomial.legendre.leggauss(3)
         g, w = 0.5 * g[:, None, None], 0.5 * w  # on [-1/2, 1/2], sum 1
         cx, cy = self.penalty_weights
 
@@ -112,13 +111,6 @@ class ProblemData:
         load[0] += cy[0] * uy[0]
         load[-1] += cy[-1] * uy[1]
         return load.ravel()
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    F_value: float
-    G_value: float
-    J_value: float
 
 
 def eval_F(q: DgVector, data: ProblemData) -> float:
@@ -154,12 +146,10 @@ def eval_G(v: DgScalar, data: ProblemData) -> float:
 
 
 def eval_Jh(v: DgScalar, data: ProblemData,
-            bv: DgVector | None = None) -> EnergyReport:
+            bv: DgVector | None = None) -> float:
     """Total objective F(Bv) + G(v), the functional the solver minimizes;
     bv, if given, is the lifting Bv, which is then not formed again."""
-    fv = eval_F(lifting(v) if bv is None else bv, data)
-    gv = eval_G(v, data)
-    return EnergyReport(F_value=fv, G_value=gv, J_value=fv + gv)
+    return eval_F(lifting(v) if bv is None else bv, data) + eval_G(v, data)
 
 
 def eval_lagrangian(v: DgScalar, q: DgVector, lam: DgVector,

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import element_points
+from .quadrature import gauss_points
 
 __all__ = [
     "ExponentField",
-    "conjugate",
     "manufactured_exponent",
     "modular",
     "luxemburg_norm",
@@ -43,15 +42,6 @@ class ExponentField:
         return p
 
 
-def conjugate(p_value):
-    """Conjugate exponent p/(p-1); accepts scalars or arrays."""
-    p = np.asarray(p_value, float)
-    if np.any(p <= 1.0):
-        raise ValueError("conjugate exponent requires p > 1")
-    out = p / (p - 1.0)
-    return float(out) if np.isscalar(p_value) else out
-
-
 def manufactured_exponent(b: float) -> ExponentField:
     """Exponent family on [-1,1]^2: p(x) = 1 + 1/((b/2)(x1+x2) + 1 + b),
     with p1 = 1 + 1/(1+2b), p2 = 2; b = 0 gives the constant 2."""
@@ -68,30 +58,37 @@ def _field_magnitude(field) -> np.ndarray:
     return np.abs(vals)
 
 
+def _scaled_modular(mag, exponent: ExponentField, mesh):
+    """rho(k) = integral of (mag / k)^{p(x)}, 3x3 Gauss per element, for
+    the m-vector mag; p is sampled once per Gauss point, on the (ny, nx)
+    grid, however often rho is called."""
+    mag = mag.reshape(mesh.ny, mesh.nx)
+    samples = [(exponent(x, y), w) for x, y, w in gauss_points(mesh)]
+
+    def rho(k):
+        scaled = mag / k
+        # p > 1, so a zero magnitude contributes 0 ** p = 0
+        return float(sum(w * (scaled ** p).sum() for p, w in samples))
+
+    return rho
+
+
 def modular(field, exponent: ExponentField, mesh) -> float:
     """Integral of |u|^{p(x)} over the domain, 3x3 Gauss per element.
 
     Accepts a P0 coefficient array of shape (m,) or (m, 2), or any object
     with such a .values attribute.
     """
-    mag = _field_magnitude(field)
-    xq, yq, wq = element_points(mesh)
-    pq = exponent(xq, yq)
-    # p > 1, so a zero magnitude contributes 0 ** p = 0
-    return float((mag[:, None] ** pq * wq[None, :]).sum())
+    return _scaled_modular(_field_magnitude(field), exponent, mesh)(1.0)
 
 
 def luxemburg_norm(field, exponent: ExponentField, mesh) -> float:
     """inf{k > 0 : modular(u/k) <= 1}, by bisection to 1e-12 relative."""
     mag = _field_magnitude(field)
-    if not np.any(mag > 0.0):
+    # a NaN magnitude is not 0, and makes the norm NaN
+    if np.all(mag == 0.0):
         return 0.0
-    xq, yq, wq = element_points(mesh)
-    pq = exponent(xq, yq)
-
-    def rho(k):
-        return float(((mag[:, None] / k) ** pq * wq[None, :]).sum())
-
+    rho = _scaled_modular(mag, exponent, mesh)
     k = max(rho(1.0), 1.0)
     # rho(k) is strictly decreasing in k; expand/shrink by 2 to bracket 1
     lo = hi = k

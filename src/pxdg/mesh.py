@@ -36,10 +36,6 @@ class Domain:
                 and 0 < self.y_max - self.y_min < np.inf):
             raise ValueError("domain needs finite x_min < x_max and y_min < y_max")
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
 
 @dataclass
 class Mesh:

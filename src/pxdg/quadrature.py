@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gauss_1d", "gauss_points", "element_points"]
-
-
-def gauss_1d(n: int) -> tuple:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
+__all__ = ["gauss_points"]
 
 
 def gauss_points(mesh):
@@ -21,7 +16,7 @@ def gauss_points(mesh):
     and including the Jacobian dx*dy/4. The points run along x first,
     then along y.
     """
-    g, w = gauss_1d(3)
+    g, w = np.polynomial.legendre.leggauss(3)
     gx, gy = np.meshgrid(g, g)
     wx, wy = np.meshgrid(w, w)
     wq = (wx * wy).ravel() * (mesh.dx * mesh.dy / 4.0)
@@ -29,14 +24,3 @@ def gauss_points(mesh):
     for ox, oy, wt in zip(gx.ravel() * (mesh.dx / 2.0),
                           gy.ravel() * (mesh.dy / 2.0), wq):
         yield *np.broadcast_arrays(xc + ox, (yc + oy)[:, None]), wt
-
-
-def element_points(mesh) -> tuple:
-    """3x3 Gauss quadrature for every element at once.
-
-    Returns (xq, yq, wq): xq, yq of shape (m, 9), column q holding
-    gauss_points' q-th point; wq of shape (9,).
-    """
-    xq, yq, wq = zip(*gauss_points(mesh))
-    return (np.stack(xq, axis=-1).reshape(-1, 9),
-            np.stack(yq, axis=-1).reshape(-1, 9), np.array(wq))

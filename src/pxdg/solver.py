@@ -42,7 +42,6 @@ __all__ = [
     "assemble_matrix",
     "assemble_rhs",
     "solve_linear",
-    "scalar_root",
     "eta_update",
     "lambda_update",
     "stopping_check",
@@ -78,6 +77,7 @@ class SolverConfig:
     require_constraint: bool = False
 
     def __post_init__(self):
+        self.algorithm = Algorithm(self.algorithm)
         # r = 0 is permitted for bare assembly; run insists on r > 0, which
         # both convergence bounds require
         if not (np.isfinite(self.r) and self.r >= 0):
@@ -400,15 +400,6 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray,
     return x
 
 
-def scalar_root(p_bar: float, r: float, c: float) -> float:
-    """The unique x >= 0 with x^{p_bar - 1} + r x = c."""
-    if not (1.0 < p_bar <= 2.0):
-        raise ValueError("p_bar must lie in (1, 2]")
-    if r <= 0 or c < 0:
-        raise ValueError("requires r > 0 and c >= 0")
-    return float(_root_many(np.array([p_bar]), r, np.array([c]))[0])
-
-
 def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
               r: float, state: SolverState | None = None) -> np.ndarray:
     """Per-element minimizer of the flux subproblem.
@@ -546,7 +537,7 @@ def run(data: ProblemData, cfg: SolverConfig,
         state.residual_u = _distance(state.u, u_prev)
         state.residual_constraint = l2_norm(gap)
         state.residual_lambda = _distance(state.lam, lam_prev)
-        state.energy = eval_Jh(state.u, data, bu).J_value
+        state.energy = eval_Jh(state.u, data, bu)
         state.history.append(IterationRecord(
             n, state.residual_u, state.residual_constraint,
             state.residual_lambda, state.energy))

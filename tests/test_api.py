@@ -57,6 +57,21 @@ def test_only_the_exponent_field_reads_its_func(name):
     assert not reads, f"pxdg.{name} reads .func at lines {reads}"
 
 
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_no_module_imports_a_name_it_never_uses(name):
+    # __init__ imports to re-export; every other module reads each name it
+    # binds by import, so a deleted caller leaves no dead import behind
+    tree = ast.parse(Path(pxdg.__path__[0], f"{name}.py").read_text())
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    unused = bound - {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)}
+    assert not unused, f"pxdg.{name} never uses {sorted(unused)}"
+
+
 # the module globals perfbench/worker.py wraps to time setup_s (problem and
 # mesh) and solve_s (run), and to read each solve's L2 error
 BENCHMARK_HOOKS = {

@@ -1,4 +1,4 @@
-"""Exponent fields, conjugates, modulars, and the Luxemburg norm."""
+"""Exponent fields, modulars, and the Luxemburg norm."""
 
 import re
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from edge_loop import edges
-from pxdg import (Domain, ExponentField, build_uniform_mesh, conjugate,
-                  edge_weights, element_points, luxemburg_norm,
-                  manufactured_exponent, modular)
+from pxdg import (Domain, ExponentField, build_uniform_mesh, edge_weights,
+                  gauss_points, luxemburg_norm, manufactured_exponent, modular)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -33,24 +32,6 @@ def dense_modular(values, exponent, mesh, n=200):
         if m > 0.0:
             total += (m**p).sum() * cell
     return total
-
-
-def test_conjugate_values():
-    assert conjugate(2.0) == pytest.approx(2.0)
-    assert conjugate(1.5) == pytest.approx(3.0)
-    assert conjugate(5.0 / 3.0) == pytest.approx(2.5)
-    arr = conjugate(np.array([2.0, 1.5]))
-    assert np.allclose(arr, [2.0, 3.0])
-    with pytest.raises(ValueError):
-        conjugate(1.0)
-    with pytest.raises(ValueError):
-        conjugate(np.array([2.0, 0.5]))
-
-
-def test_conjugate_involution():
-    rng = np.random.default_rng(3)
-    p = rng.uniform(1.1, 2.0, size=20)
-    assert np.allclose(conjugate(conjugate(p)), p, rtol=1e-13)
 
 
 def test_exponent_field_validation():
@@ -139,6 +120,11 @@ def test_luxemburg_zero_field():
     mesh = build_uniform_mesh(SQUARE, 3, 3)
     field = manufactured_exponent(0.25)
     assert luxemburg_norm(np.zeros(mesh.n_elements), field, mesh) == 0.0
+    # NaN is not a zero magnitude: one NaN entry or all of them give NaN
+    one_nan = np.zeros(mesh.n_elements)
+    one_nan[4] = np.nan
+    for u in (one_nan, np.full(mesh.n_elements, np.nan)):
+        assert np.isnan(luxemburg_norm(u, field, mesh))
 
 
 def test_luxemburg_constant_one():
@@ -225,8 +211,8 @@ def test_gauss_point_samples_are_checked(measure, bad):
     # p leaves [1.5, 2] only at one corner Gauss point of element 0, which
     # no barycenter or edge midpoint sees
     mesh = build_uniform_mesh(SQUARE, 2, 2)
-    xq, yq, _ = element_points(mesh)
-    xg, yg = xq[0, 0], yq[0, 0]
+    x, y, _ = next(gauss_points(mesh))
+    xg, yg = x[0, 0], y[0, 0]
     field = ExponentField(
         lambda x, y: np.where(np.hypot(x - xg, y - yg) < 1e-9, bad, 1.5),
         p1=1.5, p2=2.0)
@@ -235,3 +221,22 @@ def test_gauss_point_samples_are_checked(measure, bad):
     with pytest.raises(ValueError, match=re.escape(
             f"exponent {bad:g} at ({xg:g}, {yg:g}),")):
         measure(np.ones(mesh.n_elements), field, mesh)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("measure", [modular, luxemburg_norm])
+def test_measures_sample_p_once_per_gauss_point(measure, scale):
+    # p is sampled on the (ny, nx) grid at each of the 9 Gauss points, once,
+    # however many bisection steps the norm takes
+    mesh = build_uniform_mesh(SQUARE, 4, 3)
+    base = manufactured_exponent(0.5)
+    shapes = []
+
+    def recorded(x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return base(x, y)
+
+    field = ExponentField(recorded, p1=base.p1, p2=base.p2)
+    u = scale * np.random.default_rng(5).normal(size=(mesh.n_elements, 2))
+    assert np.isfinite(measure(u, field, mesh))
+    assert shapes == [((mesh.ny, mesh.nx), (mesh.ny, mesh.nx))] * 9

@@ -81,7 +81,8 @@ def test_area_partition():
         mesh = build_uniform_mesh(dom, nx, ny)
         areas = np.full(mesh.n_elements, mesh.dx * mesh.dy)
         assert areas.shape == (nx * ny,)
-        assert abs(areas.sum() - dom.area) <= 1e-12 * dom.area
+        area = (dom.x_max - dom.x_min) * (dom.y_max - dom.y_min)
+        assert abs(areas.sum() - area) <= 1e-12 * area
 
 
 def test_element_geometry():

@@ -19,7 +19,7 @@ from pxdg import (Algorithm, DgScalar, DgVector, Domain, ExponentField,
                   build_uniform_mesh, eta_update, eval_Jh, eval_lagrangian,
                   l2_error, l2_norm, lambda_update, lifting,
                   manufactured_exponent, manufactured_problem, run,
-                  scalar_root, solve_linear, stopping_check)
+                  solve_linear, stopping_check)
 from pxdg.cli import main
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -516,6 +516,12 @@ def test_solve_linear_warns_on_a_miss(monkeypatch):
         assert np.isfinite(solve_linear(sm, np.nan_to_num(rhs))[0]).all()
 
 
+def scalar_root(p_bar, r, c):
+    # the flux root x^{p_bar - 1} + r x = c of one entry
+    return float(pxdg.solver._root_many(np.array([p_bar]), r,
+                                        np.array([c]))[0])
+
+
 def test_scalar_root_hand_values():
     # x + x = 3 and sqrt(x) + x = 2
     assert scalar_root(2.0, 1.0, 3.0) == pytest.approx(1.5, abs=1e-12)
@@ -524,16 +530,15 @@ def test_scalar_root_hand_values():
 
 
 def test_scalar_root_domain_errors():
-    for p_bar, r, c in [(1.0, 1.0, 1.0), (2.5, 1.0, 1.0),
-                        (1.5, 0.0, 1.0), (1.5, -1.0, 1.0), (1.5, 1.0, -0.5)]:
-        with pytest.raises(ValueError):
-            scalar_root(p_bar, r, c)
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="requires r > 0"):
+            scalar_root(1.5, r, 1.0)
 
 
 def test_scalar_root_monotone_in_c():
     cs = np.linspace(0.0, 20.0, 50)
-    xs = [scalar_root(1.3, 0.7, c) for c in cs]
-    assert all(b > a for a, b in zip(xs, xs[1:]))
+    xs = pxdg.solver._root_many(np.full(cs.shape, 1.3), 0.7, cs)
+    assert np.all(np.diff(xs) > 0.0)
 
 
 def test_scalar_root_against_bisection_oracle():
@@ -805,8 +810,7 @@ def test_run_stops_at_non_finite_flux_or_energy(name, algorithm, monkeypatch):
     # ends the run unconverged before the next u-solve, so u stays finite
     # and solve_linear never sees a NaN right-hand side
     nan = {"_eta_from": lambda bu, *args: np.full_like(bu, np.nan),
-           "eval_Jh": lambda *args: pxdg.energy.EnergyReport(
-               np.nan, np.nan, np.nan)}
+           "eval_Jh": lambda *args: np.nan}
     monkeypatch.setattr(pxdg.solver, name, nan[name])
     _, data = manufactured_data(0.5, 8)
     with warnings.catch_warnings():
@@ -913,7 +917,7 @@ def test_solution_is_saddle_point_of_lagrangian(b):
                  - eval_lagrangian(dn, state.eta, state.lam, data, cfg.r)) / (2 * eps)
         assert abs(deriv) <= 1e-6 * max(1.0, abs(base))
         # the reported objective is the one run minimizes: stationary at u
-        deriv = (eval_Jh(up, data).J_value - eval_Jh(dn, data).J_value) / (2 * eps)
+        deriv = (eval_Jh(up, data) - eval_Jh(dn, data)) / (2 * eps)
         assert abs(deriv) <= 1e-6 * max(1.0, abs(base))
     for _ in range(5):
         dq = rng.normal(size=(mesh.n_elements, 2))
@@ -1156,6 +1160,10 @@ def test_config_validation():
     cfg = SolverConfig(r=2.0)
     assert cfg.effective_rho == 2.0
     assert SolverConfig(r=2.0, rho=0.5).effective_rho == 0.5
+    # the algorithm is stored as an Algorithm; any other number is an error
+    assert SolverConfig(algorithm=1).algorithm is Algorithm.COUPLED
+    with pytest.raises(ValueError):
+        SolverConfig(algorithm=3)
 
 
 def test_run_on_a_tiny_domain():
