@@ -131,7 +131,9 @@ def _cmd_solve(args) -> int:
                    map(astuple, state.history))
     print(f"b={args.b:g} nx={args.nx} ny={ny} m={mesh.n_elements} "
           f"l2_error={err:.6g} rel_l2_error={rel_err:.6g} "
-          f"iterations={state.iteration} jh={state.energy:.6g} "
+          f"iterations={state.iteration} "
+          f"cg_iterations={state.linear_iterations} "
+          f"flux_passes={state.flux_passes} jh={state.energy:.6g} "
           f"converged={state.converged} "
           f"constraint_residual={state.residual_constraint:.6g}")
     return 0 if state.converged else 2

@@ -83,12 +83,17 @@ def modular(field, exponent: ExponentField, mesh) -> float:
 
 
 def luxemburg_norm(field, exponent: ExponentField, mesh) -> float:
-    """inf{k > 0 : modular(u/k) <= 1}, by bisection to 1e-12 relative."""
+    """inf{k > 0 : modular(u/k) <= 1}, by bisection to 1e-12 relative;
+    NaN for a field with a NaN magnitude, inf for one with an infinite one."""
     mag = _field_magnitude(field)
     # a NaN magnitude is not 0, and makes the norm NaN
     if np.all(mag == 0.0):
         return 0.0
     rho = _scaled_modular(mag, exponent, mesh)
+    # no k brackets the norm of a NaN magnitude (every comparison with a
+    # NaN modular is false) or of an infinite one (the modular is inf)
+    if not np.isfinite(mag).all():
+        return float(np.nan if np.isnan(mag).any() else np.inf)
     k = max(rho(1.0), 1.0)
     # rho(k) is strictly decreasing in k; expand/shrink by 2 to bracket 1
     lo = hi = k

@@ -8,6 +8,14 @@ toward a joint minimum of the augmented Lagrangian before each multiplier
 step, to an accuracy that tightens with the constraint residual.
 `run` drives both through the same step functions.
 
+The uncoupled variant is ADMM on the constraint Bu = eta, and at rho = r
+it is over-relaxed: its flux and multiplier steps read h = RELAX Bu +
+(1 - RELAX) eta_prev in place of Bu, RELAX = 1.5 (Eckstein and Bertsekas
+1992; Boyd et al. 2011, sec. 3.4.3). That reaches the same saddle point in
+20 outer iterations where the paper's step takes 31 (b = 0.5, nx = 400).
+The coupled variant and a rho other than r keep the paper's step, for which
+alone Glowinski's bounds on rho are proved.
+
 The u-system matrix A is fixed for a run. With every edge penalty w |e| at
 its mean gamma it is K, the Kronecker sum of two 1-D operators, and A is K
 plus each edge's departure w |e| - gamma. Conjugate gradients solve it,
@@ -54,6 +62,7 @@ MAX_LINEAR = 1000  # solve_linear: conjugate-gradient iterations per solve
 TOL_INNER = 1e-10  # coupled algorithm: eta increment ending the inner sweeps
 INNER_RATIO = 1e-2  # ... or this share of the previous outer ||Bu - eta||
 LINEAR_RATIO = 1e-3  # u-solves in run: this share of ||Bu - eta|| / ||eta||
+RELAX = 1.5  # uncoupled algorithm at rho = r: over-relaxation of Bu (see run)
 MAX_INNER = 200  # coupled algorithm: inner sweeps per multiplier step
 MAX_NEWTON = 200  # flux root: Newton passes per call
 
@@ -434,7 +443,8 @@ def eta_update(bu: DgVector, lam: DgVector, data: ProblemData,
 
 
 def lambda_update(lam: DgVector, gap: DgVector, cfg: SolverConfig) -> DgVector:
-    """Multiplier step lam + rho gap, with gap = Bu - eta."""
+    """Multiplier step lam + rho gap, with gap = Bu - eta, or h - eta where
+    run over-relaxes (see run)."""
     return DgVector(lam.mesh, lam.values + cfg.effective_rho * gap.values)
 
 
@@ -502,6 +512,18 @@ def run(data: ProblemData, cfg: SolverConfig,
     at LINEAR_TOL and tests again. A non-finite u-increment, ||Bu - eta|| or
     energy ends the run unconverged, before the next u-solve could take the
     non-finite flux into u.
+
+    The uncoupled algorithm at rho = r is over-relaxed (Eckstein and
+    Bertsekas 1992; Boyd et al. 2011, sec. 3.4.3): the flux step solves
+    with h = RELAX Bu + (1 - RELAX) eta_prev in place of Bu, eta_prev the
+    flux before the step, and the multiplier moves by rho (h - eta). It
+    reaches the same saddle point for RELAX in (0, 2), and RELAX = 1.5
+    cuts b = 0.5, nx = 400 from 31 to 20 outer iterations (b = 0.5,
+    nx = 10 from 22 to 13). The constraint residual ||Bu - eta||, the
+    energy, the stopping test and the extrapolated start still read Bu.
+    The coupled algorithm, and a rho other than r, take the paper's step,
+    h = Bu: Glowinski's bounds on rho are proved without relaxation, and at
+    rho = 1.6 r relaxation took 25 iterations to 30 (b = 0.5, nx = 31).
     """
     if cfg.r <= 0:
         raise ValueError("iteration requires r > 0")
@@ -509,6 +531,8 @@ def run(data: ProblemData, cfg: SolverConfig,
     mesh = data.mesh
     matrix = assemble_matrix(data, cfg)
     sweeps = MAX_INNER if cfg.algorithm == Algorithm.COUPLED else 1
+    relax = (RELAX if cfg.algorithm == Algorithm.UNCOUPLED
+             and cfg.effective_rho == cfg.r else 1.0)
     start = init if init is not None else _zero_state(mesh)
     state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
     rtol = LINEAR_TOL
@@ -525,14 +549,18 @@ def run(data: ProblemData, cfg: SolverConfig,
             state.linear_iterations += iterations
             u0 = u
             bu = lifting(state.u)
-            state.eta = eta_update(bu, state.lam, data, cfg, state)
+            h = bu if relax == 1.0 else DgVector(
+                mesh, relax * bu.values + (1.0 - relax) * eta_prev.values)
+            state.eta = eta_update(h, state.lam, data, cfg, state)
             # a NaN flux passes too; the checks below end the run on it
             if sweeps == 1 or not _distance(state.eta, eta_prev) > tol_inner:
                 break
         else:
             state.inner_converged = False
         gap = DgVector(mesh, bu.values - state.eta.values)
-        state.lam = lambda_update(state.lam, gap, cfg)
+        step = gap if h is bu else DgVector(mesh, h.values - state.eta.values)
+        state.lam = lambda_update(state.lam, step, cfg)
+        del h, step
         state.iteration = n
         state.residual_u = _distance(state.u, u_prev)
         state.residual_constraint = l2_norm(gap)

@@ -121,6 +121,19 @@ def test_solve_reports_relative_error(tmp_path, capsys):
     assert float(fields["rel_l2_error"]) == pytest.approx(want, rel=1e-5)
 
 
+def test_solve_reports_linear_and_flux_work(tmp_path, capsys):
+    # the run's conjugate-gradient iterations and flux Newton passes, as
+    # SolverState counts them
+    out = tmp_path / "solution.csv"
+    assert main(["solve", "--b", "0.5", "--nx", "10", "--out", str(out)]) == 0
+    fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+    state = run(manufactured_problem(0.5).discretize(10, 10), SolverConfig())
+    assert int(fields["iterations"]) == state.iteration
+    assert int(fields["cg_iterations"]) == state.linear_iterations
+    assert int(fields["flux_passes"]) == state.flux_passes
+    assert state.iteration < state.linear_iterations < state.flux_passes
+
+
 def test_solve_samples_every_datum_on_the_grid(tmp_path, monkeypatch):
     # p, xi, u_D and the exact u each get two arrays of one shape laid out
     # on the grid: (ny, nx) at the cell centers and Gauss points, the edge

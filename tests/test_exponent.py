@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import pxdg.exponent
 from edge_loop import edges
 from pxdg import (Domain, ExponentField, build_uniform_mesh, edge_weights,
                   gauss_points, luxemburg_norm, manufactured_exponent, modular)
@@ -125,6 +126,30 @@ def test_luxemburg_zero_field():
     one_nan[4] = np.nan
     for u in (one_nan, np.full(mesh.n_elements, np.nan)):
         assert np.isnan(luxemburg_norm(u, field, mesh))
+
+
+@pytest.mark.parametrize("bad, want", [(np.nan, np.nan), (np.inf, np.inf)])
+def test_luxemburg_non_finite_field_skips_the_bisection(bad, want,
+                                                        monkeypatch):
+    # no k brackets a NaN or infinite modular: the norm returns without
+    # evaluating it, where bisection used to spend all 200 steps
+    mesh = build_uniform_mesh(SQUARE, 4, 4)
+    field = manufactured_exponent(0.5)
+    calls = []
+    scaled = pxdg.exponent._scaled_modular
+
+    def counted(*args):
+        rho = scaled(*args)
+        return lambda k: calls.append(k) or rho(k)
+    monkeypatch.setattr(pxdg.exponent, "_scaled_modular", counted)
+    assert np.isfinite(luxemburg_norm(np.ones(mesh.n_elements), field, mesh))
+    assert 0 < len(calls) < 100
+    u = np.ones(mesh.n_elements)
+    u[5] = bad
+    calls.clear()
+    assert np.array_equal(luxemburg_norm(u, field, mesh), want,
+                          equal_nan=True)
+    assert calls == []
 
 
 def test_luxemburg_constant_one():

@@ -351,11 +351,12 @@ def test_solve_linear_is_exact_at_p2(r, iterations, monkeypatch):
     assert np.abs(sm.matrix @ u - rhs).max() <= pxdg.solver.LINEAR_TOL * scale
 
 
-# at b = 0.5, nx = 54 the run needs 43 iterations over its 27 u-solves,
+# at b = 0.5, nx = 54 the run needs 44 iterations over its 16 u-solves,
 # which stop early while ||Bu - eta|| is large and start from u extrapolated
-# along its last increment (63 from the bare previous u, 157 if each went to
-# LINEAR_TOL). At b = 2, nx = 31 it needs 142 over 57 (237 from the bare
-# u). At b = 0 the preconditioner is the inverse: one iteration per u-solve
+# along its last increment. Unrelaxed it needed 43 over 27 (63 from the bare
+# previous u, 157 if each went to LINEAR_TOL). At b = 2, nx = 31 it needs 75
+# over 39 (unrelaxed 142 over 57, and 237 from the bare u). At b = 0 the
+# preconditioner is the inverse: one iteration per u-solve
 @pytest.mark.parametrize("b", [0.5, 0.0, 2.0])
 def test_run_conjugate_gradient_iterations(b, monkeypatch):
     nx, bound = {0.5: (54, 50), 0.0: (54, None), 2.0: (31, 170)}[b]
@@ -460,13 +461,13 @@ def test_solve_linear_loose_tolerance(rtol):
 
 
 def test_run_stops_only_after_a_tight_solve(monkeypatch):
-    # at LINEAR_RATIO = 0.1 the warm start meets the loose tolerance, and a
+    # at LINEAR_RATIO = 0.2 the warm start meets the loose tolerance, and a
     # u-solve returns it unchanged: the u-increment is 0 and the stopping
     # test passes at iteration 2. The run must go on with a tight solve.
     _, data = manufactured_data(0.5, 54)
     monkeypatch.setattr(pxdg.solver, "LINEAR_RATIO", 0.0)  # every solve tight
     exact = run(data, SolverConfig(tol_outer=1e-12))
-    monkeypatch.setattr(pxdg.solver, "LINEAR_RATIO", 0.1)
+    monkeypatch.setattr(pxdg.solver, "LINEAR_RATIO", 0.2)
     tight, passed = [], []
     solve, check = pxdg.solver.solve_linear, pxdg.solver.stopping_check
 
@@ -993,12 +994,15 @@ def test_run_dispatches_on_algorithm(monkeypatch):
             assert calls["solve_linear"] == state.iteration
 
 
+# the paper's steps: RELAX = 1.0 makes the uncoupled algorithm at rho = r
+# the unrelaxed iteration, so these pins predate the relaxed step
 @pytest.mark.parametrize("b, nx, algorithm, iterations, l2, jh", [
     (0.5, 10, Algorithm.UNCOUPLED, 22, 1.0028175693171943, 50.19428811669475),
     (0.25, 8, Algorithm.COUPLED, 20, 0.9506124493466878, 32.98384732928439),
     (0.0, 6, Algorithm.UNCOUPLED, 2, 0.9241147661433949, 20.983263168451302),
 ])
-def test_run_pinned_outputs(b, nx, algorithm, iterations, l2, jh):
+def test_run_pinned_outputs(b, nx, algorithm, iterations, l2, jh, monkeypatch):
+    monkeypatch.setattr(pxdg.solver, "RELAX", 1.0)
     prob, data = manufactured_data(b, nx)
     state = run(data, SolverConfig(algorithm=algorithm))
     assert state.converged
@@ -1015,13 +1019,91 @@ def test_run_pinned_outputs(b, nx, algorithm, iterations, l2, jh):
     (0.25, 8, Algorithm.COUPLED, 1.284748742958793e-07, 3e-6),
     (0.0, 6, Algorithm.UNCOUPLED, 0.8926130402601007, 1e-12),
 ])
-def test_run_pinned_residuals(b, nx, algorithm, residual, rel):
-    # at rho = r = 1 the multiplier moves by exactly the gap Bu - eta, so
+def test_run_pinned_residuals(b, nx, algorithm, residual, rel, monkeypatch):
+    # unrelaxed, the multiplier moves by rho (Bu - eta), and at rho = r = 1
     # both residuals take one value
+    monkeypatch.setattr(pxdg.solver, "RELAX", 1.0)
     _, data = manufactured_data(b, nx)
     state = run(data, SolverConfig(algorithm=algorithm))
     assert state.residual_constraint == pytest.approx(residual, rel=rel, abs=0)
     assert state.residual_lambda == pytest.approx(residual, rel=rel, abs=0)
+
+
+# the default uncoupled run at rho = r, over-relaxed by RELAX = 1.5: b = 0.5
+# takes 13 iterations where the unrelaxed one takes 22, and b = 0 still
+# stops at iteration 2. The multiplier moves by rho (h - eta), with
+# h = RELAX Bu + (1 - RELAX) eta_prev, so residual_lambda = rho ||h - eta||
+# is pinned apart from ||Bu - eta||. The b = 0.5 residuals are cancellations
+# held to ~5e-13 absolute, as above
+@pytest.mark.parametrize(
+    "b, nx, iterations, l2, jh, constraint, rel_c, lam, rel_l", [
+        (0.5, 10, 13, 1.0028175642521713, 50.19428811669475,
+         2.733377260050199e-09, 2e-4, 1.3579248582454578e-08, 4e-5),
+        (0.0, 6, 2, 0.9241147661433953, 20.98326316845131,
+         0.22315326006502512, 1e-12, 0.6694597801950755, 1e-12),
+    ])
+def test_run_pinned_relaxed(b, nx, iterations, l2, jh, constraint, rel_c,
+                            lam, rel_l):
+    assert pxdg.solver.RELAX == 1.5
+    prob, data = manufactured_data(b, nx)
+    state = run(data, SolverConfig())
+    assert state.converged
+    assert state.iteration == iterations
+    assert l2_error(state.u, prob) == pytest.approx(l2, rel=1e-12)
+    assert state.energy == pytest.approx(jh, rel=1e-12)
+    assert state.residual_constraint == pytest.approx(constraint, rel=rel_c,
+                                                      abs=0)
+    assert state.residual_lambda == pytest.approx(lam, rel=rel_l, abs=0)
+
+
+def _run_at_relax(data, cfg, relax, monkeypatch):
+    monkeypatch.setattr(pxdg.solver, "RELAX", relax)
+    return run(data, cfg)
+
+
+def _same_run(a, b):
+    return (a.iteration == b.iteration and a.history == b.history
+            and all(np.array_equal(x.values, y.values) for x, y in
+                    ((a.u, b.u), (a.eta, b.eta), (a.lam, b.lam))))
+
+
+@pytest.mark.parametrize("algorithm, rho", [
+    (Algorithm.COUPLED, None), (Algorithm.COUPLED, 1.5),
+    (Algorithm.UNCOUPLED, 0.8), (Algorithm.UNCOUPLED, 1.6),
+])
+def test_relaxation_only_at_uncoupled_rho_equal_r(algorithm, rho, monkeypatch):
+    # the coupled algorithm and a user-given rho != r take the paper's step,
+    # whatever RELAX is
+    _, data = manufactured_data(0.5, 10)
+    cfg = SolverConfig(rho=rho, algorithm=algorithm)
+    relaxed = _run_at_relax(data, cfg, 1.5, monkeypatch)
+    plain = _run_at_relax(data, cfg, 1.0, monkeypatch)
+    assert relaxed.converged and _same_run(relaxed, plain)
+
+
+def test_relaxed_run_reaches_the_unrelaxed_solution(monkeypatch):
+    _, data = manufactured_data(0.5, 31)
+    relaxed = _run_at_relax(data, SolverConfig(), 1.5, monkeypatch)
+    plain = _run_at_relax(data, SolverConfig(), 1.0, monkeypatch)
+    assert relaxed.converged and plain.converged
+    assert (relaxed.iteration, plain.iteration) == (14, 25)
+    dist = np.abs(relaxed.u.values - plain.u.values).max()
+    assert dist <= 1e-7 * np.abs(plain.u.values).max()
+
+
+@pytest.mark.parametrize("r", [0.1, 10.0])
+@pytest.mark.parametrize("ratio", [1.0, 0.8, 1.6])
+def test_run_converges_across_r_and_rho(r, ratio):
+    # relaxed at rho = r, unrelaxed at 0.8 r and 1.6 r, all to the solution
+    # found at r = 1 with both residuals at 1e-12
+    _, data = manufactured_data(0.5, 16)
+    exact = run(data, SolverConfig(tol_outer=1e-12, require_constraint=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = run(data, SolverConfig(r=r, rho=ratio * r))
+    assert state.converged
+    dist = np.abs(state.u.values - exact.u.values).max()
+    assert dist <= 1e-6 * np.abs(exact.u.values).max()
 
 
 def test_run_lifts_u_once_per_sweep(monkeypatch):
