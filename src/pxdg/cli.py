@@ -146,8 +146,9 @@ def _cmd_study(args) -> int:
     if not b_list or not nx_list:
         raise ValueError("study needs at least one b and one nx")
     rows = run_study(b_list, nx_list, cfg)
-    _write_csv(args.out, "b,nx,m,l2_error,iterations,jh,converged",
-               "%.12g,%d,%d,%.12g,%d,%.12g,%d", map(astuple, rows))
+    _write_csv(args.out,
+               "b,nx,m,l2_error,rel_l2_error,iterations,jh,converged",
+               "%.12g,%d,%d,%.12g,%.12g,%d,%.12g,%d", map(astuple, rows))
     for row in rows:
         print(f"b={row.b:g} nx={row.nx} m={row.m} l2_error={row.l2_error:.6g} "
               f"iterations={row.iterations} converged={row.converged}")

@@ -67,6 +67,17 @@ def axis_lifting(n: int, h: float) -> sp.csr_matrix:
     return lift
 
 
+@functools.lru_cache(maxsize=64)
+def _axis_lifting_adjoint(n: int, h: float) -> sp.csr_matrix:
+    """D^T for axis_lifting(n, h) as its own read-only CSR, built once per
+    (n, h): the transpose view of D is a CSC that would be made again on
+    every apply. Each row of D^T holds two nonzeros (none at n = 1), so
+    its products sum to the bits that D^T's CSC product gives."""
+    adj = axis_lifting(n, h).T.tocsr()
+    adj.data.flags.writeable = False
+    return adj
+
+
 def lifting(u: DgScalar) -> DgVector:
     """Per-element vector field representing the inter-element jumps.
 
@@ -88,8 +99,8 @@ def lifting_adjoint(q: DgVector) -> np.ndarray:
     area = mesh.dx * mesh.dy
     wx = (area * q.values[:, 0]).reshape(mesh.ny, mesh.nx)
     wy = (area * q.values[:, 1]).reshape(mesh.ny, mesh.nx)
-    return ((axis_lifting(mesh.nx, mesh.dx).T @ wx.T).T
-            + axis_lifting(mesh.ny, mesh.dy).T @ wy).ravel()
+    return ((_axis_lifting_adjoint(mesh.nx, mesh.dx) @ wx.T).T
+            + _axis_lifting_adjoint(mesh.ny, mesh.dy) @ wy).ravel()
 
 
 def l2_norm(field) -> float:

@@ -67,7 +67,9 @@ class Mesh:
 
 def build_uniform_mesh(domain: Domain, nx: int, ny: int) -> Mesh:
     """Partition the domain into nx*ny equal rectangles."""
-    if not all(isinstance(n, (int, np.integer)) and n > 0 for n in (nx, ny)):
+    # bool is an int subclass, but True is no element count
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+               and n > 0 for n in (nx, ny)):
         raise ValueError("element counts must be positive integers")
     dx = (domain.x_max - domain.x_min) / nx
     dy = (domain.y_max - domain.y_min) / ny

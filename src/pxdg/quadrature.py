@@ -6,6 +6,11 @@ import numpy as np
 
 __all__ = ["gauss_points"]
 
+# the 3-point Gauss-Legendre rule on [-1, 1], (nodes, weights), formed once
+# and shared read-only by every caller
+GAUSS_RULE = np.polynomial.legendre.leggauss(3)
+GAUSS_RULE[0].flags.writeable = GAUSS_RULE[1].flags.writeable = False
+
 
 def gauss_points(mesh):
     """3x3 Gauss quadrature one point at a time.
@@ -16,7 +21,7 @@ def gauss_points(mesh):
     and including the Jacobian dx*dy/4. The points run along x first,
     then along y.
     """
-    g, w = np.polynomial.legendre.leggauss(3)
+    g, w = GAUSS_RULE
     gx, gy = np.meshgrid(g, g)
     wx, wy = np.meshgrid(w, w)
     wq = (wx * wy).ravel() * (mesh.dx * mesh.dy / 4.0)

@@ -36,8 +36,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .dg import (DgScalar, DgVector, axis_lifting, l2_norm, lifting,
-                 lifting_adjoint)
+from .dg import DgScalar, DgVector, l2_norm, lifting, lifting_adjoint
 from .energy import ProblemData, eval_Jh
 
 __all__ = [
@@ -103,7 +102,8 @@ class SolverConfig:
             raise ValueError(f"tol_outer {self.tol_outer:g} is below "
                              f"LINEAR_TOL = {LINEAR_TOL:g}, the resolution "
                              "of the u-solves")
-        if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 1:
+        if (not isinstance(self.max_outer, (int, np.integer))
+                or isinstance(self.max_outer, bool) or self.max_outer < 1):
             raise ValueError("iteration limits must be positive integers")
 
     @property
@@ -186,14 +186,30 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
     prices every edge (weight times length). K is pentadiagonal, and the
     banded eigensolver is used because the dense one (LAPACK syevd) can
     take 10-100x longer at n ~ 30-130 under multithreaded OpenBLAS.
+
+    The bands are written in closed form. With x = sqrt(r |k|) / (2h) every
+    nonzero of sqrt(r |k|) D is +-x, and D vanishes at n = 1. So the main
+    diagonal is (mass + 2 x^2) + 2 jump, offsets +-1 are -jump, less x^2 in
+    their end entries (2 x^2 at n = 2, where both are one entry), and
+    offsets +-2 are -x^2. Each entry of D^T D sums at most two products
+    +-x * x, which rounds to +-2 x^2 or +-x^2 exactly, so these are the
+    bits that the sparse product mass I + (sqrt(r |k|) D)^T (sqrt(r |k|) D)
+    + jump T gives, entry for entry and in the same order of additions.
     """
     # scaling D, not D^T D: on a tiny domain (1/2h)^2 overflows while
     # r |k| / (2h)^2 stays O(1)
-    lift = np.sqrt(r * area) * axis_lifting(n, h)
-    k = (mass * sp.identity(n) + lift.T @ lift
-         + jump * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)))
+    x = np.sqrt(r * area) * (1.0 / (2.0 * h))
+    xx = x * x if n > 1 else 0.0
+    diags = {0: np.full(n, (mass + 2.0 * xx) + 2.0 * jump)}
+    if n > 1:
+        near = np.full(n - 1, -jump)
+        near[0] = near[-1] = -(xx if n > 2 else 2.0 * xx) - jump
+        diags[1] = diags[-1] = near
+    if n > 2:
+        # 0.0 - xx, not -xx: +0.0 where x^2 underflows, as in the sparse
+        # product, which stores no zero
+        diags[2] = diags[-2] = np.full(n - 2, 0.0 - xx)
     kd = min(2, n - 1)  # superdiagonals; a band wider than n - 1 fails
-    diags = {d: k.diagonal(d) for d in range(-kd, kd + 1)}
     band = [np.pad(diags[d], (d, 0)) for d in range(kd, -1, -1)]
     return (diags, *sla.eig_banded(band))  # upper banded storage
 

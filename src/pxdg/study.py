@@ -114,6 +114,7 @@ class StudyRow:
     nx: int
     m: int
     l2_error: float
+    rel_l2_error: float  # l2_error over the exact u's norm, same quadrature
     iterations: int
     jh: float
     converged: bool
@@ -127,9 +128,10 @@ def run_study(b_list, nx_list, cfg: SolverConfig) -> list:
         for nx in nx_list:
             data = prob.discretize(nx, nx)
             state = run(data, cfg)
+            err = l2_error(state.u, prob)
             rows.append(StudyRow(
-                b=b, nx=nx, m=data.mesh.n_elements,
-                l2_error=l2_error(state.u, prob),
+                b=b, nx=nx, m=data.mesh.n_elements, l2_error=err,
+                rel_l2_error=err / exact_l2_norm(prob, data.mesh),
                 iterations=state.iteration,
                 jh=state.energy,
                 converged=state.converged,

@@ -32,15 +32,16 @@ def test_solve_writes_solution_csv(tmp_path, capsys):
 HEADERS = {
     "solution": "element,x,y,u",
     "trace": "iter,residual_u,residual_constraint,residual_lambda,Jh",
-    "study": "b,nx,m,l2_error,iterations,jh,converged",
+    "study": "b,nx,m,l2_error,rel_l2_error,iterations,jh,converged",
 }
 
 
 def _csv_writer_rows(table):
     """The table's rows as csv.writer got them: %.12g floats, plain ints."""
     if table == "study":
-        return [["%.12g" % r.b, r.nx, r.m, "%.12g" % r.l2_error, r.iterations,
-                 "%.12g" % r.jh, int(r.converged)]
+        return [["%.12g" % r.b, r.nx, r.m, "%.12g" % r.l2_error,
+                 "%.12g" % r.rel_l2_error, r.iterations, "%.12g" % r.jh,
+                 int(r.converged)]
                 for r in run_study([0.0, 0.5], [4, 5],
                                    SolverConfig(max_outer=3))]
     data = manufactured_problem(0.25).discretize(4, 3)
@@ -206,7 +207,7 @@ def test_study_writes_table(tmp_path, capsys):
     code = main(["study", "--b", "0,0.25", "--nx", "4,8", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "b,nx,m,l2_error,iterations,jh,converged"
+    assert lines[0] == "b,nx,m,l2_error,rel_l2_error,iterations,jh,converged"
     assert len(lines) == 1 + 4
     assert capsys.readouterr().out.count("converged=True") == 4
 

@@ -9,6 +9,7 @@ from pxdg import (DgScalar, DgVector, Domain, axis_lifting,
                   build_uniform_mesh, l2_norm, lifting,
                   lifting_adjoint, luxemburg_norm, manufactured_exponent,
                   modular)
+from pxdg.dg import _axis_lifting_adjoint
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -99,6 +100,30 @@ def test_axis_lifting_stores_no_zeros():
         # one shared, read-only D per (n, h)
         assert axis_lifting(n, 0.3) is mat
         assert not mat.data.flags.writeable
+
+
+def test_axis_lifting_adjoint_is_one_shared_read_only_csr():
+    for n in (1, 2, 3, 7):
+        adj = _axis_lifting_adjoint(n, 0.3)
+        assert adj.format == "csr" and adj.has_canonical_format
+        assert np.array_equal(adj.toarray(), axis_lifting(n, 0.3).toarray().T)
+        # built once per (n, h) and shared, so no caller may write to it
+        assert _axis_lifting_adjoint(n, 0.3) is adj
+        assert not adj.data.flags.writeable
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 4), (2, 3), (3, 5), (7, 5)])
+def test_lifting_adjoint_matches_transposed_view_bit_for_bit(nx, ny):
+    # each row of D^T sums two products, in either storage order the same
+    mesh = build_uniform_mesh(Domain(0.5, 2.0, -0.3, 0.9), nx, ny)
+    q = np.random.default_rng(9).normal(size=(mesh.n_elements, 2))
+    area = mesh.dx * mesh.dy
+    wx = (area * q[:, 0]).reshape(ny, nx)
+    wy = (area * q[:, 1]).reshape(ny, nx)
+    want = ((axis_lifting(nx, mesh.dx).T @ wx.T).T
+            + axis_lifting(ny, mesh.dy).T @ wy).ravel()
+    got = lifting_adjoint(DgVector(mesh, q))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_lifting_matches_kronecker_oracle():

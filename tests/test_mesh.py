@@ -274,7 +274,8 @@ def test_invalid_inputs():
                    (-1e308, 1e308, 0.0, 1.0)]:  # the width overflows
         with pytest.raises(ValueError):
             Domain(*bounds)
-    for nx, ny in [(2.5, 3), (3, 2.5), (3.0, 3)]:
+    # True is an int to isinstance, and once built a 1 x 3 mesh
+    for nx, ny in [(2.5, 3), (3, 2.5), (3.0, 3), (True, 3), (3, False)]:
         with pytest.raises(ValueError):
             build_uniform_mesh(SQUARE, nx, ny)
     mesh = build_uniform_mesh(SQUARE, np.int64(3), np.int64(2))

@@ -1,13 +1,16 @@
 """System assembly, the per-element flux resolvent, and both iteration loops."""
 
 import copy
+import itertools
 import re
 import tracemalloc
+import types
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import pxdg.energy
@@ -264,6 +267,59 @@ def test_matrix_product_matches_csr_bit_for_bit(b):
     sm = assemble_matrix(data, SolverConfig())
     x = np.random.default_rng(31).normal(size=mesh.n_elements)
     assert np.array_equal(sm.matrix @ x, sm.matrix.tocsr() @ x)
+
+
+def _sparse_axis_operator(n, h, area, r, jump, mass=0.0):
+    # the 1-D operator as scipy.sparse forms it, mass I + (sqrt(r |k|) D)^T
+    # (sqrt(r |k|) D) + jump T: the oracle of the closed-form bands
+    lift = np.sqrt(r * area) * axis_lifting(n, h)
+    k = (mass * sp.identity(n) + lift.T @ lift
+         + jump * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)))
+    kd = min(2, n - 1)
+    diags = {d: k.diagonal(d) for d in range(-kd, kd + 1)}
+    band = [np.pad(diags[d], (d, 0)) for d in range(kd, -1, -1)]
+    return (diags, *sla.eig_banded(band))
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h", [0.3, 1e-160])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 54])
+def test_axis_operator_matches_sparse_product_bit_for_bit(n, h):
+    # every entry of D^T D sums at most two products +-x * x, so the closed
+    # form rounds as the sparse product does; zeros keep their sign too.
+    # r = 0.37 makes (mass + 2 x^2) + 2 jump round apart from
+    # mass + (2 x^2 + 2 jump), so the order of additions is pinned
+    for r, mass, jump in itertools.product((0.0, 0.37, 1.0, 1e4),
+                                           (0.0, h * h), (1.0, 0.731)):
+        args = (n, h, h * h, r, jump, mass)
+        want = _sparse_axis_operator(*args)
+        got = pxdg.solver._axis_operator(*args)
+        assert sorted(got[0]) == sorted(want[0]) == list(
+            range(-min(2, n - 1), min(2, n - 1) + 1))
+        for d in want[0]:
+            assert np.array_equal(got[0][d], want[0][d]), (args, d)
+            assert _same_bits(got[0][d], want[0][d]), (args, d)
+        assert _same_bits(got[1], want[1]) and _same_bits(got[2], want[2])
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 3), (1, 1), (2, 1), (1, 4)])
+def test_assembly_builds_only_the_dia_matrix(nx, ny, monkeypatch):
+    # per-run setup is numpy and one banded eigensolve per axis: with
+    # scipy.sparse cut down to dia_matrix, in which A is stored, it runs
+    # and gives the same system
+    domain = Domain(0.5, 2.0, -1.0, 0.2)
+    data = ProblemData(mesh=build_uniform_mesh(domain, nx, ny),
+                       exponent=exponent_on(domain, 0.5), xi=zero, u_D=zero)
+    want = assemble_matrix(data, SolverConfig())
+    monkeypatch.setattr(pxdg.solver, "sp",
+                        types.SimpleNamespace(dia_matrix=sp.dia_matrix))
+    got = assemble_matrix(data, SolverConfig())
+    assert _same_bits(got.matrix.data, want.matrix.data)
+    for name in ("qx", "qy", "eigsum", "scale"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("nx, ny", [(64, 64), (128, 96)])
@@ -1230,7 +1286,7 @@ def test_config_validation():
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError):
                 SolverConfig(**{key: value})
-    for value in (0, 2.5, float("nan")):
+    for value in (0, 2.5, float("nan"), True):  # True was one iteration
         with pytest.raises(ValueError):
             SolverConfig(max_outer=value)
     # below the u-solves' resolution the u-increment drops to 0 once the

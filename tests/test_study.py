@@ -205,8 +205,8 @@ def test_run_study_monotonicity_small_grid():
 
 
 def synthetic_rows(nx_list, errs, b=0.0):
-    return [StudyRow(b=b, nx=nx, m=nx * nx, l2_error=err, iterations=1,
-                     jh=0.0, converged=True)
+    return [StudyRow(b=b, nx=nx, m=nx * nx, l2_error=err,
+                     rel_l2_error=err, iterations=1, jh=0.0, converged=True)
             for nx, err in zip(nx_list, errs)]
 
 
@@ -255,10 +255,11 @@ def test_solution_jump_seminorm_is_finite():
 def test_write_study_csv(tmp_path):
     # the CLI owns the study format: one row per StudyRow
     rows = run_study([0.0], [4, 8], SolverConfig())
+    prob = manufactured_problem(0.0)
     path = tmp_path / "study.csv"
     assert main(["study", "--b", "0", "--nx", "4,8", "--out", str(path)]) == 0
     text = path.read_text().strip().splitlines()
-    assert text[0] == "b,nx,m,l2_error,iterations,jh,converged"
+    assert text[0] == "b,nx,m,l2_error,rel_l2_error,iterations,jh,converged"
     parsed = list(csv.DictReader(path.read_text().splitlines()))
     assert len(parsed) == 2
     for row, rec in zip(rows, parsed):
@@ -266,6 +267,11 @@ def test_write_study_csv(tmp_path):
         assert int(rec["nx"]) == row.nx
         assert int(rec["m"]) == row.m
         assert float(rec["l2_error"]) == pytest.approx(row.l2_error, rel=1e-10)
+        assert float(rec["rel_l2_error"]) == pytest.approx(row.rel_l2_error,
+                                                           rel=1e-10)
+        # the error over the exact u's norm on the row's own mesh
+        mesh = build_uniform_mesh(prob.domain, row.nx, row.nx)
+        assert row.rel_l2_error == row.l2_error / exact_l2_norm(prob, mesh)
         assert int(rec["iterations"]) == row.iterations
         assert float(rec["jh"]) == pytest.approx(row.jh, rel=1e-10)
         assert rec["converged"] == "1"
