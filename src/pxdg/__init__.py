@@ -2,8 +2,7 @@
 minimization, with augmented-Lagrangian decomposition-coordination iterations
 and a manufactured-solution convergence-study harness."""
 
-from .dg import (DgScalar, DgVector, axis_lifting, l2_norm, lifting,
-                 lifting_adjoint)
+from .dg import DgScalar, DgVector, l2_norm, lifting, lifting_adjoint
 from .energy import (ProblemData, eval_F, eval_G, eval_Jh, eval_lagrangian,
                      grad_F)
 from .exponent import (ExponentField, luxemburg_norm, manufactured_exponent,

@@ -1,17 +1,16 @@
 """Broken P0 spaces: the jump lifting, and B = grad + lifting.
 
 For piecewise constants the broken gradient vanishes identically, so B
-reduces to the lifting; constants are in its kernel. B and B^T act along
-the grid axes through one 1-D lifting per axis; no m x m matrix is formed.
+reduces to the lifting; constants are in its kernel. B and B^T apply one
+1-D stencil D, or its transpose, along each grid axis, written in place
+into the output array; no matrix is formed.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import Mesh
 
@@ -20,7 +19,6 @@ __all__ = [
     "DgVector",
     "lifting",
     "lifting_adjoint",
-    "axis_lifting",
     "l2_norm",
 ]
 
@@ -51,31 +49,24 @@ class DgVector:
             raise ValueError("vector field needs one 2-vector per element")
 
 
-@functools.lru_cache(maxsize=64)
-def axis_lifting(n: int, h: float) -> sp.csr_matrix:
-    """The 1-D lifting D along one axis of n cells of width h.
+def _stencil(ca: np.ndarray, out: np.ndarray, adjoint: bool):
+    """Write D a, or D^T a, along the first axis of ca = a / (2h) into out.
 
-    (D u)[i] = (u[i+1] - u[i-1]) / (2h), with the half stencils
-    (u[1] - u[0]) / (2h) and (u[n-1] - u[n-2]) / (2h) at the ends: half
-    the differences across the cell's interior edges, summed. D is built
-    once per (n, h) and shared by every caller, so its data is read-only.
+    D, the lifting along an axis of n cells of width h, sums half the
+    differences across each cell's interior edges: ca[i+1] - ca[i-1], and
+    ca[1] - ca[0] and ca[n-1] - ca[n-2] at the ends. D^T is -D except in
+    its end rows, -ca[0] - ca[1] and ca[n-2] + ca[n-1]. D = 0 at n = 1.
     """
-    c = 1.0 / (2.0 * h)
-    ends = np.bincount([0, n - 1], [-c, c], minlength=n)  # n = 1: zero
-    lift = sp.diags([-c, ends, c], [-1, 0, 1], shape=(n, n), format="csr")
-    lift.data.flags.writeable = False
-    return lift
-
-
-@functools.lru_cache(maxsize=64)
-def _axis_lifting_adjoint(n: int, h: float) -> sp.csr_matrix:
-    """D^T for axis_lifting(n, h) as its own read-only CSR, built once per
-    (n, h): the transpose view of D is a CSC that would be made again on
-    every apply. Each row of D^T holds two nonzeros (none at n = 1), so
-    its products sum to the bits that D^T's CSC product gives."""
-    adj = axis_lifting(n, h).T.tocsr()
-    adj.data.flags.writeable = False
-    return adj
+    if len(ca) == 1:
+        out[...] = 0.0
+    elif adjoint:
+        np.subtract(ca[:-2], ca[2:], out=out[1:-1])
+        np.subtract(-ca[0], ca[1], out=out[0])
+        np.add(ca[-2], ca[-1], out=out[-1])
+    else:
+        np.subtract(ca[2:], ca[:-2], out=out[1:-1])
+        np.subtract(ca[1], ca[0], out=out[0])
+        np.subtract(ca[-1], ca[-2], out=out[-1])
 
 
 def lifting(u: DgScalar) -> DgVector:
@@ -87,9 +78,10 @@ def lifting(u: DgScalar) -> DgVector:
     """
     mesh = u.mesh
     grid = u.values.reshape(mesh.ny, mesh.nx)
-    rx = (axis_lifting(mesh.nx, mesh.dx) @ grid.T).T  # not grid @ D_x^T: slower
-    ry = axis_lifting(mesh.ny, mesh.dy) @ grid
-    return DgVector(mesh, np.stack([rx, ry], axis=-1).reshape(-1, 2))
+    out = np.empty((mesh.ny, mesh.nx, 2))
+    _stencil((grid * (1.0 / (2.0 * mesh.dx))).T, out[..., 0].T, adjoint=False)
+    _stencil(grid * (1.0 / (2.0 * mesh.dy)), out[..., 1], adjoint=False)
+    return DgVector(mesh, out.reshape(-1, 2))
 
 
 def lifting_adjoint(q: DgVector) -> np.ndarray:
@@ -97,10 +89,15 @@ def lifting_adjoint(q: DgVector) -> np.ndarray:
     with w = |k| q as two (ny, nx) arrays, v = w_x D_x + D_y^T w_y."""
     mesh = q.mesh
     area = mesh.dx * mesh.dy
-    wx = (area * q.values[:, 0]).reshape(mesh.ny, mesh.nx)
-    wy = (area * q.values[:, 1]).reshape(mesh.ny, mesh.nx)
-    return ((_axis_lifting_adjoint(mesh.nx, mesh.dx) @ wx.T).T
-            + _axis_lifting_adjoint(mesh.ny, mesh.dy) @ wy).ravel()
+    out, part = np.empty((mesh.ny, mesh.nx)), np.empty((mesh.ny, mesh.nx))
+    w = (area * q.values[:, 0]).reshape(mesh.ny, mesh.nx)
+    w *= 1.0 / (2.0 * mesh.dx)
+    _stencil(w.T, out.T, adjoint=True)
+    np.multiply(area, q.values[:, 1].reshape(mesh.ny, mesh.nx), out=w)
+    w *= 1.0 / (2.0 * mesh.dy)  # w_y in w_x's buffer: 3 arrays at most
+    _stencil(w, part, adjoint=True)
+    out += part
+    return out.ravel()
 
 
 def l2_norm(field) -> float:

@@ -39,7 +39,7 @@ class Domain:
 
 @dataclass
 class Mesh:
-    """Uniform nx-by-ny partition of dx-by-dy cells.
+    """Uniform nx-by-ny partition of the domain into dx-by-dy cells.
 
     Every element has area dx * dy; its barycenter and its edges are
     implied by the grid (see axes() and the module docstring).
@@ -48,8 +48,16 @@ class Mesh:
     domain: Domain
     nx: int
     ny: int
-    dx: float = field(repr=False)
-    dy: float = field(repr=False)
+    dx: float = field(init=False, repr=False)
+    dy: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # bool is an int subclass, but True is no element count
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   and n > 0 for n in (self.nx, self.ny)):
+            raise ValueError("element counts must be positive integers")
+        self.dx = (self.domain.x_max - self.domain.x_min) / self.nx
+        self.dy = (self.domain.y_max - self.domain.y_min) / self.ny
 
     @property
     def n_elements(self) -> int:
@@ -67,13 +75,7 @@ class Mesh:
 
 def build_uniform_mesh(domain: Domain, nx: int, ny: int) -> Mesh:
     """Partition the domain into nx*ny equal rectangles."""
-    # bool is an int subclass, but True is no element count
-    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-               and n > 0 for n in (nx, ny)):
-        raise ValueError("element counts must be positive integers")
-    dx = (domain.x_max - domain.x_min) / nx
-    dy = (domain.y_max - domain.y_min) / ny
-    return Mesh(domain=domain, nx=nx, ny=ny, dx=dx, dy=dy)
+    return Mesh(domain, nx, ny)
 
 
 def edge_weights(mesh: Mesh, exponent) -> tuple:

@@ -181,9 +181,9 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
     h: its diagonals and eigenpairs, (diags, lam, Q), with diags[d] the
     diagonal of K at offset d for |d| <= min(2, n - 1).
 
-    D is axis_lifting(n, h). T = tridiag(-1, 2, -1) is the jump Laplacian,
-    whose end rows carry one interior and one boundary edge, and jump
-    prices every edge (weight times length). K is pentadiagonal, and the
+    D is the 1-D lifting of dg._stencil. T = tridiag(-1, 2, -1) is the jump
+    Laplacian, whose end rows carry one interior and one boundary edge, and
+    jump prices every edge (weight times length). K is pentadiagonal, and the
     banded eigensolver is used because the dense one (LAPACK syevd) can
     take 10-100x longer at n ~ 30-130 under multithreaded OpenBLAS.
 
@@ -288,9 +288,9 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
     and search directions are kept divided by max|rhs|, so huge data cannot
     overflow their inner products. At p = 2 the preconditioner is the
     inverse and one iteration solves. A RuntimeWarning reports a miss, which
-    is never tight: a non-finite inner product, which returns NaN, or
-    MAX_LINEAR iterations without meeting the test, which return the last
-    iterate.
+    is never tight: an inner product r.z or d.Ad not positive and finite,
+    which returns NaN, or MAX_LINEAR iterations without meeting the test,
+    which return the last iterate.
     """
     a = matrix.matrix
     scale = float(np.abs(rhs).max(initial=0.0))
@@ -308,13 +308,15 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
                 return x, bool(err <= LINEAR_TOL * max(1.0, scale) / scale), n
         z = _precondition(matrix, res)
         rz = float(res @ z)
-        if not np.isfinite(rz):
-            warnings.warn("solve_linear: non-finite residual",
-                          RuntimeWarning, stacklevel=2)
+        if 0.0 < rz < np.inf:
+            direction = z + (rz / rz_old) * direction
+            a_dir = a @ direction
+            curvature = float(direction @ a_dir)
+        if not (0.0 < rz < np.inf and 0.0 < curvature < np.inf):
+            warnings.warn("solve_linear: non-finite or non-positive inner "
+                          "product", RuntimeWarning, stacklevel=2)
             return np.full_like(x, np.nan), False, n + 1
-        direction = z + (rz / rz_old) * direction
-        a_dir = a @ direction
-        step = rz / float(direction @ a_dir)
+        step = rz / curvature
         x += (scale * step) * direction
         res -= step * a_dir
         rz_old = rz

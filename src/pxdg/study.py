@@ -69,7 +69,7 @@ def manufactured_problem(b: float) -> ManufacturedProblem:
             amp = np.sqrt(2.0) * np.exp(b + 1.0) / b
 
         def exact(x, y, amp=amp, b=b):
-            return amp * (np.exp((b / 2.0) * (np.asarray(x, float) + y)) - 1.0)
+            return amp * np.expm1((b / 2.0) * (np.asarray(x, float) + y))
 
         def grad(x, y, amp=amp, b=b):
             g = amp * (b / 2.0) * np.exp((b / 2.0) * (np.asarray(x, float) + y))

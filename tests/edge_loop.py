@@ -3,12 +3,14 @@ definition, and the edge quantities written edge by edge from them.
 
 The library keeps no per-edge or per-element arrays; it reads the
 elements and edges off the grid.
-Tests that check it edge by edge get the edges from `grid_loop` alone.
+Tests that check it edge by edge get the edges from `grid_loop` alone,
+and tests that check it against a sparse matrix get D from `axis_lifting`.
 """
 
 import functools
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @functools.lru_cache(maxsize=32)
@@ -122,3 +124,12 @@ def dense_lifting(mesh):
             by[k, a] += coef * nu[1]
             by[k, b] -= coef * nu[1]
     return bx, by
+
+
+def axis_lifting(n, h):
+    """The 1-D lifting D along one axis of n cells of width h as a CSR:
+    (D u)[i] = (u[i+1] - u[i-1]) / (2h), with the half stencils
+    (u[1] - u[0]) / (2h) and (u[n-1] - u[n-2]) / (2h) at the ends."""
+    c = 1.0 / (2.0 * h)
+    ends = np.bincount([0, n - 1], [-c, c], minlength=n)  # n = 1: zero
+    return sp.diags([-c, ends, c], [-1, 0, 1], shape=(n, n), format="csr")

@@ -72,6 +72,21 @@ def test_no_module_imports_a_name_it_never_uses(name):
     assert not unused, f"pxdg.{name} never uses {sorted(unused)}"
 
 
+def test_dg_imports_only_numpy():
+    # B and B^T are stencils on numpy arrays: no sparse matrix, and no
+    # cache of one, comes back into dg. Beyond numpy it needs only the
+    # dataclass decorator and the mesh its fields live on.
+    tree = ast.parse(Path(pxdg.__path__[0], "dg.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + node.module)
+    assert imported <= {"__future__", "dataclasses", "numpy", ".mesh"}, \
+        f"pxdg.dg imports {sorted(imported)}"
+
+
 # the module globals perfbench/worker.py wraps to time setup_s (problem and
 # mesh) and solve_s (run), and to read each solve's L2 error
 BENCHMARK_HOOKS = {

@@ -255,6 +255,17 @@ def test_non_convergence_exits_two(tmp_path):
                  "--out", out]) == 2
 
 
+def test_cg_breakdown_exits_two(tmp_path):
+    # at r |k| / h^2 >> 1/eps rounding loses the O(1) part of A's and M's
+    # spectra, so a CG inner product can come out non-positive: the
+    # u-solve that breaks down is a miss, and the run stops unconverged
+    out = str(tmp_path / "x.csv")
+    with pytest.warns(RuntimeWarning) as record:
+        assert main(["solve", "--b", "0.5", "--nx", "3", "--r", "1e17",
+                     "--out", out]) == 2
+    assert any("non-positive inner product" in str(w.message) for w in record)
+
+
 def test_overflowing_b_exits_one(tmp_path, capsys):
     # the exact solution at b = 300 reaches ~5e258, so its square overflows:
     # a bad input, not a solver failure

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from edge_loop import average, edges, jump, weighted_jump_norm
-from pxdg import (DgScalar, DgVector, Domain, axis_lifting,
-                  build_uniform_mesh, l2_norm, lifting,
-                  lifting_adjoint, luxemburg_norm, manufactured_exponent,
-                  modular)
-from pxdg.dg import _axis_lifting_adjoint
+from edge_loop import average, axis_lifting, edges, jump, weighted_jump_norm
+from pxdg import (DgScalar, DgVector, Domain, build_uniform_mesh, l2_norm,
+                  lifting, lifting_adjoint, luxemburg_norm,
+                  manufactured_exponent, modular)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -91,39 +89,38 @@ def test_lifting_linearity():
     assert np.allclose(combo, parts, rtol=1e-12, atol=1e-14)
 
 
-def test_axis_lifting_stores_no_zeros():
-    for n in (1, 2, 3, 7):
-        mat = axis_lifting(n, 0.3)
-        assert mat.shape == (n, n)
-        assert mat.has_canonical_format
-        assert np.count_nonzero(mat.data == 0.0) == 0
-        # one shared, read-only D per (n, h)
-        assert axis_lifting(n, 0.3) is mat
-        assert not mat.data.flags.writeable
+# a non-square, off-origin domain, so dx != dy and no cell center is 0
+OFFSET = Domain(0.5, 2.0, -0.3, 0.9)
+SHAPES = [(1, 1), (2, 1), (1, 3), (3, 2), (4, 3), (7, 5)]
 
 
-def test_axis_lifting_adjoint_is_one_shared_read_only_csr():
-    for n in (1, 2, 3, 7):
-        adj = _axis_lifting_adjoint(n, 0.3)
-        assert adj.format == "csr" and adj.has_canonical_format
-        assert np.array_equal(adj.toarray(), axis_lifting(n, 0.3).toarray().T)
-        # built once per (n, h) and shared, so no caller may write to it
-        assert _axis_lifting_adjoint(n, 0.3) is adj
-        assert not adj.data.flags.writeable
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("nx, ny", [(1, 4), (2, 3), (3, 5), (7, 5)])
+@pytest.mark.parametrize("nx, ny", SHAPES)
+def test_lifting_matches_csr_oracle_bit_for_bit(nx, ny):
+    # D along x on the transposed grid, D along y on the grid: each row of
+    # D sums two products, so the stencil gives the CSR product's bits
+    mesh = build_uniform_mesh(OFFSET, nx, ny)
+    grid = np.random.default_rng(4).normal(size=(ny, nx))
+    want = np.stack([(axis_lifting(nx, mesh.dx) @ grid.T).T,
+                     axis_lifting(ny, mesh.dy) @ grid], axis=-1)
+    got = lifting(DgScalar(mesh, grid.ravel())).values
+    assert _same_bits(got, want.reshape(-1, 2))
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 4), (2, 3), (3, 5)] + SHAPES)
 def test_lifting_adjoint_matches_transposed_view_bit_for_bit(nx, ny):
-    # each row of D^T sums two products, in either storage order the same
-    mesh = build_uniform_mesh(Domain(0.5, 2.0, -0.3, 0.9), nx, ny)
+    # each row of D^T sums two products, as the stencil's end rows do
+    mesh = build_uniform_mesh(OFFSET, nx, ny)
     q = np.random.default_rng(9).normal(size=(mesh.n_elements, 2))
     area = mesh.dx * mesh.dy
     wx = (area * q[:, 0]).reshape(ny, nx)
     wy = (area * q[:, 1]).reshape(ny, nx)
     want = ((axis_lifting(nx, mesh.dx).T @ wx.T).T
             + axis_lifting(ny, mesh.dy).T @ wy).ravel()
-    got = lifting_adjoint(DgVector(mesh, q))
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert _same_bits(lifting_adjoint(DgVector(mesh, q)), want)
 
 
 def test_lifting_matches_kronecker_oracle():
@@ -134,8 +131,8 @@ def test_lifting_matches_kronecker_oracle():
     rng = np.random.default_rng(8)
     u = rng.normal(size=mesh.n_elements)
     r = lifting(DgScalar(mesh, u)).values
-    assert np.allclose(r[:, 0], lx @ u, rtol=1e-14)
-    assert np.allclose(r[:, 1], ly @ u, rtol=1e-14)
+    assert _same_bits(r[:, 0], lx @ u)
+    assert _same_bits(r[:, 1], ly @ u)
 
 
 # the identity is the edge definition of R: it ties the lifting along the

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from edge_loop import edges, grid_loop
-from pxdg import (Domain, ExponentField, build_uniform_mesh, edge_weights,
-                  manufactured_exponent)
+from pxdg import (Domain, ExponentField, Mesh, build_uniform_mesh,
+                  edge_weights, manufactured_exponent)
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -52,6 +52,26 @@ def test_counts_formula_general():
         assert len(e[name]) == 5 * 2 + 3 * 4
     for name in ("bnd_element", "bnd_length", "bnd_p0", "bnd_p1"):
         assert len(e[name]) == 2 * 5 + 2 * 3
+
+
+def test_mesh_derives_its_spacing():
+    # the spacing is the domain's width over the count, and nothing else
+    for dom in (SQUARE, Domain(0.3, 2.5, -1.2, -0.1),
+                Domain(0.5, 2.0, -0.3, 0.9)):
+        mesh = Mesh(dom, 4, 7)
+        assert mesh.dx == (dom.x_max - dom.x_min) / 4
+        assert mesh.dy == (dom.y_max - dom.y_min) / 7
+        assert mesh == build_uniform_mesh(dom, 4, 7)
+    for nx, ny in [(0, 4), (True, 3), (4, -1), (2.0, 3)]:
+        with pytest.raises(ValueError):
+            Mesh(SQUARE, nx, ny)
+    # a spacing that disagrees with the domain cannot be passed in
+    with pytest.raises(TypeError):
+        Mesh(SQUARE, 4, 4, dx=1.0, dy=1.0)
+    with pytest.raises(TypeError):
+        Mesh(SQUARE, 4, 4, 1.0, 1.0)
+    assert [f.name for f in dataclasses.fields(Mesh) if f.init] == [
+        "domain", "nx", "ny"]
 
 
 def test_mesh_holds_no_per_edge_arrays():

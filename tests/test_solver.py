@@ -15,14 +15,13 @@ import scipy.sparse as sp
 
 import pxdg.energy
 import pxdg.solver
-from edge_loop import dense_lifting, edges, penalty
+from edge_loop import axis_lifting, dense_lifting, edges, penalty
 from pxdg import (Algorithm, DgScalar, DgVector, Domain, ExponentField,
                   ProblemData, SolverConfig, SolverState, StepSizeWarning,
-                  assemble_matrix, assemble_rhs, axis_lifting,
-                  build_uniform_mesh, eta_update, eval_Jh, eval_lagrangian,
-                  l2_error, l2_norm, lambda_update, lifting,
-                  manufactured_exponent, manufactured_problem, run,
-                  solve_linear, stopping_check)
+                  assemble_matrix, assemble_rhs, build_uniform_mesh,
+                  eta_update, eval_Jh, eval_lagrangian, l2_error, l2_norm,
+                  lambda_update, lifting, manufactured_exponent,
+                  manufactured_problem, run, solve_linear, stopping_check)
 from pxdg.cli import main
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -571,6 +570,25 @@ def test_solve_linear_warns_on_a_miss(monkeypatch):
     monkeypatch.setattr(pxdg.solver, "MAX_LINEAR", 2)
     with pytest.warns(RuntimeWarning, match="after 2 iterations"):
         assert np.isfinite(solve_linear(sm, np.nan_to_num(rhs))[0]).all()
+
+
+@pytest.mark.parametrize("part", ["eigsum", "matrix"])
+def test_solve_linear_misses_on_a_non_positive_inner_product(part):
+    # a non-positive eigsum entry makes M indefinite, so r.z can be
+    # negative; a negated A makes d.Ad negative. Either is a miss, not a
+    # ZeroDivisionError or a step along a direction of negative curvature
+    _, data = manufactured_data(0.5, 6)
+    sm = assemble_matrix(data, SolverConfig())
+    if part == "eigsum":
+        eigsum = sm.eigsum.copy()
+        eigsum[0, 0] = -1e-8 * eigsum.min()
+        sm = replace(sm, eigsum=eigsum)
+    else:
+        sm = replace(sm, matrix=-sm.matrix)
+    rhs = np.random.default_rng(66).normal(size=data.mesh.n_elements)
+    with pytest.warns(RuntimeWarning, match="non-positive inner product"):
+        x, tight, iterations = solve_linear(sm, rhs)
+    assert np.isnan(x).all() and not tight and iterations == 1
 
 
 def scalar_root(p_bar, r, c):

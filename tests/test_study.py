@@ -38,6 +38,18 @@ def test_manufactured_exponential_case_values():
     assert prob.domain == Domain(-1.0, 1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("b", [1e-6, 1e-8, 1e-12, 1e-15])
+def test_exact_u_does_not_cancel_at_small_b(b):
+    # u = sqrt(2) e^(b+1) (e^(bs/2) - 1) / b, s = x + y; its series
+    # sqrt(2) e^(b+1) (s/2)(1 + bs/4 + b^2 s^2/24) is exact to roundoff for
+    # b <= 1e-6, where exp(bs/2) - 1 loses up to all of its digits
+    s = np.array([-2.0, -0.37, -1e-3, 0.0, 1e-9, 1e-3, 0.5, 1.3, 2.0])
+    want = (np.sqrt(2.0) * np.exp(b + 1.0) * (s / 2.0)
+            * (1.0 + b * s / 4.0 + (b * s) ** 2 / 24.0))
+    got = manufactured_problem(b).exact_u(s / 2.0, s / 2.0)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
 def test_manufactured_gradient_matches_finite_differences():
     rng = np.random.default_rng(30)
     for b in (0.0, 0.3, 0.7):
