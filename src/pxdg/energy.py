@@ -113,17 +113,32 @@ class ProblemData:
         return load.ravel()
 
 
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+
+
+def _magnitude(v: np.ndarray) -> np.ndarray:
+    """|v_k| for every row of an (m, 2) array: sqrt(v_k . v_k), and
+    np.hypot's value where v_k . v_k overflows, falls below the normal
+    range or is NaN, as it does for |v_k| above ~1e154 or below ~1e-154."""
+    mag = np.einsum("ij,ij->i", v, v)
+    np.sqrt(mag, out=mag)
+    redo = ~((mag >= _SQRT_TINY) & (mag < np.inf))
+    if redo.any():
+        mag[redo] = np.hypot(v[redo, 0], v[redo, 1])
+    return mag
+
+
 def eval_F(q: DgVector, data: ProblemData) -> float:
     """Sum of |k| |q_k|^{p_bar_k} / p_bar_k, p_bar_k the barycenter exponent."""
     p_bar = data.p_bar
-    mag = np.hypot(q.values[:, 0], q.values[:, 1])
+    mag = _magnitude(q.values)
     vals = mag ** p_bar / p_bar
     return float((data.mesh.dx * data.mesh.dy * vals).sum())
 
 
 def grad_F(q: DgVector, data: ProblemData) -> DgVector:
     """Per-element derivative density |q|^{p_bar - 2} q, zero where q = 0."""
-    mag = np.hypot(q.values[:, 0], q.values[:, 1])
+    mag = _magnitude(q.values)
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(mag > 0.0, mag ** (data.p_bar - 2.0), 0.0)
     return DgVector(data.mesh, factor[:, None] * q.values)

@@ -33,11 +33,10 @@ from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .dg import DgScalar, DgVector, l2_norm, lifting, lifting_adjoint
-from .energy import ProblemData, eval_Jh
+from .energy import ProblemData, _magnitude, eval_Jh
 
 __all__ = [
     "Algorithm",
@@ -61,6 +60,7 @@ MAX_LINEAR = 1000  # solve_linear: conjugate-gradient iterations per solve
 TOL_INNER = 1e-10  # coupled algorithm: eta increment ending the inner sweeps
 INNER_RATIO = 1e-2  # ... or this share of the previous outer ||Bu - eta||
 LINEAR_RATIO = 1e-3  # u-solves in run: this share of ||Bu - eta|| / ||eta||
+FIRST_TOL = 1e-3  # run's first u-solve: at most this relative residual
 RELAX = 1.5  # uncoupled algorithm at rho = r: over-relaxation of Bu (see run)
 MAX_INNER = 200  # coupled algorithm: inner sweeps per multiplier step
 MAX_NEWTON = 200  # flux root: Newton passes per call
@@ -183,9 +183,13 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
 
     D is the 1-D lifting of dg._stencil. T = tridiag(-1, 2, -1) is the jump
     Laplacian, whose end rows carry one interior and one boundary edge, and
-    jump prices every edge (weight times length). K is pentadiagonal, and the
-    banded eigensolver is used because the dense one (LAPACK syevd) can
-    take 10-100x longer at n ~ 30-130 under multithreaded OpenBLAS.
+    jump prices every edge (weight times length). The eigenpairs come from
+    numpy's dense symmetric eigensolver (LAPACK syevd) on K written out
+    n x n, so that all of a run's BLAS and LAPACK calls share numpy's one
+    OpenBLAS. scipy's banded eigensolver costs about as much per call, but
+    it loads scipy's own OpenBLAS, whose thread pool stalled the numpy
+    products that followed it: at nx = 128 the first preconditioner applies
+    of a run took 28-93 ms each in place of 0.3 ms.
 
     The bands are written in closed form. With x = sqrt(r |k|) / (2h) every
     nonzero of sqrt(r |k|) D is +-x, and D vanishes at n = 1. So the main
@@ -209,9 +213,10 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
         # 0.0 - xx, not -xx: +0.0 where x^2 underflows, as in the sparse
         # product, which stores no zero
         diags[2] = diags[-2] = np.full(n - 2, 0.0 - xx)
-    kd = min(2, n - 1)  # superdiagonals; a band wider than n - 1 fails
-    band = [np.pad(diags[d], (d, 0)) for d in range(kd, -1, -1)]
-    return (diags, *sla.eig_banded(band))  # upper banded storage
+    k = np.zeros((n, n))
+    for d, diag in diags.items():
+        np.fill_diagonal(k[max(-d, 0):, max(d, 0):], diag)
+    return (diags, *np.linalg.eigh(k))
 
 
 def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
@@ -438,7 +443,7 @@ def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
     counts its Newton passes in state.flux_passes.
     """
     s = lam + r * bu
-    c = np.hypot(s[:, 0], s[:, 1])
+    c = _magnitude(s)
     x0 = None
     if state is not None:
         # a start need not be exact: where |eta|^2 overflows or underflows,
@@ -520,16 +525,18 @@ def run(data: ProblemData, cfg: SolverConfig,
     start from the current u. Each flux root starts from the previous one,
     and the energy reuses the flux step's lifting of u. The u-solves stop at
     the relative residual max(LINEAR_TOL, LINEAR_RATIO ||Bu - eta|| /
-    max(1, ||eta||)) with the same residual, and at LINEAR_TOL while it is
-    inf. Inexact minimizations keep the augmented-Lagrangian iteration
+    max(1, ||eta||)) with the same residual. While it is inf, in the first
+    outer iteration, they stop at max(LINEAR_TOL, min(LINEAR_RATIO,
+    FIRST_TOL)), so that LINEAR_RATIO = 0 still makes every solve tight.
+    Inexact minimizations keep the augmented-Lagrangian iteration
     convergent when their errors are summable (Eckstein and Bertsekas
     1992), as they are while the constraint residual decays geometrically.
     A loose solve can return its start, and so a zero u-increment: the run
     stops only on an iteration whose last u-solve met LINEAR_TOL, and where
     the stopping test passes after a looser one, the next iteration solves
-    at LINEAR_TOL and tests again. A non-finite u-increment, ||Bu - eta|| or
-    energy ends the run unconverged, before the next u-solve could take the
-    non-finite flux into u.
+    at LINEAR_TOL and tests again. A non-finite u-increment, ||Bu - eta||,
+    multiplier step or energy ends the run unconverged, before the next
+    u-solve could take the non-finite flux or multiplier into u.
 
     The uncoupled algorithm at rho = r is over-relaxed (Eckstein and
     Bertsekas 1992; Boyd et al. 2011, sec. 3.4.3): the flux step solves
@@ -553,7 +560,7 @@ def run(data: ProblemData, cfg: SolverConfig,
              and cfg.effective_rho == cfg.r else 1.0)
     start = init if init is not None else _zero_state(mesh)
     state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
-    rtol = LINEAR_TOL
+    rtol = max(LINEAR_TOL, min(LINEAR_RATIO, FIRST_TOL))
     u_prev = None
     for n in range(1, cfg.max_outer + 1):
         u_older, u_prev, lam_prev = u_prev, state.u, state.lam
@@ -588,7 +595,7 @@ def run(data: ProblemData, cfg: SolverConfig,
             n, state.residual_u, state.residual_constraint,
             state.residual_lambda, state.energy))
         if not np.isfinite([state.residual_u, state.residual_constraint,
-                            state.energy]).all():
+                            state.residual_lambda, state.energy]).all():
             break
         if stopping_check(state, cfg):
             if tight:

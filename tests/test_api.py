@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -85,6 +88,42 @@ def test_dg_imports_only_numpy():
             imported.add("." * node.level + node.module)
     assert imported <= {"__future__", "dataclasses", "numpy", ".mesh"}, \
         f"pxdg.dg imports {sorted(imported)}"
+
+
+def test_only_the_solver_imports_scipy_and_only_its_sparse():
+    # every BLAS and LAPACK call runs on numpy's OpenBLAS: scipy.linalg maps
+    # a second OpenBLAS, whose thread pool stalls numpy's products after it.
+    # scipy.sparse, which holds A in DIA form, maps none
+    found = {}
+    for name in sorted({"__init__"} | set(SUBMODULES)):
+        tree = ast.parse(Path(pxdg.__path__[0], f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                mods = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found.setdefault(name, set()).update(
+                mod for mod in mods if mod.split(".")[0] == "scipy")
+    assert {name: mods for name, mods in found.items() if mods} == {
+        "solver": {"scipy.sparse"}}
+
+
+def test_a_solve_loads_no_scipy_linalg(tmp_path):
+    # the imports a module makes indirectly too: a fresh interpreter that
+    # runs a solve has not loaded scipy.linalg
+    code = ("import sys\n"
+            "from pxdg.cli import main\n"
+            "rc = main(['solve', '--b', '0.5', '--nx', '6', '--alg', '1',\n"
+            f"           '--out', {str(tmp_path / 'u.csv')!r}])\n"
+            "print(rc, 'scipy.linalg' in sys.modules)\n")
+    path = [str(Path(pxdg.__path__[0]).parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 # the module globals perfbench/worker.py wraps to time setup_s (problem and

@@ -50,6 +50,18 @@ def test_eval_F_constant_unit_flux():
     assert eval_F(q, make_data(one, b=0.5)) == pytest.approx(want, rel=1e-13)
 
 
+def test_eval_F_takes_hypot_where_the_square_leaves_the_normal_range():
+    # |q|^2 overflows at |q| ~ 1e200 and is subnormal at ~1e-200: there F
+    # reads np.hypot's |q|, and gives the finite sum computed with it
+    mesh = build_uniform_mesh(SQUARE, 2, 1)
+    data = ProblemData(mesh=mesh, exponent=constant_exponent(1.5), xi=zero,
+                       u_D=zero)
+    q = DgVector(mesh, [[1e200, 1e200], [1e-200, 2e-200]])
+    mag = np.hypot(q.values[:, 0], q.values[:, 1])
+    assert eval_F(q, data) == float(
+        (mesh.dx * mesh.dy * (mag ** 1.5 / 1.5)).sum())
+
+
 def test_grad_F_identity_at_p_two():
     mesh = build_uniform_mesh(SQUARE, 3, 3)
     data = make_data(mesh, b=0.0)

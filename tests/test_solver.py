@@ -277,7 +277,7 @@ def _sparse_axis_operator(n, h, area, r, jump, mass=0.0):
     kd = min(2, n - 1)
     diags = {d: k.diagonal(d) for d in range(-kd, kd + 1)}
     band = [np.pad(diags[d], (d, 0)) for d in range(kd, -1, -1)]
-    return (diags, *sla.eig_banded(band))
+    return (diags, sla.eig_banded(band, eigvals_only=True), k.toarray())
 
 
 def _same_bits(got, want):
@@ -290,23 +290,29 @@ def test_axis_operator_matches_sparse_product_bit_for_bit(n, h):
     # every entry of D^T D sums at most two products +-x * x, so the closed
     # form rounds as the sparse product does; zeros keep their sign too.
     # r = 0.37 makes (mass + 2 x^2) + 2 jump round apart from
-    # mass + (2 x^2 + 2 jump), so the order of additions is pinned
+    # mass + (2 x^2 + 2 jump), so the order of additions is pinned. The
+    # eigenpairs decompose the sparse product's K, and its eigenvalues are
+    # the banded eigensolver's to roundoff of max|K|
     for r, mass, jump in itertools.product((0.0, 0.37, 1.0, 1e4),
                                            (0.0, h * h), (1.0, 0.731)):
         args = (n, h, h * h, r, jump, mass)
-        want = _sparse_axis_operator(*args)
-        got = pxdg.solver._axis_operator(*args)
-        assert sorted(got[0]) == sorted(want[0]) == list(
+        want, want_lam, k = _sparse_axis_operator(*args)
+        got, lam, q = pxdg.solver._axis_operator(*args)
+        assert sorted(got) == sorted(want) == list(
             range(-min(2, n - 1), min(2, n - 1) + 1))
-        for d in want[0]:
-            assert np.array_equal(got[0][d], want[0][d]), (args, d)
-            assert _same_bits(got[0][d], want[0][d]), (args, d)
-        assert _same_bits(got[1], want[1]) and _same_bits(got[2], want[2])
+        for d in want:
+            assert np.array_equal(got[d], want[d]), (args, d)
+            assert _same_bits(got[d], want[d]), (args, d)
+        size = np.abs(k).max()
+        assert lam.shape == (n,) and q.shape == (n, n)
+        assert np.abs(k @ q - q * lam).max() <= 1e-13 * size, args
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13, args
+        assert np.abs(lam - want_lam).max() <= 1e-13 * size, args
 
 
 @pytest.mark.parametrize("nx, ny", [(5, 3), (1, 1), (2, 1), (1, 4)])
 def test_assembly_builds_only_the_dia_matrix(nx, ny, monkeypatch):
-    # per-run setup is numpy and one banded eigensolve per axis: with
+    # per-run setup is numpy and one dense eigensolve per axis: with
     # scipy.sparse cut down to dia_matrix, in which A is stored, it runs
     # and gives the same system
     domain = Domain(0.5, 2.0, -1.0, 0.2)
@@ -406,12 +412,13 @@ def test_solve_linear_is_exact_at_p2(r, iterations, monkeypatch):
     assert np.abs(sm.matrix @ u - rhs).max() <= pxdg.solver.LINEAR_TOL * scale
 
 
-# at b = 0.5, nx = 54 the run needs 44 iterations over its 16 u-solves,
-# which stop early while ||Bu - eta|| is large and start from u extrapolated
-# along its last increment. Unrelaxed it needed 43 over 27 (63 from the bare
-# previous u, 157 if each went to LINEAR_TOL). At b = 2, nx = 31 it needs 75
-# over 39 (unrelaxed 142 over 57, and 237 from the bare u). At b = 0 the
-# preconditioner is the inverse: one iteration per u-solve
+# at b = 0.5, nx = 54 the run needs 37 iterations over its 16 u-solves,
+# which stop early while ||Bu - eta|| is large (the first at FIRST_TOL) and
+# start from u extrapolated along its last increment. With a tight first
+# solve it needed 44, and unrelaxed 43 over 27 (63 from the bare previous u,
+# 157 if each went to LINEAR_TOL). At b = 2, nx = 31 it needs 66 over 39
+# (75 with a tight first solve, unrelaxed 142 over 57, and 237 from the bare
+# u). At b = 0 the preconditioner is the inverse: one iteration per u-solve
 @pytest.mark.parametrize("b", [0.5, 0.0, 2.0])
 def test_run_conjugate_gradient_iterations(b, monkeypatch):
     nx, bound = {0.5: (54, 50), 0.0: (54, None), 2.0: (31, 170)}[b]
@@ -777,6 +784,24 @@ def test_eta_update_parallel_with_resolvent_magnitude():
             scalar_root(float(p_bar[k]), cfg.r, c), abs=1e-10 * max(1.0, c))
 
 
+def test_eta_update_takes_hypot_where_the_square_leaves_the_normal_range():
+    # |s|^2 overflows at |s| ~ 1e200 and is subnormal at ~1e-200, where
+    # sqrt(s . s) would be inf or inexact: those entries take np.hypot's |s|,
+    # and their flux is bit for bit the one computed with it
+    data = problem_data(2, b=0.5)
+    cfg = SolverConfig(r=1.0)
+    mesh = data.mesh
+    lam = DgVector(mesh, [[1e200, 1e200], [3e200, -4e200], [3.0, 4.0],
+                          [1e-200, 2e-200]])
+    eta = eta_update(DgVector(mesh, np.zeros((4, 2))), lam, data, cfg).values
+    c = np.hypot(lam.values[:, 0], lam.values[:, 1])
+    want = lam.values * (
+        pxdg.solver._root_many(data.p_bar, cfg.r, c) / c)[:, None]
+    assert np.isfinite(eta).all()
+    assert _same_bits(eta[[0, 1, 3]], want[[0, 1, 3]])
+    assert np.allclose(eta[2], want[2], rtol=1e-15, atol=0)
+
+
 def test_eta_update_satisfies_flux_equation():
     # |eta|^{p-2} eta + r (eta - Bu) = lam, elementwise, including r != 1
     data = problem_data(5, b=0.5)
@@ -893,6 +918,30 @@ def test_run_stops_at_non_finite_flux_or_energy(name, algorithm, monkeypatch):
         state = run(data, SolverConfig(algorithm=algorithm))
     assert state.iteration == 1 and state.converged is False
     assert np.isfinite(state.u.values).all() and np.any(state.u.values)
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_run_stops_at_non_finite_multiplier(algorithm, monkeypatch):
+    # an infinite multiplier with u and eta finite makes ||lam - lam_prev||
+    # inf: the run ends unconverged at that iteration, before the next
+    # u-solve reads r eta - lam
+    step, calls = pxdg.solver.lambda_update, []
+
+    def inf_at_third(lam, gap, cfg):
+        calls.append(1)
+        out = step(lam, gap, cfg)
+        return out if len(calls) < 3 else replace(
+            out, values=np.full_like(out.values, np.inf))
+    monkeypatch.setattr(pxdg.solver, "lambda_update", inf_at_third)
+    _, data = manufactured_data(0.5, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = run(data, SolverConfig(algorithm=algorithm))
+    assert state.iteration == 3 and state.converged is False
+    assert state.residual_lambda == np.inf
+    assert np.isfinite(state.residual_u) and np.isfinite(state.energy)
+    assert np.isfinite(state.u.values).all()
+    assert np.isfinite(state.eta.values).all()
 
 
 @pytest.mark.parametrize("p, point", [
@@ -1071,7 +1120,7 @@ def test_run_dispatches_on_algorithm(monkeypatch):
 # the paper's steps: RELAX = 1.0 makes the uncoupled algorithm at rho = r
 # the unrelaxed iteration, so these pins predate the relaxed step
 @pytest.mark.parametrize("b, nx, algorithm, iterations, l2, jh", [
-    (0.5, 10, Algorithm.UNCOUPLED, 22, 1.0028175693171943, 50.19428811669475),
+    (0.5, 10, Algorithm.UNCOUPLED, 22, 1.0028175693037031, 50.19428811669475),
     (0.25, 8, Algorithm.COUPLED, 20, 0.9506124493466878, 32.98384732928439),
     (0.0, 6, Algorithm.UNCOUPLED, 2, 0.9241147661433949, 20.983263168451302),
 ])
@@ -1089,8 +1138,8 @@ def test_run_pinned_outputs(b, nx, algorithm, iterations, l2, jh, monkeypatch):
 # ~5 keeps only the ~1e-13 absolute accuracy of u-solves at LINEAR_TOL, so
 # their pins hold them to ~5e-13 absolute rather than 1e-12 relative
 @pytest.mark.parametrize("b, nx, algorithm, residual, rel", [
-    (0.5, 10, Algorithm.UNCOUPLED, 7.442949134135385e-08, 6e-6),
-    (0.25, 8, Algorithm.COUPLED, 1.284748742958793e-07, 3e-6),
+    (0.5, 10, Algorithm.UNCOUPLED, 7.446461202241775e-08, 6e-6),
+    (0.25, 8, Algorithm.COUPLED, 1.2847988978913485e-07, 3e-6),
     (0.0, 6, Algorithm.UNCOUPLED, 0.8926130402601007, 1e-12),
 ])
 def test_run_pinned_residuals(b, nx, algorithm, residual, rel, monkeypatch):
@@ -1111,8 +1160,8 @@ def test_run_pinned_residuals(b, nx, algorithm, residual, rel, monkeypatch):
 # held to ~5e-13 absolute, as above
 @pytest.mark.parametrize(
     "b, nx, iterations, l2, jh, constraint, rel_c, lam, rel_l", [
-        (0.5, 10, 13, 1.0028175642521713, 50.19428811669475,
-         2.733377260050199e-09, 2e-4, 1.3579248582454578e-08, 4e-5),
+        (0.5, 10, 13, 1.0028175642460724, 50.19428811669475,
+         2.7369532929481244e-09, 2e-4, 1.3623397852103101e-08, 4e-5),
         (0.0, 6, 2, 0.9241147661433953, 20.98326316845131,
          0.22315326006502512, 1e-12, 0.6694597801950755, 1e-12),
     ])
