@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dg import DgScalar, DgVector, lifting
+from .dg import DgScalar, DgVector, _magnitude, lifting
 from .exponent import ExponentField
 from .mesh import Mesh, edge_weights
 from .quadrature import GAUSS_RULE, gauss_points
@@ -111,21 +111,6 @@ class ProblemData:
         load[0] += cy[0] * uy[0]
         load[-1] += cy[-1] * uy[1]
         return load.ravel()
-
-
-_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
-
-
-def _magnitude(v: np.ndarray) -> np.ndarray:
-    """|v_k| for every row of an (m, 2) array: sqrt(v_k . v_k), and
-    np.hypot's value where v_k . v_k overflows, falls below the normal
-    range or is NaN, as it does for |v_k| above ~1e154 or below ~1e-154."""
-    mag = np.einsum("ij,ij->i", v, v)
-    np.sqrt(mag, out=mag)
-    redo = ~((mag >= _SQRT_TINY) & (mag < np.inf))
-    if redo.any():
-        mag[redo] = np.hypot(v[redo, 0], v[redo, 1])
-    return mag
 
 
 def eval_F(q: DgVector, data: ProblemData) -> float:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dg import _magnitude
 from .quadrature import gauss_points
 
 __all__ = [
@@ -54,7 +55,7 @@ def manufactured_exponent(b: float) -> ExponentField:
 def _field_magnitude(field) -> np.ndarray:
     vals = np.asarray(getattr(field, "values", field), float)
     if vals.ndim == 2:
-        return np.hypot(vals[:, 0], vals[:, 1])
+        return _magnitude(vals)
     return np.abs(vals)
 
 

@@ -35,8 +35,9 @@ from enum import IntEnum
 import numpy as np
 import scipy.sparse as sp
 
-from .dg import DgScalar, DgVector, l2_norm, lifting, lifting_adjoint
-from .energy import ProblemData, _magnitude, eval_Jh
+from .dg import (DgScalar, DgVector, _magnitude, l2_norm, lifting,
+                 lifting_adjoint)
+from .energy import ProblemData, eval_Jh
 
 __all__ = [
     "Algorithm",
@@ -57,6 +58,7 @@ __all__ = [
 GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
 LINEAR_TOL = 1e-12  # solve_linear stops at max|res| <= this * max(1, max|rhs|)
 MAX_LINEAR = 1000  # solve_linear: conjugate-gradient iterations per solve
+STALL = 50  # ... and iterations without a new minimum of max|res|
 TOL_INNER = 1e-10  # coupled algorithm: eta increment ending the inner sweeps
 INNER_RATIO = 1e-2  # ... or this share of the previous outer ||Bu - eta||
 LINEAR_RATIO = 1e-3  # u-solves in run: this share of ||Bu - eta|| / ||eta||
@@ -294,8 +296,11 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
     overflow their inner products. At p = 2 the preconditioner is the
     inverse and one iteration solves. A RuntimeWarning reports a miss, which
     is never tight: an inner product r.z or d.Ad not positive and finite,
-    which returns NaN, or MAX_LINEAR iterations without meeting the test,
-    which return the last iterate.
+    which returns NaN, or, returning the last iterate, MAX_LINEAR
+    iterations without meeting the test or STALL iterations in which
+    max|res| sets no new minimum. A stall is what a test below the
+    attainable accuracy looks like: at r |k| / h^2 ~ 1e12 the recursive
+    residual falls to roundoff while the true one stays ~1e-6.
     """
     a = matrix.matrix
     scale = float(np.abs(rhs).max(initial=0.0))
@@ -305,12 +310,21 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
     tol = rtol * max(1.0, scale) / scale
     res = (rhs - a @ x) / scale
     rz_old, direction = 1.0, np.zeros_like(x)
+    best, best_n = np.inf, 0
     for n in range(MAX_LINEAR):
-        if np.abs(res).max() <= tol:
+        err = np.abs(res).max()
+        if err <= tol:
             res = (rhs - a @ x) / scale  # accept only on the true residual
             err = np.abs(res).max()
             if err <= tol:
                 return x, bool(err <= LINEAR_TOL * max(1.0, scale) / scale), n
+        if err < best:
+            best, best_n = err, n
+        elif n - best_n == STALL:
+            warnings.warn(f"solve_linear: scaled residual {best:.3g} above "
+                          f"{tol:.3g}, no new minimum in {STALL} iterations",
+                          RuntimeWarning, stacklevel=2)
+            return x, False, n
         z = _precondition(matrix, res)
         rz = float(res @ z)
         if 0.0 < rz < np.inf:
@@ -331,11 +345,10 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
     return x, False, MAX_LINEAR
 
 
-def _cold_start(e: np.ndarray, r: float, c: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+def _cold_start(e: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
     """A point at or left of the root of x^e + r x = c, e = p_bar - 1 (see
     _root_many), not normal where every lower bound tried underflows."""
-    x = np.divide(c, 1.0 + r, out=out)
+    x = c / (1.0 + r)
     with np.errstate(under="ignore", over="ignore"):
         np.power(x, 1.0 / e, out=x, where=x < 1.0)
         low = x < np.finfo(float).tiny
@@ -347,26 +360,19 @@ def _cold_start(e: np.ndarray, r: float, c: np.ndarray,
 
 
 def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray,
-               x0: np.ndarray | None = None,
                state: SolverState | None = None) -> np.ndarray:
     """Vector solve of x^{p_bar - 1} + r x = c, x >= 0, by monotone Newton.
 
     f(x) = x^{p_bar - 1} + r x - c is increasing and concave for
     1 < p_bar <= 2, so Newton climbs from any x with f(x) <= 0 to the root
-    without overshooting. The cold start is the left point t if t >= 1,
-    else t^{1/(p_bar - 1)}, with t = c / (1 + r). Where it falls below the
+    without overshooting. The start is the left point t if t >= 1, else
+    t^{1/(p_bar - 1)}, with t = c / (1 + r). Where it falls below the
     smallest normal double, the larger of two other lower bounds of the
     root x* replaces it: x* <= c^{1/(p_bar - 1)} gives x*^{p_bar - 1} =
     c - r x* >= c - r c^{1/(p_bar - 1)}, and x* <= c / r gives r x* >=
     c - (c / r)^{p_bar - 1}. Where that start is not normal either, the
-    root returned is 0.
-
-    A warm start x0, such as the previous root, saves passes: the tangent
-    of the concave f lies above it, so one Newton step from right of the
-    root lands at or left of it, and Newton climbs from there. Entries
-    where x0 is not a positive normal number, or where a step leaves one
-    (x0 far right of a root near 0, where the step cancels), take the cold
-    start instead. A RuntimeWarning counts misses of
+    root returned is 0. Every later iterate lies at or right of its start,
+    so it stays normal. A RuntimeWarning counts misses of
     |f| <= 1e-12 max(1, c). With state, the Newton passes, one per
     evaluation of f, are added to state.flux_passes.
     """
@@ -378,30 +384,23 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray,
     p_m2 = p_m1 - 1.0
     tol = np.maximum(1.0, c)
     tol *= 1e-12
-    tiny = np.finfo(float).tiny
+    x = _cold_start(p_m1, r, c)
+    # below the smallest normal, x^{p_bar - 2} can overflow to inf: where
+    # the start is not normal, x = 1 and c = 1 + r, whose residual is
+    # exactly 0, and the root returned is 0
+    zero = ~(x >= np.finfo(float).tiny)
+    missed = 0
+    if zero.any():
+        missed = np.count_nonzero(zero & (c > tol))
+        x[zero] = 1.0
+        c = np.where(zero, 1.0 + r, c)
     xp, f = np.empty_like(c), np.empty_like(c)
     done = np.zeros(c.shape, bool)
-    zero = np.zeros(c.shape, bool)  # roots returned as 0
-    missed = 0
-
-    def restart(x, cold):
-        # the cold start where cold is set. Below the smallest normal,
-        # x^{p_bar - 2} can overflow to inf: where that start is not normal
-        # either, x = 1 and c = 1 + r, whose residual is exactly 0
-        nonlocal c, missed
-        if cold.all():
-            _cold_start(p_m1, r, c, out=x)
-        else:
-            x[cold] = _cold_start(p_m1[cold], r, c[cold])
-        park = cold & ~(x >= tiny)
-        if park.any():
-            missed += np.count_nonzero(park & (c > tol))
-            x[park] = 1.0
-            c = np.where(park, 1.0 + r, c)
-            zero[park] = True
-        done[cold] = False
-
-    def newton_pass(x):
+    passes = 0
+    while not done.all():
+        if passes == MAX_NEWTON:
+            missed += np.count_nonzero(~done)
+            break
         # x -= f(x) / f'(x) in place, and done = |f(x)| <= tol
         np.power(x, p_m2, out=xp)
         np.multiply(x, np.add(xp, r, out=f), out=f)
@@ -409,20 +408,7 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray,
         np.add(np.multiply(p_m1, xp, out=xp), r, out=xp)
         np.subtract(x, np.divide(f, xp, out=xp), out=x)
         np.less_equal(np.abs(f, out=f), tol, out=done)
-
-    # no start at all is a NaN start: every entry starts cold
-    x = np.full(c.shape, np.nan if x0 is None else x0, float)
-    restart(x, ~((x >= tiny) & (x < np.inf)))
-    passes = 0
-    while not done.all():
-        if passes == MAX_NEWTON:
-            missed += np.count_nonzero(~done)
-            break
-        newton_pass(x)
         passes += 1
-        out = ~(x >= tiny)
-        if out.any():
-            restart(x, out)
     if state is not None:
         state.flux_passes += passes
     if missed:
@@ -439,19 +425,11 @@ def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
     Solves |eta|^{p_bar - 2} eta + r (eta - bu) = lam elementwise: the
     solution is parallel to s = lam + r bu, its magnitude x solves
     x^{p_bar - 1} + r x = |s|, and eta = s / (x^{p_bar - 2} + r) = s x / |s|.
-    With state, the root starts from |state.eta|, the previous root, and
-    counts its Newton passes in state.flux_passes.
+    With state, the root's Newton passes are counted in state.flux_passes.
     """
     s = lam + r * bu
     c = _magnitude(s)
-    x0 = None
-    if state is not None:
-        # a start need not be exact: where |eta|^2 overflows or underflows,
-        # the start is inf or 0 and the root starts cold
-        eta = state.eta.values
-        x0 = np.einsum("ij,ij->i", eta, eta)
-        np.sqrt(x0, out=x0)
-    x = _root_many(p_bar, r, c, x0, state)
+    x = _root_many(p_bar, r, c, state)
     np.divide(x, c, out=x, where=c > 0.0)  # s = 0 where c = 0
     s *= x[:, None]
     return s
@@ -459,8 +437,8 @@ def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
 
 def eta_update(bu: DgVector, lam: DgVector, data: ProblemData,
                cfg: SolverConfig, state: SolverState | None = None) -> DgVector:
-    """Flux recovery step for the lifted field bu = Bu and the multiplier,
-    warm-started from state's flux if given (see _eta_from)."""
+    """Flux recovery step for the lifted field bu = Bu and the multiplier;
+    with state, it counts its Newton passes (see _eta_from)."""
     return DgVector(data.mesh, _eta_from(bu.values, lam.values, data.p_bar,
                                          cfg.r, state))
 
@@ -522,12 +500,12 @@ def run(data: ProblemData, cfg: SolverConfig,
     from u extrapolated along its last increment, u + theta (u - u_prev),
     with theta the ratio of the last two u-increments capped at 0.9 and 0
     for the first two iterations (see _extrapolated_start); later sweeps
-    start from the current u. Each flux root starts from the previous one,
-    and the energy reuses the flux step's lifting of u. The u-solves stop at
-    the relative residual max(LINEAR_TOL, LINEAR_RATIO ||Bu - eta|| /
-    max(1, ||eta||)) with the same residual. While it is inf, in the first
-    outer iteration, they stop at max(LINEAR_TOL, min(LINEAR_RATIO,
-    FIRST_TOL)), so that LINEAR_RATIO = 0 still makes every solve tight.
+    start from the current u. The energy reuses the flux step's lifting of
+    u. The u-solves stop at the relative residual max(LINEAR_TOL,
+    LINEAR_RATIO ||Bu - eta|| / max(1, ||eta||)) with the same residual.
+    While it is inf, in the first outer iteration, they stop at
+    max(LINEAR_TOL, min(LINEAR_RATIO, FIRST_TOL)), so that LINEAR_RATIO = 0
+    still makes every solve tight.
     Inexact minimizations keep the augmented-Lagrangian iteration
     convergent when their errors are summable (Eckstein and Bertsekas
     1992), as they are while the constraint residual decays geometrically.

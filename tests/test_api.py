@@ -126,6 +126,22 @@ def test_a_solve_loads_no_scipy_linalg(tmp_path):
     assert out.splitlines()[-1] == "0 False"
 
 
+def test_readme_library_example_runs():
+    # README's python block, run as written in a fresh interpreter with
+    # every warning an error, so the documented entry points cannot rot
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("```")[0]
+    path = [str(Path(pxdg.__path__[0]).parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    iterations, error = out.split()
+    assert int(iterations) > 0 and 0.0 < float(error) < 1.0
+
+
 # the module globals perfbench/worker.py wraps to time setup_s (problem and
 # mesh) and solve_s (run), and to read each solve's L2 error
 BENCHMARK_HOOKS = {

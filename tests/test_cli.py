@@ -266,6 +266,18 @@ def test_cg_breakdown_exits_two(tmp_path):
     assert any("non-positive inner product" in str(w.message) for w in record)
 
 
+def test_cg_stall_exits_two(tmp_path, capsys):
+    # at r = 1e12 no u-solve can meet its test (see solve_linear): each one
+    # stalls and ends as a miss after a few dozen iterations, so the run
+    # exits unconverged after far fewer than 500 x MAX_LINEAR of them
+    out = str(tmp_path / "x.csv")
+    with pytest.warns(RuntimeWarning, match="no new minimum"):
+        assert main(["solve", "--b", "0.5", "--nx", "3", "--r", "1e12",
+                     "--out", out]) == 2
+    fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+    assert int(fields["cg_iterations"]) < 60_000
+
+
 def test_overflowing_b_exits_one(tmp_path, capsys):
     # the exact solution at b = 300 reaches ~5e258, so its square overflows:
     # a bad input, not a solver failure
