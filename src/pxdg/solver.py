@@ -35,7 +35,7 @@ from enum import IntEnum
 import numpy as np
 import scipy.sparse as sp
 
-from .dg import (DgScalar, DgVector, _magnitude, l2_norm, lifting,
+from .dg import (DgScalar, DgVector, _magnitude, _stencil, l2_norm, lifting,
                  lifting_adjoint)
 from .energy import ProblemData, eval_Jh
 
@@ -62,7 +62,6 @@ STALL = 50  # ... and iterations without a new minimum of max|res|
 TOL_INNER = 1e-10  # coupled algorithm: eta increment ending the inner sweeps
 INNER_RATIO = 1e-2  # ... or this share of the previous outer ||Bu - eta||
 LINEAR_RATIO = 1e-3  # u-solves in run: this share of ||Bu - eta|| / ||eta||
-FIRST_TOL = 1e-3  # run's first u-solve: at most this relative residual
 RELAX = 1.5  # uncoupled algorithm at rho = r: over-relaxation of Bu (see run)
 MAX_INNER = 200  # coupled algorithm: inner sweeps per multiplier step
 MAX_NEWTON = 200  # flux root: Newton passes per call
@@ -185,40 +184,35 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
 
     D is the 1-D lifting of dg._stencil. T = tridiag(-1, 2, -1) is the jump
     Laplacian, whose end rows carry one interior and one boundary edge, and
-    jump prices every edge (weight times length). The eigenpairs come from
-    numpy's dense symmetric eigensolver (LAPACK syevd) on K written out
-    n x n, so that all of a run's BLAS and LAPACK calls share numpy's one
-    OpenBLAS. scipy's banded eigensolver costs about as much per call, but
-    it loads scipy's own OpenBLAS, whose thread pool stalled the numpy
-    products that followed it: at nx = 128 the first preconditioner applies
-    of a run took 28-93 ms each in place of 0.3 ms.
-
-    The bands are written in closed form. With x = sqrt(r |k|) / (2h) every
-    nonzero of sqrt(r |k|) D is +-x, and D vanishes at n = 1. So the main
-    diagonal is (mass + 2 x^2) + 2 jump, offsets +-1 are -jump, less x^2 in
-    their end entries (2 x^2 at n = 2, where both are one entry), and
-    offsets +-2 are -x^2. Each entry of D^T D sums at most two products
-    +-x * x, which rounds to +-2 x^2 or +-x^2 exactly, so these are the
-    bits that the sparse product mass I + (sqrt(r |k|) D)^T (sqrt(r |k|) D)
-    + jump T gives, entry for entry and in the same order of additions.
+    jump prices every edge (weight times length). K is built n x n by the
+    stencil itself: applied to x I, x = sqrt(r |k|) / (2h), it gives
+    sqrt(r |k|) D, and its adjoint applied to x times that gives
+    r |k| D^T D. Each entry sums at most two products +-x * x, so these are
+    the bits of the sparse product, to which mass and jump T are added in
+    its order. The eigenpairs come from numpy's dense symmetric eigensolver
+    (LAPACK syevd), so that all of a run's BLAS and LAPACK calls share
+    numpy's one OpenBLAS. scipy's banded eigensolver costs about as much per
+    call, but it loads scipy's own OpenBLAS, whose thread pool stalled the
+    numpy products that followed it: at nx = 128 the first preconditioner
+    applies of a run took 28-93 ms each in place of 0.3 ms.
     """
     # scaling D, not D^T D: on a tiny domain (1/2h)^2 overflows while
     # r |k| / (2h)^2 stays O(1)
     x = np.sqrt(r * area) * (1.0 / (2.0 * h))
-    xx = x * x if n > 1 else 0.0
-    diags = {0: np.full(n, (mass + 2.0 * xx) + 2.0 * jump)}
-    if n > 1:
-        near = np.full(n - 1, -jump)
-        near[0] = near[-1] = -(xx if n > 2 else 2.0 * xx) - jump
-        diags[1] = diags[-1] = near
-    if n > 2:
-        # 0.0 - xx, not -xx: +0.0 where x^2 underflows, as in the sparse
-        # product, which stores no zero
-        diags[2] = diags[-2] = np.full(n - 2, 0.0 - xx)
-    k = np.zeros((n, n))
-    for d, diag in diags.items():
-        np.fill_diagonal(k[max(-d, 0):, max(d, 0):], diag)
-    return (diags, *np.linalg.eigh(k))
+    k = np.eye(n) * x
+    lift = np.empty((n, n))
+    _stencil(k, lift, adjoint=False)
+    lift *= x
+    _stencil(lift, k, adjoint=True)
+    del lift  # one n x n array during eigh
+    k += 0.0  # +0.0 for -0.0, as in the sparse product, which stores no zero
+    i = np.arange(n)
+    k[i, i] = k[i, i] + mass + 2.0 * jump
+    k[i[1:], i[:-1]] -= jump
+    k[i[:-1], i[1:]] -= jump
+    kd = min(2, n - 1)
+    return ({d: np.diagonal(k, d) for d in range(-kd, kd + 1)},
+            *np.linalg.eigh(k))
 
 
 def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
@@ -298,9 +292,11 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
     is never tight: an inner product r.z or d.Ad not positive and finite,
     which returns NaN, or, returning the last iterate, MAX_LINEAR
     iterations without meeting the test or STALL iterations in which
-    max|res| sets no new minimum. A stall is what a test below the
-    attainable accuracy looks like: at r |k| / h^2 ~ 1e12 the recursive
-    residual falls to roundoff while the true one stays ~1e-6.
+    max|res| sets no new minimum. Its message carries no per-solve number,
+    so the default warning filter shows a run's repeated misses once. A
+    stall is what a test below the attainable accuracy looks like: at
+    r |k| / h^2 ~ 1e12 the recursive residual falls to roundoff while the
+    true one stays ~1e-6.
     """
     a = matrix.matrix
     scale = float(np.abs(rhs).max(initial=0.0))
@@ -321,9 +317,9 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
         if err < best:
             best, best_n = err, n
         elif n - best_n == STALL:
-            warnings.warn(f"solve_linear: scaled residual {best:.3g} above "
-                          f"{tol:.3g}, no new minimum in {STALL} iterations",
-                          RuntimeWarning, stacklevel=2)
+            warnings.warn("solve_linear: residual test missed, no new "
+                          f"minimum in {STALL} iterations", RuntimeWarning,
+                          stacklevel=2)
             return x, False, n
         z = _precondition(matrix, res)
         rz = float(res @ z)
@@ -339,9 +335,8 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
         x += (scale * step) * direction
         res -= step * a_dir
         rz_old = rz
-    warnings.warn(f"solve_linear: scaled residual {np.abs(res).max():.3g} "
-                  f"above {tol:.3g} after {MAX_LINEAR} iterations",
-                  RuntimeWarning, stacklevel=2)
+    warnings.warn("solve_linear: residual test missed after "
+                  f"{MAX_LINEAR} iterations", RuntimeWarning, stacklevel=2)
     return x, False, MAX_LINEAR
 
 
@@ -487,7 +482,8 @@ def _extrapolated_start(u: DgScalar, u_older: DgScalar | None,
 
 def run(data: ProblemData, cfg: SolverConfig,
         init: SolverState | None = None) -> SolverState:
-    """Iterate cfg.algorithm from init (default zero) to a saddle point.
+    """Iterate cfg.algorithm from init (default zero), whose fields must
+    live on data.mesh, to a saddle point.
 
     An outer iteration sweeps a u-solve and a flux recovery, then updates
     the multiplier. The uncoupled algorithm makes one sweep. The coupled one
@@ -504,8 +500,8 @@ def run(data: ProblemData, cfg: SolverConfig,
     u. The u-solves stop at the relative residual max(LINEAR_TOL,
     LINEAR_RATIO ||Bu - eta|| / max(1, ||eta||)) with the same residual.
     While it is inf, in the first outer iteration, they stop at
-    max(LINEAR_TOL, min(LINEAR_RATIO, FIRST_TOL)), so that LINEAR_RATIO = 0
-    still makes every solve tight.
+    max(LINEAR_TOL, LINEAR_RATIO), so that LINEAR_RATIO = 0 still makes
+    every solve tight.
     Inexact minimizations keep the augmented-Lagrangian iteration
     convergent when their errors are summable (Eckstein and Bertsekas
     1992), as they are while the constraint residual decays geometrically.
@@ -532,13 +528,16 @@ def run(data: ProblemData, cfg: SolverConfig,
         raise ValueError("iteration requires r > 0")
     _check_step_size(cfg)
     mesh = data.mesh
+    start = init if init is not None else _zero_state(mesh)
+    for f in (start.u, start.eta, start.lam):
+        if f.mesh != mesh:
+            raise ValueError(f"init lives on {f.mesh}, the problem on {mesh}")
     matrix = assemble_matrix(data, cfg)
     sweeps = MAX_INNER if cfg.algorithm == Algorithm.COUPLED else 1
     relax = (RELAX if cfg.algorithm == Algorithm.UNCOUPLED
              and cfg.effective_rho == cfg.r else 1.0)
-    start = init if init is not None else _zero_state(mesh)
     state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
-    rtol = max(LINEAR_TOL, min(LINEAR_RATIO, FIRST_TOL))
+    rtol = max(LINEAR_TOL, LINEAR_RATIO)
     u_prev = None
     for n in range(1, cfg.max_outer + 1):
         u_older, u_prev, lam_prev = u_prev, state.u, state.lam

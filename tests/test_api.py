@@ -75,6 +75,32 @@ def test_no_module_imports_a_name_it_never_uses(name):
     assert not unused, f"pxdg.{name} never uses {sorted(unused)}"
 
 
+def test_every_private_name_and_constant_is_read():
+    # a module-level function or class named _x, or constant named X_Y or
+    # _x, that no module of the package reads is dead code a refactor left
+    # behind; dunder names are exempt
+    trees = [ast.parse(Path(pxdg.__path__[0], f"{name}.py").read_text())
+             for name in ["__init__", *SUBMODULES]]
+    read = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    defined = []
+    for node in (n for tree in trees for n in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined += [node.name] if node.name.startswith("_") else []
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            defined += [t.id for t in targets if isinstance(t, ast.Name)
+                        and (t.id.isupper() or t.id.startswith("_"))]
+    dead = {name for name in defined
+            if not name.startswith("__") and name not in read}
+    assert not dead, f"pxdg never reads {sorted(dead)}"
+
+
 def test_dg_imports_only_numpy():
     # B and B^T are stencils on numpy arrays: no sparse matrix, and no
     # cache of one, comes back into dg. Beyond numpy it needs only the

@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +280,22 @@ def test_cg_stall_exits_two(tmp_path, capsys):
                      "--out", out]) == 2
     fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
     assert int(fields["cg_iterations"]) < 60_000
+
+
+def test_cg_misses_warn_once_per_run(tmp_path):
+    # every u-solve of the run above is a miss; its warning carries no
+    # per-solve number, so under the default filter a fresh interpreter
+    # writes it once, not once per solve (840 lines of stderr)
+    path = [str(Path(pxdg.cli.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "pxdg.cli", "solve", "--b",
+         "0.5", "--nx", "3", "--r", "1e12", "--out", str(tmp_path / "x.csv")],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 2 and "converged=False" in out.stdout
+    assert "no new minimum" in out.stderr
+    assert len(out.stderr.splitlines()) <= 4
 
 
 def test_overflowing_b_exits_one(tmp_path, capsys):

@@ -413,8 +413,8 @@ def test_solve_linear_is_exact_at_p2(r, iterations, monkeypatch):
 
 
 # at b = 0.5, nx = 54 the run needs 37 iterations over its 16 u-solves,
-# which stop early while ||Bu - eta|| is large (the first at FIRST_TOL) and
-# start from u extrapolated along its last increment. With a tight first
+# which stop early while ||Bu - eta|| is large (the first at LINEAR_RATIO)
+# and start from u extrapolated along its last increment. With a tight first
 # solve it needed 44, and unrelaxed 43 over 27 (63 from the bare previous u,
 # 157 if each went to LINEAR_TOL). At b = 2, nx = 31 it needs 66 over 39
 # (75 with a tight first solve, unrelaxed 142 over 57, and 237 from the bare
@@ -523,9 +523,10 @@ def test_solve_linear_loose_tolerance(rtol):
 
 
 def test_run_stops_only_after_a_tight_solve(monkeypatch):
-    # at LINEAR_RATIO = 0.2 the warm start meets the loose tolerance, and a
-    # u-solve returns it unchanged: the u-increment is 0 and the stopping
-    # test passes at iteration 2. The run must go on with a tight solve.
+    # at LINEAR_RATIO = 0.2 the warm start can meet the loose tolerance,
+    # and a u-solve returns it unchanged: the u-increment is 0 and the
+    # stopping test passes after a loose solve (at iteration 17). The run
+    # must go on with a tight solve.
     _, data = manufactured_data(0.5, 54)
     monkeypatch.setattr(pxdg.solver, "LINEAR_RATIO", 0.0)  # every solve tight
     exact = run(data, SolverConfig(tol_outer=1e-12))
@@ -546,7 +547,7 @@ def test_run_stops_only_after_a_tight_solve(monkeypatch):
     state = run(data, SolverConfig())
     assert state.converged and tight[-1]
     assert len(tight) == len(passed) == state.iteration
-    assert passed[1] and not tight[1]  # the trap at iteration 2
+    assert any(p and not t for p, t in zip(passed, tight))  # the trap
     # after every passed test on a loose solve, the next solve is tight
     for n in range(state.iteration - 1):
         if passed[n] and not tight[n]:
@@ -1325,6 +1326,19 @@ def test_warm_start_from_previous_state():
     assert warm.iteration <= cold.iteration
     diff = l2_norm(DgScalar(data.mesh, warm.u.values - cold.u.values))
     assert diff <= 1e-6
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 6), (5, 5)])
+def test_run_rejects_init_on_another_mesh(nx, ny):
+    # a 4 x 6 field has the 24 values of a 6 x 4 one and would be read as
+    # such, a 5 x 5 one fails in the loop: either is refused up front
+    data = manufactured_problem(0.5).discretize(6, 4)
+    other = zero_state(build_uniform_mesh(data.mesh.domain, nx, ny))
+    for name in ("u", "eta", "lam"):
+        init = replace(zero_state(data.mesh), **{name: getattr(other, name)})
+        with pytest.raises(ValueError, match=rf"nx={nx}, ny={ny}\).*"
+                                             r"nx=6, ny=4\)$"):
+            run(data, SolverConfig(), init)
 
 
 def test_write_trace_csv(tmp_path):
