@@ -23,7 +23,11 @@ preconditioned with M = S^-1 K S^-1, which fast diagonalization inverts
 exactly (Lynch, Rice and Thomas 1964; Concus and Golub 1973); the scaling
 S = sqrt(diag K / diag A) makes diag M = diag A. At p = 2, M = A. A is
 stored as its nine bands, written from the 1-D operators' diagonals, and
-no factor is formed, so memory stays O(m + nx^2 + ny^2).
+no factor is formed, so memory stays O(m + nx^2 + ny^2). Where the edges
+depart from gamma, M only approximates A, and the preconditioner applies
+its transforms in float32 (mixed-precision preconditioning, Higham and
+Mary 2022); where they do not, beyond float32's resolution, M = A and the
+transforms stay float64, so that one iteration still solves.
 """
 
 from __future__ import annotations
@@ -146,9 +150,13 @@ class SystemMatrix:
     DIA format (see assemble_matrix), with K = I_y (x) K_x + K_y (x) I_x
     the operator with every edge penalty at the mean gamma. The
     preconditioner is M = S^-1 K S^-1. The 1-D factors
-    K = Q diag(lam) Q^T are stored as qx (nx, nx), qy (ny, ny) and
-    eigsum[j, i] = lam_y[j] + lam_x[i]. scale is the m-vector
-    S = sqrt(diag K / diag A), so that diag M = diag A.
+    K = Q diag(lam) Q^T are stored in float64 as qx (nx, nx), qy (ny, ny)
+    and eigsum[j, i] = lam_y[j] + lam_x[i]; on a square grid qx is qy.
+    scale is the m-vector S = sqrt(diag K / diag A), so that
+    diag M = diag A. apply_qx, apply_qy and apply_eigsum are the
+    transforms _precondition applies: float32 copies where M != A, and
+    qx, qy and eigsum themselves where M = A, as at p = 2 (see
+    assemble_matrix).
     """
 
     matrix: sp.dia_matrix
@@ -156,6 +164,9 @@ class SystemMatrix:
     qy: np.ndarray
     eigsum: np.ndarray
     scale: np.ndarray
+    apply_qx: np.ndarray
+    apply_qy: np.ndarray
+    apply_eigsum: np.ndarray
 
 
 def _zero_state(mesh) -> SolverState:
@@ -177,10 +188,12 @@ def _check_step_size(cfg: SolverConfig) -> None:
 
 
 def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
-                   mass: float = 0.0) -> tuple:
+                   masses: tuple = (0.0,)) -> tuple:
     """K = mass I + r |k| D^T D + jump T along one axis of n cells of width
-    h: its diagonals and eigenpairs, (diags, lam, Q), with diags[d] the
-    diagonal of K at offset d for |d| <= min(2, n - 1).
+    h, at each mass of masses: ([diags at each mass], lam, Q), with
+    diags[d] the diagonal of K at offset d for |d| <= min(2, n - 1), and
+    (lam, Q) the eigenpairs of K at masses[0]. K at another mass has the
+    same Q and lam plus that mass's difference.
 
     D is the 1-D lifting of dg._stencil. T = tridiag(-1, 2, -1) is the jump
     Laplacian, whose end rows carry one interior and one boundary edge, and
@@ -207,12 +220,14 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
     del lift  # one n x n array during eigh
     k += 0.0  # +0.0 for -0.0, as in the sparse product, which stores no zero
     i = np.arange(n)
-    k[i, i] = k[i, i] + mass + 2.0 * jump
     k[i[1:], i[:-1]] -= jump
     k[i[:-1], i[1:]] -= jump
     kd = min(2, n - 1)
-    return ({d: np.diagonal(k, d) for d in range(-kd, kd + 1)},
-            *np.linalg.eigh(k))
+    off = {d: np.diagonal(k, d) for d in range(-kd, kd + 1) if d}
+    dtd = k[i, i]
+    bands = [{**off, 0: dtd + mass + 2.0 * jump} for mass in masses]
+    k[i, i] = bands[0][0]
+    return (bands, *np.linalg.eigh(k))
 
 
 def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
@@ -222,7 +237,20 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     all edges, the system is K = I_y (x) K_x + K_y (x) I_x, K_x = |k| I
     + r |k| D_x^T D_x + gamma T_x and K_y = r |k| D_y^T D_y + gamma T_y
     (see _axis_operator). A is K plus each edge's departure from gamma, all
-    0 at p = 2. solve_linear preconditions with K scaled to diag A.
+    0 at p = 2. solve_linear preconditions with K scaled to diag A. On a
+    square grid, (nx, dx) = (ny, dy), K_x = K_y + |k| I: the two axes share
+    their eigenvectors, and one eigensolve serves both.
+
+    Where some departure exceeds float32's resolution of gamma, M only
+    approximates A, and the transforms the preconditioner applies are
+    float32 copies of Q_x, Q_y and the eigenvalue sums: float64 rounding
+    buys nothing there, and an apply at nx = 400 takes 3.6 ms in place of
+    5.9 on a 2-vCPU VM. Elsewhere M = A to float64 roundoff, and they are
+    the float64 arrays themselves, so that one iteration still solves.
+    That holds at p = 2, where every w |e| is 1 to an ulp, and so is
+    gamma, their mean: at nx = 49 each w |e| rounds to 1 - 2^-53 and
+    gamma to 1 - 2^-52, and a test of exact zeros would apply float32
+    there and take b = 0 from 2 to 4 outer iterations.
 
     A has nine bands: K_x's offsets 0, +-1, +-2 within each grid row, and
     K_y's 0, +-nx, +-2nx across the rows. They are written into one
@@ -235,8 +263,14 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     cx, cy = data.penalty_weights
     gamma = float((cx.sum() + cy.sum()) / (cx.size + cy.size))
     cell = mesh.dx * mesh.dy
-    kx, lam_x, qx = _axis_operator(nx, mesh.dx, cell, cfg.r, gamma, mass=cell)
-    ky, lam_y, qy = _axis_operator(ny, mesh.dy, cell, cfg.r, gamma)
+    if (nx, mesh.dx) == (ny, mesh.dy):
+        (ky, kx), lam_y, qy = _axis_operator(ny, mesh.dy, cell, cfg.r, gamma,
+                                             (0.0, cell))
+        lam_x, qx = lam_y + cell, qy
+    else:
+        (kx,), lam_x, qx = _axis_operator(nx, mesh.dx, cell, cfg.r, gamma,
+                                          (cell,))
+        (ky,), lam_y, qy = _axis_operator(ny, mesh.dy, cell, cfg.r, gamma)
     offsets = sorted({*kx} | {d * nx for d in ky})
     bands = np.zeros((len(offsets), m))
     # band d as an (ny, nx) grid: grid[d][j, i] = A[c - d, c], c = j nx + i
@@ -256,9 +290,17 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
         grid[nx][1:] -= dev_y[1:-1]
         grid[-nx][:-1] -= dev_y[1:-1]
     scale = np.sqrt((ky[0][:, None] + kx[0]) / grid[0]).ravel()
+    eigsum = lam_y[:, None] + lam_x[None, :]
+    # the edges depart from gamma by more than float32 resolves: M != A
+    depart = max(np.abs(dev_x).max(), np.abs(dev_y).max())
+    dtype = (np.float32 if depart > np.finfo(np.float32).eps * gamma
+             else np.float64)
+    apply_qx = qx.astype(dtype, copy=False)
+    apply_qy = apply_qx if qy is qx else qy.astype(dtype, copy=False)
     return SystemMatrix(matrix=sp.dia_matrix((bands, offsets), shape=(m, m)),
-                        qx=qx, qy=qy, eigsum=lam_y[:, None] + lam_x[None, :],
-                        scale=scale)
+                        qx=qx, qy=qy, eigsum=eigsum, scale=scale,
+                        apply_qx=apply_qx, apply_qy=apply_qy,
+                        apply_eigsum=eigsum.astype(dtype, copy=False))
 
 
 def assemble_rhs(state: SolverState, data: ProblemData,
@@ -270,10 +312,14 @@ def assemble_rhs(state: SolverState, data: ProblemData,
 
 def _precondition(matrix: SystemMatrix, res: np.ndarray) -> np.ndarray:
     """M^-1 res = S Q_y ((Q_y^T R Q_x) / eigsum) Q_x^T, with R = S res as
-    an (ny, nx) array; at p = 2, S = 1 and this is the exact solve."""
-    qx, qy, scale = matrix.qx, matrix.qy, matrix.scale
-    coef = qy.T @ (scale * res).reshape(matrix.eigsum.shape) @ qx
-    coef /= matrix.eigsum
+    an (ny, nx) array; at p = 2, S = 1 and this is the exact solve. The
+    products and the division run in the applied transforms' precision
+    (see assemble_matrix), and the result is float64."""
+    qx, qy, eigsum = matrix.apply_qx, matrix.apply_qy, matrix.apply_eigsum
+    scale = matrix.scale
+    coef = (scale * res).astype(eigsum.dtype, copy=False)
+    coef = qy.T @ coef.reshape(eigsum.shape) @ qx
+    coef /= eigsum
     return scale * (qy @ coef @ qx.T).ravel()
 
 
@@ -496,9 +542,12 @@ def run(data: ProblemData, cfg: SolverConfig,
     from u extrapolated along its last increment, u + theta (u - u_prev),
     with theta the ratio of the last two u-increments capped at 0.9 and 0
     for the first two iterations (see _extrapolated_start); later sweeps
-    start from the current u. The energy reuses the flux step's lifting of
-    u. The u-solves stop at the relative residual max(LINEAR_TOL,
-    LINEAR_RATIO ||Bu - eta|| / max(1, ||eta||)) with the same residual.
+    start from the current u. A later sweep whose u-solve returns that
+    start unchanged ends the sweeps without a flux step, which would
+    rebuild eta bit for bit and pass the eta test at distance 0. The
+    energy reuses the flux step's lifting of u. The u-solves stop at the
+    relative residual max(LINEAR_TOL, LINEAR_RATIO ||Bu - eta|| /
+    max(1, ||eta||)) with the same residual.
     While it is inf, in the first outer iteration, they stop at
     max(LINEAR_TOL, LINEAR_RATIO), so that LINEAR_RATIO = 0 still makes
     every solve tight.
@@ -543,12 +592,17 @@ def run(data: ProblemData, cfg: SolverConfig,
         u_older, u_prev, lam_prev = u_prev, state.u, state.lam
         tol_inner = max(TOL_INNER, INNER_RATIO * state.residual_constraint)
         u0 = _extrapolated_start(state.u, u_older, state.history)
-        for _ in range(sweeps):
+        for sweep in range(sweeps):
             eta_prev = state.eta
-            u, tight, iterations = solve_linear(
-                matrix, assemble_rhs(state, data, cfg), u0, rtol)
+            rhs = assemble_rhs(state, data, cfg)
+            u, tight, iterations = solve_linear(matrix, rhs, u0, rtol)
             state.u = DgScalar(mesh, u)
             state.linear_iterations += iterations
+            # a later sweep's solve that returns its start (0 iterations;
+            # a zero rhs returns zeros instead) leaves Bu, and so the flux
+            # step's eta, bit for bit as the last sweep made them
+            if sweep and not iterations and rhs.any():
+                break
             u0 = u
             bu = lifting(state.u)
             h = bu if relax == 1.0 else DgVector(

@@ -101,6 +101,22 @@ def test_every_private_name_and_constant_is_read():
     assert not dead, f"pxdg never reads {sorted(dead)}"
 
 
+def test_only_assemble_matrix_names_float32():
+    # the precision of the preconditioner's transforms has one owner:
+    # assemble_matrix chooses it, and _precondition reads it off the arrays
+    found = []
+    for name in sorted({"__init__"} | set(SUBMODULES)):
+        tree = ast.parse(Path(pxdg.__path__[0], f"{name}.py").read_text())
+        owner = {id(n) for node in ast.walk(tree)
+                 if name == "solver" and isinstance(node, ast.FunctionDef)
+                 and node.name == "assemble_matrix" for n in ast.walk(node)}
+        found += [(name, node.lineno) for node in ast.walk(tree)
+                  if "float32" in (getattr(node, "id", None),
+                                   getattr(node, "attr", None))
+                  and id(node) not in owner]
+    assert not found, f"float32 named outside assemble_matrix: {found}"
+
+
 def test_dg_imports_only_numpy():
     # B and B^T are stencils on numpy arrays: no sparse matrix, and no
     # cache of one, comes back into dg. Beyond numpy it needs only the

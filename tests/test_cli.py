@@ -100,6 +100,19 @@ def test_solution_csv_written_in_chunks(tmp_path, monkeypatch):
     assert out.read_bytes() == want.encode()
 
 
+@pytest.mark.parametrize("n", [0, 1, 4, 5, 7])
+def test_write_csv_formats_a_chunk_per_call(tmp_path, monkeypatch, n):
+    # each chunk of CSV_CHUNK rows is one % call on the row format repeated
+    # per row; the bytes are those of one formatted row per line, whatever
+    # the chunk boundaries
+    monkeypatch.setattr(pxdg.cli, "CSV_CHUNK", 2)
+    rows = [(k, "%.12g" % (0.1 * k), -k / 3.0) for k in range(n)]
+    out = tmp_path / "table.csv"
+    pxdg.cli._write_csv(out, "k,s,v", "%d,%s,%.12g", iter(rows))
+    want = "k,s,v\r\n" + "".join("%d,%s,%.12g\r\n" % row for row in rows)
+    assert out.read_bytes() == want.encode()
+
+
 def test_solve_reports_constraint_residual(tmp_path, capsys):
     # at b = 0 the u-increment rule stops at iteration 2 with Bu far from
     # eta; the summary line makes that visible

@@ -1,5 +1,7 @@
 """Jumps, averages, the jump lifting, and the discrete gradient operator."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,7 @@ from edge_loop import average, axis_lifting, edges, jump, weighted_jump_norm
 from pxdg import (DgScalar, DgVector, Domain, build_uniform_mesh, l2_norm,
                   lifting, lifting_adjoint, luxemburg_norm,
                   manufactured_exponent, modular)
+from pxdg.dg import _magnitude
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -207,3 +210,31 @@ def test_jump_norms_on_step_function():
     const = DgScalar(mesh, [4.0, 4.0])
     assert jump_l2_norm(const) == 0.0
     assert weighted_jump_norm(const, p2) == 0.0
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_magnitude_is_hypot_to_two_ulp():
+    # rows read as complex numbers: np.abs gives |v| as np.hypot does,
+    # over the whole range, where v . v would overflow or underflow
+    rng = np.random.default_rng(7)
+    v = 10.0 ** rng.uniform(-320.0, 300.0, size=(100_000, 2))
+    v *= rng.choice([-1.0, 1.0], size=v.shape)
+    want = np.hypot(v[:, 0], v[:, 1])
+    assert _ulps(_magnitude(v), want).max() <= 2.0
+    # a column slice is not contiguous; its rows are read all the same
+    wide = np.column_stack([v, v])
+    assert np.array_equal(_magnitude(wide[:, 1:3]),
+                          _magnitude(wide[:, 1:3].copy()))
+
+
+def test_magnitude_is_hypot_on_special_values():
+    # inf, NaN, signed zeros and subnormals, with each other and with
+    # normal values, in either column
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 3e-310]
+    pairs = list(itertools.product(special, special + [1.0, -1e308, 2.5]))
+    v = np.array(pairs + [pair[::-1] for pair in pairs])
+    want = np.hypot(v[:, 0], v[:, 1])
+    assert np.array_equal(_magnitude(v), want, equal_nan=True)

@@ -290,19 +290,22 @@ def test_axis_operator_matches_sparse_product_bit_for_bit(n, h):
     # every entry of D^T D sums at most two products +-x * x, so the closed
     # form rounds as the sparse product does; zeros keep their sign too.
     # r = 0.37 makes (mass + 2 x^2) + 2 jump round apart from
-    # mass + (2 x^2 + 2 jump), so the order of additions is pinned. The
-    # eigenpairs decompose the sparse product's K, and its eigenvalues are
-    # the banded eigensolver's to roundoff of max|K|
+    # mass + (2 x^2 + 2 jump), so the order of additions is pinned. Each
+    # mass asked for gets these bits. The eigenpairs decompose the sparse
+    # product's K at the first mass, and its eigenvalues are the banded
+    # eigensolver's to roundoff of max|K|
     for r, mass, jump in itertools.product((0.0, 0.37, 1.0, 1e4),
                                            (0.0, h * h), (1.0, 0.731)):
-        args = (n, h, h * h, r, jump, mass)
-        want, want_lam, k = _sparse_axis_operator(*args)
-        got, lam, q = pxdg.solver._axis_operator(*args)
-        assert sorted(got) == sorted(want) == list(
-            range(-min(2, n - 1), min(2, n - 1) + 1))
-        for d in want:
-            assert np.array_equal(got[d], want[d]), (args, d)
-            assert _same_bits(got[d], want[d]), (args, d)
+        args = (n, h, h * h, r, jump)
+        bands, lam, q = pxdg.solver._axis_operator(*args, (mass, 0.0))
+        for got, at in zip(bands, (mass, 0.0), strict=True):
+            want, want_lam, k = _sparse_axis_operator(*args, at)
+            assert sorted(got) == sorted(want) == list(
+                range(-min(2, n - 1), min(2, n - 1) + 1))
+            for d in want:
+                assert np.array_equal(got[d], want[d]), (args, at, d)
+                assert _same_bits(got[d], want[d]), (args, at, d)
+        want, want_lam, k = _sparse_axis_operator(*args, mass)
         size = np.abs(k).max()
         assert lam.shape == (n,) and q.shape == (n, n)
         assert np.abs(k @ q - q * lam).max() <= 1e-13 * size, args
@@ -368,6 +371,91 @@ def test_preconditioner_matches_the_diagonal(b, r):
     assert np.abs(np.diag(m) / np.diag(a) - 1.0).max() <= 1e-13
     if b == 0.0:
         assert np.abs(m - a).max() <= 1e-12 * np.abs(a).max()
+
+
+OFFSET = Domain(0.5, 2.0, -1.0, 0.2)
+
+
+@pytest.mark.parametrize("domain, nx, ny, sizes", [
+    (SQUARE, 12, 12, [12]), (SQUARE, 1, 1, [1]),
+    (OFFSET, 7, 5, [7, 5]), (SQUARE, 12, 6, [12, 6])])
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_one_eigensolve_per_distinct_axis(domain, nx, ny, sizes, b,
+                                          monkeypatch):
+    # on a square grid K_x = K_y + |k| I, so one eigh serves both axes and
+    # qx is qy, in the stored and the applied precision alike
+    sizes_seen = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes_seen.append(len(a))
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    data = ProblemData(mesh=build_uniform_mesh(domain, nx, ny),
+                       exponent=exponent_on(domain, b), xi=zero, u_D=zero)
+    sm = assemble_matrix(data, SolverConfig())
+    assert sizes_seen == sizes
+    square = len(sizes) == 1
+    assert (sm.qx is sm.qy) == square
+    assert (sm.apply_qx is sm.apply_qy) == square
+
+
+@pytest.mark.parametrize("domain, nx, ny", [
+    (SQUARE, 1, 1), (SQUARE, 6, 6), (SQUARE, 31, 31), (SQUARE, 49, 49),
+    (OFFSET, 7, 5)])
+def test_preconditioner_applies_float64_where_m_is_a(domain, nx, ny):
+    # at b = 0 every w |e| is 1 on any mesh: M = A, and the applied
+    # transforms are the stored float64 ones, not copies. At nx = 49 each
+    # w |e| rounds to 1 - 2^-53 and their mean gamma to 1 - 2^-52, and
+    # float32 there would break the one-iteration solves
+    data = ProblemData(mesh=build_uniform_mesh(domain, nx, ny),
+                       exponent=exponent_on(domain, 0.0), xi=zero, u_D=zero)
+    sm = assemble_matrix(data, SolverConfig())
+    assert sm.apply_qx is sm.qx and sm.apply_qy is sm.qy
+    assert sm.apply_eigsum is sm.eigsum
+    assert sm.qx.dtype == sm.eigsum.dtype == np.float64
+
+
+@pytest.mark.parametrize("domain, nx, ny, b", [
+    (SQUARE, 12, 12, 0.5), (OFFSET, 7, 5, 0.5), (SQUARE, 20, 20, 1e-6)])
+def test_preconditioner_applies_float32_where_m_is_not_a(domain, nx, ny, b):
+    # at b > 0 the edges depart from gamma, by ~1e-6 at b = 1e-6: the
+    # applied transforms are float32 copies, and the stored decomposition
+    # stays float64
+    data = ProblemData(mesh=build_uniform_mesh(domain, nx, ny),
+                       exponent=exponent_on(domain, b), xi=zero, u_D=zero)
+    sm = assemble_matrix(data, SolverConfig())
+    for name in ("qx", "qy", "eigsum"):
+        stored, applied = getattr(sm, name), getattr(sm, f"apply_{name}")
+        assert stored.dtype == np.float64 and applied.dtype == np.float32
+        assert np.array_equal(applied, stored.astype(np.float32)), name
+    res = np.random.default_rng(64).normal(size=data.mesh.n_elements)
+    assert pxdg.solver._precondition(sm, res).dtype == np.float64
+
+
+# counts over float32 transforms against float64 ones, at r far from 1, at
+# b = 2 and near b = 0, and with the coupled algorithm
+@pytest.mark.parametrize("b, nx, r, algorithm", [
+    (0.5, 31, 0.1, 2), (0.5, 31, 10.0, 2), (2.0, 31, 1.0, 2),
+    (1e-6, 20, 1.0, 2), (0.25, 31, 1.0, 1)])
+def test_float32_transforms_keep_the_counts(b, nx, r, algorithm, monkeypatch):
+    _, data = manufactured_data(b, nx)
+    cfg = SolverConfig(r=r, algorithm=algorithm)
+    assemble = pxdg.solver.assemble_matrix
+    assert assemble(data, cfg).apply_eigsum.dtype == np.float32
+    got = run(data, cfg)
+
+    def float64_applied(*args):
+        sm = assemble(*args)
+        return replace(sm, apply_qx=sm.qx, apply_qy=sm.qy,
+                       apply_eigsum=sm.eigsum)
+    monkeypatch.setattr(pxdg.solver, "assemble_matrix", float64_applied)
+    want = run(data, cfg)
+    assert got.converged and want.converged
+    assert got.iteration == want.iteration
+    assert got.linear_iterations == want.linear_iterations
+    size = np.abs(want.u.values).max()
+    assert np.abs(got.u.values - want.u.values).max() <= 1e-10 * size
 
 
 def _count_preconditioner_calls(monkeypatch):
@@ -582,15 +670,16 @@ def test_solve_linear_warns_on_a_miss(monkeypatch):
 
 @pytest.mark.parametrize("part", ["eigsum", "matrix"])
 def test_solve_linear_misses_on_a_non_positive_inner_product(part):
-    # a non-positive eigsum entry makes M indefinite, so r.z can be
-    # negative; a negated A makes d.Ad negative. Either is a miss, not a
-    # ZeroDivisionError or a step along a direction of negative curvature
+    # a non-positive entry of the eigenvalue sums that _precondition
+    # applies makes M indefinite, so r.z can be negative; a negated A makes
+    # d.Ad negative. Either is a miss, not a ZeroDivisionError or a step
+    # along a direction of negative curvature
     _, data = manufactured_data(0.5, 6)
     sm = assemble_matrix(data, SolverConfig())
     if part == "eigsum":
-        eigsum = sm.eigsum.copy()
+        eigsum = sm.apply_eigsum.copy()
         eigsum[0, 0] = -1e-8 * eigsum.min()
-        sm = replace(sm, eigsum=eigsum)
+        sm = replace(sm, apply_eigsum=eigsum)
     else:
         sm = replace(sm, matrix=-sm.matrix)
     rhs = np.random.default_rng(66).normal(size=data.mesh.n_elements)
@@ -1090,6 +1179,90 @@ def test_coupled_inner_sweeps_follow_the_constraint_residual(monkeypatch):
     assert len(per_outer) == state.iteration
     assert per_outer[0] == 1
     assert max(per_outer) <= 4  # exact inner sweeps take up to 25 here
+
+
+def _spy_sweeps(monkeypatch, zero_rhs_once=False):
+    # events of a run in order: ("solve", iterations, rhs nonzero,
+    # returned its start), ("flux",) and ("lambda",); with zero_rhs_once,
+    # the first later sweep of an outer iteration gets a zero rhs
+    events, zeroed = [], []
+    solve, flux, update, rhs_of = (
+        pxdg.solver.solve_linear, pxdg.solver.eta_update,
+        pxdg.solver.lambda_update, pxdg.solver.assemble_rhs)
+
+    def spied_rhs(*args):
+        rhs = rhs_of(*args)
+        if zero_rhs_once and events[-1:] == [("flux",)] and not zeroed:
+            zeroed.append(rhs)
+            rhs = np.zeros_like(rhs)
+        return rhs
+
+    def spied_solve(matrix, rhs, u0, rtol):
+        x, tight, iterations = solve(matrix, rhs, u0, rtol)
+        events.append(("solve", iterations, bool(rhs.any()),
+                       _same_bits(x, u0)))
+        return x, tight, iterations
+
+    def spied(name, fn):
+        def call(*args):
+            events.append((name,))
+            return fn(*args)
+        return call
+    monkeypatch.setattr(pxdg.solver, "assemble_rhs", spied_rhs)
+    monkeypatch.setattr(pxdg.solver, "solve_linear", spied_solve)
+    monkeypatch.setattr(pxdg.solver, "eta_update", spied("flux", flux))
+    monkeypatch.setattr(pxdg.solver, "lambda_update", spied("lambda", update))
+    return events
+
+
+def _later_sweeps(events):
+    # (solve event, next event) for the second and later sweeps of each
+    # outer iteration
+    return [(e, after) for before, e, after in zip(events, events[1:],
+                                                   events[2:])
+            if e[0] == "solve" and before == ("flux",)]
+
+
+def test_coupled_sweeps_end_on_a_solve_that_returns_its_start(monkeypatch):
+    # a later sweep's u-solve that returns its start unchanged, 0
+    # iterations from a nonzero rhs, ends the sweeps before a flux step,
+    # which would rebuild eta bit for bit; every other sweep has its step
+    events = _spy_sweeps(monkeypatch)
+    _, data = manufactured_data(0.25, 31)
+    state = run(data, SolverConfig(algorithm=Algorithm.COUPLED))
+    assert state.converged and state.inner_converged
+    no_op = 0
+    for (_, iterations, nonzero, same), after in _later_sweeps(events):
+        assert same == (iterations == 0 and nonzero)
+        assert after == (("lambda",) if same else ("flux",))
+        no_op += same
+    assert no_op > 0
+    assert events.count(("lambda",)) == state.iteration
+
+    # the run is the one whose no-op sweeps keep their flux step: u, eta,
+    # lam and the history bit for bit
+    def counted_once(matrix, rhs, u0, rtol):
+        x, tight, iterations = solve_linear(matrix, rhs, u0, rtol)
+        return x, tight, max(iterations, 1)
+    monkeypatch.setattr(pxdg.solver, "solve_linear", counted_once)
+    want = run(data, SolverConfig(algorithm=Algorithm.COUPLED))
+    for name in ("u", "eta", "lam"):
+        assert _same_bits(getattr(state, name).values,
+                          getattr(want, name).values), name
+    assert state.history == want.history
+    assert state.flux_passes < want.flux_passes
+
+
+def test_coupled_sweep_with_a_zero_rhs_keeps_its_flux_step(monkeypatch):
+    # a zero rhs returns zeros after 0 iterations, not the start: u moves,
+    # and the flux step follows
+    events = _spy_sweeps(monkeypatch, zero_rhs_once=True)
+    _, data = manufactured_data(0.25, 31)
+    run(data, SolverConfig(algorithm=Algorithm.COUPLED, max_outer=4))
+    zero = [(e, after) for e, after in _later_sweeps(events) if not e[2]]
+    assert len(zero) == 1
+    (_, iterations, _, same), after = zero[0]
+    assert iterations == 0 and not same and after == ("flux",)
 
 
 def test_run_dispatches_on_algorithm(monkeypatch):
