@@ -95,29 +95,41 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _write_csv(path, header, row_format, rows) -> None:
-    """One CSV table: csv.writer's layout and CRLF line ends. Each chunk of
-    up to CSV_CHUNK rows is one % call, with the row format repeated once
-    per row and the rows' values flattened into one tuple."""
-    line = row_format + "\r\n"
+    """One CSV table of row tuples, CSV_CHUNK rows to a chunk (see
+    _write_chunks)."""
     rows = iter(rows)
+    _write_chunks(path, header, row_format, iter(
+        lambda: list(chain.from_iterable(islice(rows, CSV_CHUNK))), []))
+
+
+def _write_chunks(path, header, row_format, chunks) -> None:
+    """One CSV table: csv.writer's layout and CRLF line ends. Each chunk
+    is the flat list of some rows' values, one column of the header each,
+    and is one % call, with the row format repeated once per row."""
+    line = row_format + "\r\n"
+    width = header.count(",") + 1
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        while chunk := list(islice(rows, CSV_CHUNK)):
-            fh.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
+        for flat in chunks:
+            fh.write(line * (len(flat) // width) % tuple(flat))
 
 
-def _solution_rows(mesh, u):
-    """(k, x, y, u) per element, made CSV_CHUNK rows at a time, so no list
-    of all m values is held. x and y come as the "%.12g" text of their grid
-    line, formatted once per line."""
+def _solution_chunks(mesh, u):
+    """(k, x, y, u) per element, as flat lists of CSV_CHUNK rows' values
+    filled a column at a time, so no list of all m values is held. x and
+    y come as the "%.12g" text of their grid line, formatted once per
+    line."""
     _, _, xc, yc = mesh.axes()
     xs = ["%.12g" % x for x in xc.tolist()]
     ys = ["%.12g" % y for y in yc.tolist()]
     for start in range(0, mesh.n_elements, CSV_CHUNK):
         k = np.arange(start, min(start + CSV_CHUNK, mesh.n_elements))
-        yield from zip(k.tolist(), map(xs.__getitem__, (k % mesh.nx).tolist()),
-                       map(ys.__getitem__, (k // mesh.nx).tolist()),
-                       u[k].tolist())
+        flat = [None] * (4 * len(k))
+        flat[0::4] = k.tolist()
+        flat[1::4] = map(xs.__getitem__, (k % mesh.nx).tolist())
+        flat[2::4] = map(ys.__getitem__, (k // mesh.nx).tolist())
+        flat[3::4] = u[start:start + len(k)].tolist()
+        yield flat
 
 
 def _cmd_solve(args) -> int:
@@ -129,8 +141,8 @@ def _cmd_solve(args) -> int:
     state = run(data, cfg)
     err = l2_error(state.u, prob)
     rel_err = err / exact_l2_norm(prob, mesh)
-    _write_csv(args.out, "element,x,y,u", "%d,%s,%s,%.12g",
-               _solution_rows(mesh, state.u.values))
+    _write_chunks(args.out, "element,x,y,u", "%d,%s,%s,%.12g",
+                  _solution_chunks(mesh, state.u.values))
     if args.trace:
         _write_csv(args.trace,
                    "iter,residual_u,residual_constraint,residual_lambda,Jh",

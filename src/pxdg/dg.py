@@ -101,9 +101,11 @@ def lifting_adjoint(q: DgVector) -> np.ndarray:
 
 
 def l2_norm(field) -> float:
-    """Area-weighted L2 norm of a P0 scalar or vector field."""
+    """Area-weighted L2 norm of a P0 scalar or vector field: the root of
+    area times one dot product of its values, inf or NaN where they are."""
     mesh = field.mesh
-    return float(np.sqrt((mesh.dx * mesh.dy * field.values ** 2).sum()))
+    v = field.values.ravel()
+    return float(np.sqrt(mesh.dx * mesh.dy * (v @ v)))
 
 
 def _magnitude(v: np.ndarray) -> np.ndarray:

@@ -56,19 +56,22 @@ class ProblemData:
     def xi_moments(self) -> tuple:
         """(W, xbar, C, I) from xi at every element's 3x3 Gauss points,
         sampled one point at a time on the (ny, nx) grid into one
-        (ny, nx, 9) array: the element weight sum W, per-element integrals
+        (9, ny, nx) array: the element weight sum W, per-element integrals
         I and means xbar = I / W of xi as m-vectors, and
         C = sum_k sum_q w_q (xi_kq - xbar_k)^2, so that the data misfit of
-        any v is W sum_k (v_k - xbar_k)^2 + C."""
+        any v is W sum_k (v_k - xbar_k)^2 + C. The weighted sums over the
+        points are products w @ xi, and the squares overwrite xi."""
         mesh = self.mesh
-        xi, wq = np.empty((mesh.ny, mesh.nx, 9)), np.empty(9)
+        xi, wq = np.empty((9, mesh.ny, mesh.nx)), np.empty(9)
         for q, (x, y, w) in enumerate(gauss_points(mesh)):
-            xi[..., q], wq[q] = self.xi(x, y), w
-        xi = xi.reshape(-1, 9)
+            xi[q], wq[q] = self.xi(x, y), w
+        xi = xi.reshape(9, -1)
         total = float(wq.sum())
-        integrals = (xi * wq[None, :]).sum(axis=1)
+        integrals = wq @ xi
         xbar = integrals / total
-        spread = float(((xi - xbar[:, None]) ** 2 @ wq).sum())
+        xi -= xbar
+        xi *= xi
+        spread = float((wq @ xi).sum())
         return total, xbar, spread, integrals
 
     @cached_property
@@ -116,9 +119,11 @@ class ProblemData:
 def eval_F(q: DgVector, data: ProblemData) -> float:
     """Sum of |k| |q_k|^{p_bar_k} / p_bar_k, p_bar_k the barycenter exponent."""
     p_bar = data.p_bar
-    mag = _magnitude(q.values)
-    vals = mag ** p_bar / p_bar
-    return float((data.mesh.dx * data.mesh.dy * vals).sum())
+    vals = _magnitude(q.values)
+    np.power(vals, p_bar, out=vals)
+    vals /= p_bar
+    vals *= data.mesh.dx * data.mesh.dy
+    return float(vals.sum())
 
 
 def grad_F(q: DgVector, data: ProblemData) -> DgVector:
@@ -133,15 +138,25 @@ def eval_G(v: DgScalar, data: ProblemData) -> float:
     """Half of: mean-square data misfit + weighted boundary and jump penalties."""
     mesh = data.mesh
     total, xbar, spread, _ = data.xi_moments
-    data_term = total * float(((v.values - xbar) ** 2).sum()) + spread
+    misfit = v.values - xbar
+    data_term = total * float(misfit @ misfit) + spread
 
-    # the jumps across every edge, the grid padded with ubar on each side
+    # the jumps across every edge, on the edge grids, with ubar beyond the
+    # boundary: cx and cy times their squares
     cx, cy = data.penalty_weights
     ux, uy, bnd_spread = data.boundary_moments
     grid = v.values.reshape(mesh.ny, mesh.nx)
-    jx = np.diff(grid, axis=1, prepend=ux[:, :1], append=ux[:, 1:])
-    jy = np.diff(grid, axis=0, prepend=uy[:1], append=uy[1:])
-    edge_term = float((cx * jx ** 2).sum() + (cy * jy ** 2).sum()) + bnd_spread
+    jx, jy = np.empty(cx.shape), np.empty(cy.shape)
+    np.subtract(grid[:, :1], ux[:, :1], out=jx[:, :1])
+    np.subtract(grid[:, 1:], grid[:, :-1], out=jx[:, 1:-1])
+    np.subtract(ux[:, 1:], grid[:, -1:], out=jx[:, -1:])
+    np.subtract(grid[:1], uy[:1], out=jy[:1])
+    np.subtract(grid[1:], grid[:-1], out=jy[1:-1])
+    np.subtract(uy[1:], grid[-1:], out=jy[-1:])
+    for c, j in ((cx, jx), (cy, jy)):
+        j *= j
+        j *= c
+    edge_term = float(jx.sum() + jy.sum()) + bnd_spread
     return 0.5 * (data_term + edge_term)
 
 

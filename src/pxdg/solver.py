@@ -69,6 +69,8 @@ LINEAR_RATIO = 1e-3  # u-solves in run: this share of ||Bu - eta|| / ||eta||
 RELAX = 1.5  # uncoupled algorithm at rho = r: over-relaxation of Bu (see run)
 MAX_INNER = 200  # coupled algorithm: inner sweeps per multiplier step
 MAX_NEWTON = 200  # flux root: Newton passes per call
+FLUX_BLOCK = 16384  # flux step: rows per root solve (see _eta_from); at
+# nx = 400, 4,096-8,192 rows ran slower and 16,384-32,768 the fastest
 
 
 class Algorithm(IntEnum):
@@ -150,19 +152,20 @@ class SystemMatrix:
     DIA format (see assemble_matrix), with K = I_y (x) K_x + K_y (x) I_x
     the operator with every edge penalty at the mean gamma. The
     preconditioner is M = S^-1 K S^-1. The 1-D factors
-    K = Q diag(lam) Q^T are stored in float64 as qx (nx, nx), qy (ny, ny)
-    and eigsum[j, i] = lam_y[j] + lam_x[i]; on a square grid qx is qy.
-    scale is the m-vector S = sqrt(diag K / diag A), so that
-    diag M = diag A. apply_qx, apply_qy and apply_eigsum are the
-    transforms _precondition applies: float32 copies where M != A, and
-    qx, qy and eigsum themselves where M = A, as at p = 2 (see
-    assemble_matrix).
+    K = Q diag(lam) Q^T are stored in float64 as qx (nx, nx), qy (ny, ny),
+    lam_x (nx) and lam_y (ny); on a square grid qx is qy. scale is the
+    m-vector S = sqrt(diag K / diag A), so that diag M = diag A. apply_qx,
+    apply_qy and apply_eigsum are the transforms _precondition applies,
+    with apply_eigsum[j, i] = lam_y[j] + lam_x[i]: float32 copies where
+    M != A, and qx, qy and the float64 sums themselves where M = A, as at
+    p = 2 (see assemble_matrix).
     """
 
     matrix: sp.dia_matrix
     qx: np.ndarray
     qy: np.ndarray
-    eigsum: np.ndarray
+    lam_x: np.ndarray
+    lam_y: np.ndarray
     scale: np.ndarray
     apply_qx: np.ndarray
     apply_qy: np.ndarray
@@ -245,8 +248,9 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     approximates A, and the transforms the preconditioner applies are
     float32 copies of Q_x, Q_y and the eigenvalue sums: float64 rounding
     buys nothing there, and an apply at nx = 400 takes 3.6 ms in place of
-    5.9 on a 2-vCPU VM. Elsewhere M = A to float64 roundoff, and they are
-    the float64 arrays themselves, so that one iteration still solves.
+    5.9 on a 2-vCPU VM. No float64 copy of the sums is kept then; lam_x
+    and lam_y rebuild them. Elsewhere M = A to float64 roundoff, and they
+    are the float64 arrays themselves, so that one iteration still solves.
     That holds at p = 2, where every w |e| is 1 to an ulp, and so is
     gamma, their mean: at nx = 49 each w |e| rounds to 1 - 2^-53 and
     gamma to 1 - 2^-52, and a test of exact zeros would apply float32
@@ -290,24 +294,27 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
         grid[nx][1:] -= dev_y[1:-1]
         grid[-nx][:-1] -= dev_y[1:-1]
     scale = np.sqrt((ky[0][:, None] + kx[0]) / grid[0]).ravel()
-    eigsum = lam_y[:, None] + lam_x[None, :]
     # the edges depart from gamma by more than float32 resolves: M != A
     depart = max(np.abs(dev_x).max(), np.abs(dev_y).max())
     dtype = (np.float32 if depart > np.finfo(np.float32).eps * gamma
              else np.float64)
     apply_qx = qx.astype(dtype, copy=False)
     apply_qy = apply_qx if qy is qx else qy.astype(dtype, copy=False)
+    eigsum = (lam_y[:, None] + lam_x).astype(dtype, copy=False)
     return SystemMatrix(matrix=sp.dia_matrix((bands, offsets), shape=(m, m)),
-                        qx=qx, qy=qy, eigsum=eigsum, scale=scale,
+                        qx=qx, qy=qy, lam_x=lam_x, lam_y=lam_y, scale=scale,
                         apply_qx=apply_qx, apply_qy=apply_qy,
-                        apply_eigsum=eigsum.astype(dtype, copy=False))
+                        apply_eigsum=eigsum)
 
 
 def assemble_rhs(state: SolverState, data: ProblemData,
                  cfg: SolverConfig) -> np.ndarray:
     """Load vector plus the flux coupling term integral (r eta - lam) . Bphi."""
-    return data.load + lifting_adjoint(
-        DgVector(data.mesh, cfg.r * state.eta.values - state.lam.values))
+    coupling = cfg.r * state.eta.values
+    coupling -= state.lam.values
+    rhs = lifting_adjoint(DgVector(data.mesh, coupling))
+    rhs += data.load
+    return rhs
 
 
 def _precondition(matrix: SystemMatrix, res: np.ndarray) -> np.ndarray:
@@ -325,17 +332,24 @@ def _precondition(matrix: SystemMatrix, res: np.ndarray) -> np.ndarray:
 
 def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
                  u0: np.ndarray | None = None,
-                 rtol: float = LINEAR_TOL) -> tuple:
+                 rtol: float = LINEAR_TOL,
+                 au0: np.ndarray | None = None) -> tuple:
     """Preconditioned conjugate gradients from u0 (default zero).
 
-    Returns (x, tight, iterations). It stops once the true residual meets
-    max|rhs - A u| <= rtol max(1, max|rhs|), so a u0 that meets it comes
-    back unchanged; tight says whether that residual also meets the test at
-    LINEAR_TOL, and iterations counts the preconditioner applies. Residuals
+    Returns (x, tight, iterations, ax). It stops once the true residual
+    meets max|rhs - A u| <= rtol max(1, max|rhs|), so a u0 that meets it
+    comes back unchanged; tight says whether that residual also meets the
+    test at LINEAR_TOL, iterations counts the preconditioner applies, and
+    ax is the product A x of that true residual. au0, if given, stands in
+    for A u0 in the start residual. It is not checked, so x is accepted
+    only on a product formed here: a start residual formed here from u0 is
+    one already, and a u0 that meets the test costs one product either
+    way. Residuals
     and search directions are kept divided by max|rhs|, so huge data cannot
     overflow their inner products. At p = 2 the preconditioner is the
     inverse and one iteration solves. A RuntimeWarning reports a miss, which
-    is never tight: an inner product r.z or d.Ad not positive and finite,
+    is never tight and returns ax = None: an inner product r.z or d.Ad not
+    positive and finite,
     which returns NaN, or, returning the last iterate, MAX_LINEAR
     iterations without meeting the test or STALL iterations in which
     max|res| sets no new minimum. Its message carries no per-solve number,
@@ -347,43 +361,51 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
     a = matrix.matrix
     scale = float(np.abs(rhs).max(initial=0.0))
     if scale == 0.0:
-        return np.zeros(len(rhs)), True, 0
+        return np.zeros(len(rhs)), True, 0, np.zeros(len(rhs))
     x = np.zeros(len(rhs)) if u0 is None else np.array(u0, float)
     tol = rtol * max(1.0, scale) / scale
-    res = (rhs - a @ x) / scale
+    true = au0 is None  # res is the true residual of x
+    ax = a @ x if true else au0
+    res = rhs - ax
+    res /= scale
     rz_old, direction = 1.0, np.zeros_like(x)
     best, best_n = np.inf, 0
     for n in range(MAX_LINEAR):
         err = np.abs(res).max()
-        if err <= tol:
-            res = (rhs - a @ x) / scale  # accept only on the true residual
+        if err <= tol and not true:
+            ax = a @ x  # accept only on the true residual
+            res = rhs - ax
+            res /= scale
             err = np.abs(res).max()
-            if err <= tol:
-                return x, bool(err <= LINEAR_TOL * max(1.0, scale) / scale), n
+        if err <= tol:
+            return x, bool(err <= LINEAR_TOL * max(1.0, scale) / scale), n, ax
         if err < best:
             best, best_n = err, n
         elif n - best_n == STALL:
             warnings.warn("solve_linear: residual test missed, no new "
                           f"minimum in {STALL} iterations", RuntimeWarning,
                           stacklevel=2)
-            return x, False, n
+            return x, False, n, None
         z = _precondition(matrix, res)
         rz = float(res @ z)
         if 0.0 < rz < np.inf:
-            direction = z + (rz / rz_old) * direction
+            direction *= rz / rz_old
+            direction += z
             a_dir = a @ direction
             curvature = float(direction @ a_dir)
         if not (0.0 < rz < np.inf and 0.0 < curvature < np.inf):
             warnings.warn("solve_linear: non-finite or non-positive inner "
                           "product", RuntimeWarning, stacklevel=2)
-            return np.full_like(x, np.nan), False, n + 1
+            return np.full_like(x, np.nan), False, n + 1, None
+        # x += (scale step) direction and res -= step a_dir, the products
+        # in z's and a_dir's buffers
         step = rz / curvature
-        x += (scale * step) * direction
-        res -= step * a_dir
-        rz_old = rz
+        x += np.multiply(direction, scale * step, out=z)
+        res -= np.multiply(a_dir, step, out=a_dir)
+        rz_old, true = rz, False
     warnings.warn("solve_linear: residual test missed after "
                   f"{MAX_LINEAR} iterations", RuntimeWarning, stacklevel=2)
-    return x, False, MAX_LINEAR
+    return x, False, MAX_LINEAR, None
 
 
 def _cold_start(e: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
@@ -400,8 +422,7 @@ def _cold_start(e: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
     return x
 
 
-def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray,
-               state: SolverState | None = None) -> np.ndarray:
+def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> tuple:
     """Vector solve of x^{p_bar - 1} + r x = c, x >= 0, by monotone Newton.
 
     f(x) = x^{p_bar - 1} + r x - c is increasing and concave for
@@ -413,9 +434,9 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray,
     c - r x* >= c - r c^{1/(p_bar - 1)}, and x* <= c / r gives r x* >=
     c - (c / r)^{p_bar - 1}. Where that start is not normal either, the
     root returned is 0. Every later iterate lies at or right of its start,
-    so it stays normal. A RuntimeWarning counts misses of
-    |f| <= 1e-12 max(1, c). With state, the Newton passes, one per
-    evaluation of f, are added to state.flux_passes.
+    so it stays normal. Returns (x, passes, missed): the Newton passes, one
+    per evaluation of f, and the count of misses of |f| <= 1e-12 max(1, c),
+    which the caller reports (see _eta_from).
     """
     if r <= 0:
         raise ValueError("flux root solve requires r > 0")
@@ -450,13 +471,8 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray,
         np.subtract(x, np.divide(f, xp, out=xp), out=x)
         np.less_equal(np.abs(f, out=f), tol, out=done)
         passes += 1
-    if state is not None:
-        state.flux_passes += passes
-    if missed:
-        warnings.warn(f"flux root solve: {missed} of {c.size} entries "
-                      "missed the residual test", RuntimeWarning, stacklevel=2)
     x[zero] = 0.0
-    return x
+    return x, passes, int(missed)
 
 
 def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
@@ -466,14 +482,31 @@ def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
     Solves |eta|^{p_bar - 2} eta + r (eta - bu) = lam elementwise: the
     solution is parallel to s = lam + r bu, its magnitude x solves
     x^{p_bar - 1} + r x = |s|, and eta = s / (x^{p_bar - 2} + r) = s x / |s|.
-    With state, the root's Newton passes are counted in state.flux_passes.
+    The rows go FLUX_BLOCK at a time, with s written into eta's buffer, so
+    the root's work arrays are a block's. The step's Newton passes are the
+    most any block took, as one solve over all rows would count them, and
+    with state they are added to state.flux_passes. A RuntimeWarning
+    counts the roots of all blocks that missed _root_many's test.
     """
-    s = lam + r * bu
-    c = _magnitude(s)
-    x = _root_many(p_bar, r, c, state)
-    np.divide(x, c, out=x, where=c > 0.0)  # s = 0 where c = 0
-    s *= x[:, None]
-    return s
+    eta = np.empty((len(bu), 2))
+    p_bar = np.broadcast_to(np.asarray(p_bar, float), len(eta))
+    passes = missed = 0
+    for start in range(0, len(eta), FLUX_BLOCK):
+        rows = slice(start, start + FLUX_BLOCK)
+        s = eta[rows]
+        np.multiply(bu[rows], r, out=s)
+        s += lam[rows]
+        c = _magnitude(s)
+        x, block_passes, block_missed = _root_many(p_bar[rows], r, c)
+        passes, missed = max(passes, block_passes), missed + block_missed
+        np.divide(x, c, out=x, where=c > 0.0)  # s = 0 where c = 0
+        s *= x[:, None]
+    if state is not None:
+        state.flux_passes += passes
+    if missed:
+        warnings.warn(f"flux root solve: {missed} of {len(eta)} entries "
+                      "missed the residual test", RuntimeWarning, stacklevel=2)
+    return eta
 
 
 def eta_update(bu: DgVector, lam: DgVector, data: ProblemData,
@@ -487,7 +520,9 @@ def eta_update(bu: DgVector, lam: DgVector, data: ProblemData,
 def lambda_update(lam: DgVector, gap: DgVector, cfg: SolverConfig) -> DgVector:
     """Multiplier step lam + rho gap, with gap = Bu - eta, or h - eta where
     run over-relaxes (see run)."""
-    return DgVector(lam.mesh, lam.values + cfg.effective_rho * gap.values)
+    step = cfg.effective_rho * gap.values
+    step += lam.values
+    return DgVector(lam.mesh, step)
 
 
 def stopping_check(state: SolverState, cfg: SolverConfig) -> bool:
@@ -516,14 +551,29 @@ def _distance(a, b) -> float:
 
 
 def _extrapolated_start(u: DgScalar, u_older: DgScalar | None,
-                        history: list) -> np.ndarray:
-    """u + theta (u - u_older), u_older the u of the outer iteration before
-    u's, with theta = min(0.9, ||du_n|| / ||du_{n-1}||) from the last two
-    records of history; u itself where that ratio is undefined."""
+                        history: list, au: np.ndarray | None = None,
+                        au_older: np.ndarray | None = None) -> tuple:
+    """(x0, A x0): x0 = u + theta (u - u_older), u_older the u of the outer
+    iteration before u's, with theta = min(0.9, ||du_n|| / ||du_{n-1}||)
+    from the last two records of history, and u itself where that ratio is
+    undefined. A x0 is au + theta (au - au_older) from the products au = A u
+    and au_older = A u_older, au itself with u, and None where a product
+    it needs is None."""
     if len(history) < 2 or not history[-2].residual_u > 0.0:
-        return u.values
+        return u.values, au
     theta = min(0.9, history[-1].residual_u / history[-2].residual_u)
-    return u.values + theta * (u.values - u_older.values)
+    start = _extrapolate(u.values, u_older.values, theta)
+    if au is None or au_older is None:
+        return start, None
+    return start, _extrapolate(au, au_older, theta)
+
+
+def _extrapolate(v: np.ndarray, v_older: np.ndarray, theta: float):
+    """v + theta (v - v_older), in the buffer of the difference."""
+    out = v - v_older
+    out *= theta
+    out += v
+    return out
 
 
 def run(data: ProblemData, cfg: SolverConfig,
@@ -544,8 +594,11 @@ def run(data: ProblemData, cfg: SolverConfig,
     for the first two iterations (see _extrapolated_start); later sweeps
     start from the current u. A later sweep whose u-solve returns that
     start unchanged ends the sweeps without a flux step, which would
-    rebuild eta bit for bit and pass the eta test at distance 0. The
-    energy reuses the flux step's lifting of u. The u-solves stop at the
+    rebuild eta bit for bit and pass the eta test at distance 0. Each
+    u-solve after the first starts from a product A u0 made from the
+    products its predecessors accepted, extrapolated as u is, in place of
+    forming it (see solve_linear). The energy reuses the flux step's
+    lifting of u. The u-solves stop at the
     relative residual max(LINEAR_TOL, LINEAR_RATIO ||Bu - eta|| /
     max(1, ||eta||)) with the same residual.
     While it is inf, in the first outer iteration, they stop at
@@ -587,15 +640,19 @@ def run(data: ProblemData, cfg: SolverConfig,
              and cfg.effective_rho == cfg.r else 1.0)
     state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
     rtol = max(LINEAR_TOL, LINEAR_RATIO)
-    u_prev = None
+    u_prev = au = au_prev = None  # A u and A u_prev, where a solve gave them
     for n in range(1, cfg.max_outer + 1):
         u_older, u_prev, lam_prev = u_prev, state.u, state.lam
+        au_older, au_prev = au_prev, au
         tol_inner = max(TOL_INNER, INNER_RATIO * state.residual_constraint)
-        u0 = _extrapolated_start(state.u, u_older, state.history)
+        u0, au0 = _extrapolated_start(state.u, u_older, state.history,
+                                      au, au_older)
+        del u_older, au_older
         for sweep in range(sweeps):
             eta_prev = state.eta
             rhs = assemble_rhs(state, data, cfg)
-            u, tight, iterations = solve_linear(matrix, rhs, u0, rtol)
+            u, tight, iterations, au = solve_linear(matrix, rhs, u0, rtol,
+                                                    au0)
             state.u = DgScalar(mesh, u)
             state.linear_iterations += iterations
             # a later sweep's solve that returns its start (0 iterations;
@@ -603,25 +660,31 @@ def run(data: ProblemData, cfg: SolverConfig,
             # step's eta, bit for bit as the last sweep made them
             if sweep and not iterations and rhs.any():
                 break
-            u0 = u
+            u0, au0 = u, au
             bu = lifting(state.u)
-            h = bu if relax == 1.0 else DgVector(
-                mesh, relax * bu.values + (1.0 - relax) * eta_prev.values)
+            if relax == 1.0:
+                h = bu
+            else:  # relax bu + (1 - relax) eta_prev, in one new buffer
+                h = DgVector(mesh, relax * bu.values)
+                h.values += (1.0 - relax) * eta_prev.values
             state.eta = eta_update(h, state.lam, data, cfg, state)
             # a NaN flux passes too; the checks below end the run on it
             if sweeps == 1 or not _distance(state.eta, eta_prev) > tol_inner:
                 break
         else:
             state.inner_converged = False
-        gap = DgVector(mesh, bu.values - state.eta.values)
-        step = gap if h is bu else DgVector(mesh, h.values - state.eta.values)
-        state.lam = lambda_update(state.lam, step, cfg)
-        del h, step
+        del rhs, u0, au0, eta_prev
+        gap = bu.values - state.eta.values
+        state.residual_constraint = l2_norm(DgVector(mesh, gap))
+        if h is not bu:  # the step h - eta, in h's buffer in place of gap's
+            gap = np.subtract(h.values, state.eta.values, out=h.values)
+        state.lam = lambda_update(state.lam, DgVector(mesh, gap), cfg)
+        del h, gap
         state.iteration = n
         state.residual_u = _distance(state.u, u_prev)
-        state.residual_constraint = l2_norm(gap)
         state.residual_lambda = _distance(state.lam, lam_prev)
         state.energy = eval_Jh(state.u, data, bu)
+        del bu
         state.history.append(IterationRecord(
             n, state.residual_u, state.residual_constraint,
             state.residual_lambda, state.energy))

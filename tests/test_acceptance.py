@@ -330,7 +330,7 @@ def test_criterion_7_structural_invariants(tight_states):
         p = rng.uniform(1.01, 2.0)
         r = rng.uniform(0.05, 10.0)
         c = rng.uniform(0.0, 50.0)
-        x = float(_root_many(np.array([p]), r, np.array([c]))[0])
+        x = float(_root_many(np.array([p]), r, np.array([c]))[0][0])
         res = abs(x ** (p - 1.0) + r * x - c)
         if res > 1e-12 * max(1.0, c):
             failures.append(f"root residual {res:.2e} at p={p:.3f}")

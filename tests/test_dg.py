@@ -191,6 +191,25 @@ def test_l2_norm_values():
     assert l2_norm(q) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("shape", [(15,), (15, 2)])
+def test_l2_norm_is_one_dot_product(shape):
+    # sqrt(area v . v) agrees with the area-weighted sum of squares, and a
+    # non-finite value, or one whose square overflows, makes it inf or NaN
+    mesh = build_uniform_mesh(Domain(0.5, 2.0, -1.0, 0.2), 5, 3)
+    field = DgScalar if len(shape) == 1 else DgVector
+    rng = np.random.default_rng(14)
+    for size in (1e-150, 1.0, 1e150):
+        v = size * rng.normal(size=shape)
+        want = np.sqrt((mesh.dx * mesh.dy * v ** 2).sum())
+        assert l2_norm(field(mesh, v)) == pytest.approx(want, rel=1e-14)
+    for bad in (np.inf, -np.inf, 1e200, np.nan):
+        v = rng.normal(size=shape)
+        v.flat[4] = bad
+        with np.errstate(over="ignore"):  # 1e200^2 warns, as it did squared
+            got = l2_norm(field(mesh, v))
+        assert np.isnan(got) if np.isnan(bad) else got == np.inf
+
+
 def test_l2_norm_matches_quadratic_modular():
     mesh = build_uniform_mesh(SQUARE, 5, 5)
     field = manufactured_exponent(0.0)
