@@ -10,15 +10,14 @@ import sys
 from dataclasses import astuple
 from itertools import chain, islice
 
-import numpy as np
-
 from .solver import SolverConfig, run
 from .study import exact_l2_norm, l2_error, manufactured_problem, run_study
 
 __all__ = ["main"]
 
-# CSV rows per % call, and solution.csv rows per array slice: at 8192 the
-# rows and text of one chunk raised the peak RSS of a 128^2 solve by 1.3 MB
+# CSV rows per % call; a solution.csv grid row wider than this is split into
+# blocks of columns. At 8192 the rows and text of one chunk raised the peak
+# RSS of a 128^2 solve by 1.3 MB
 CSV_CHUNK = 1024
 
 
@@ -95,41 +94,36 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _write_csv(path, header, row_format, rows) -> None:
-    """One CSV table of row tuples, CSV_CHUNK rows to a chunk (see
-    _write_chunks)."""
-    rows = iter(rows)
-    _write_chunks(path, header, row_format, iter(
-        lambda: list(chain.from_iterable(islice(rows, CSV_CHUNK))), []))
-
-
-def _write_chunks(path, header, row_format, chunks) -> None:
-    """One CSV table: csv.writer's layout and CRLF line ends. Each chunk
-    is the flat list of some rows' values, one column of the header each,
-    and is one % call, with the row format repeated once per row."""
+    """One CSV table of row tuples: csv.writer's layout and CRLF line ends.
+    CSV_CHUNK rows are one % call, with the row format repeated once per
+    row."""
     line = row_format + "\r\n"
-    width = header.count(",") + 1
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        for flat in chunks:
-            fh.write(line * (len(flat) // width) % tuple(flat))
+        while chunk := list(islice(rows, CSV_CHUNK)):
+            fh.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
-def _solution_chunks(mesh, u):
-    """(k, x, y, u) per element, as flat lists of CSV_CHUNK rows' values
-    filled a column at a time, so no list of all m values is held. x and
-    y come as the "%.12g" text of their grid line, formatted once per
-    line."""
+def _write_solution(path, mesh, u) -> None:
+    """solution.csv, (k, x, y, u) per element, as _write_csv lays it out,
+    one grid row at a time. Each block of at most CSV_CHUNK columns of a
+    row is one template, with the "%.12g" text of its x and y written in,
+    and one % call formats its k and u."""
     _, _, xc, yc = mesh.axes()
     xs = ["%.12g" % x for x in xc.tolist()]
-    ys = ["%.12g" % y for y in yc.tolist()]
-    for start in range(0, mesh.n_elements, CSV_CHUNK):
-        k = np.arange(start, min(start + CSV_CHUNK, mesh.n_elements))
-        flat = [None] * (4 * len(k))
-        flat[0::4] = k.tolist()
-        flat[1::4] = map(xs.__getitem__, (k % mesh.nx).tolist())
-        flat[2::4] = map(ys.__getitem__, (k // mesh.nx).tolist())
-        flat[3::4] = u[start:start + len(k)].tolist()
-        yield flat
+    with open(path, "w", newline="") as fh:
+        fh.write("element,x,y,u\r\n")
+        for row, y in enumerate(yc.tolist()):
+            tail = ",%.12g,%%.12g\r\n" % y  # the y text and u's format
+            for col in range(0, mesh.nx, CSV_CHUNK):
+                xs_block = xs[col:col + CSV_CHUNK]
+                k = row * mesh.nx + col
+                values = [None] * (2 * len(xs_block))
+                values[0::2] = range(k, k + len(xs_block))
+                values[1::2] = u[k:k + len(xs_block)].tolist()
+                fh.write(("%d," + (tail + "%d,").join(xs_block) + tail)
+                         % tuple(values))
 
 
 def _cmd_solve(args) -> int:
@@ -141,8 +135,7 @@ def _cmd_solve(args) -> int:
     state = run(data, cfg)
     err = l2_error(state.u, prob)
     rel_err = err / exact_l2_norm(prob, mesh)
-    _write_chunks(args.out, "element,x,y,u", "%d,%s,%s,%.12g",
-                  _solution_chunks(mesh, state.u.values))
+    _write_solution(args.out, mesh, state.u.values)
     if args.trace:
         _write_csv(args.trace,
                    "iter,residual_u,residual_constraint,residual_lambda,Jh",

@@ -16,18 +16,19 @@ it is over-relaxed: its flux and multiplier steps read h = RELAX Bu +
 The coupled variant and a rho other than r keep the paper's step, for which
 alone Glowinski's bounds on rho are proved.
 
-The u-system matrix A is fixed for a run. With every edge penalty w |e| at
-its mean gamma it is K, the Kronecker sum of two 1-D operators, and A is K
-plus each edge's departure w |e| - gamma. Conjugate gradients solve it,
-preconditioned with M = S^-1 K S^-1, which fast diagonalization inverts
-exactly (Lynch, Rice and Thomas 1964; Concus and Golub 1973); the scaling
-S = sqrt(diag K / diag A) makes diag M = diag A. At p = 2, M = A. A is
-stored as its nine bands, written from the 1-D operators' diagonals, and
-no factor is formed, so memory stays O(m + nx^2 + ny^2). Where the edges
-depart from gamma, M only approximates A, and the preconditioner applies
-its transforms in float32 (mixed-precision preconditioning, Higham and
-Mary 2022); where they do not, beyond float32's resolution, M = A and the
-transforms stay float64, so that one iteration still solves.
+The u-system matrix A = |k| I + r |k| B^T B + the edge penalties w |e|
+on the squared jumps is fixed for a run. It is stored as its nine bands,
+written from those coefficients, and no factor is formed, so memory stays
+O(m + nx^2 + ny^2). Conjugate gradients solve it, preconditioned with
+M = S^-1 K S^-1. K is A with every edge penalty at its mean gamma, the
+Kronecker sum of two 1-D operators, kept for the preconditioner alone:
+fast diagonalization inverts it exactly (Lynch, Rice and Thomas 1964;
+Concus and Golub 1973), and the scaling S = sqrt(diag K / diag A) makes
+diag M = diag A. At p = 2, M = A. Where the edges depart from gamma, M
+only approximates A, and the preconditioner applies its transforms in
+float32 (mixed-precision preconditioning, Higham and Mary 2022); where
+they do not, beyond float32's resolution, M = A and the transforms stay
+float64, so that one iteration still solves.
 """
 
 from __future__ import annotations
@@ -148,10 +149,10 @@ class SolverState:
 class SystemMatrix:
     """The u-system and the data of its preconditioner.
 
-    matrix is A = K + the edge departures, stored as its nine bands in
-    DIA format (see assemble_matrix), with K = I_y (x) K_x + K_y (x) I_x
-    the operator with every edge penalty at the mean gamma. The
-    preconditioner is M = S^-1 K S^-1. The 1-D factors
+    matrix is A, stored as its nine bands in DIA format and written from
+    its own coefficients (see assemble_matrix). K = I_y (x) K_x +
+    K_y (x) I_x is A with every edge penalty at the mean gamma, kept for
+    the preconditioner M = S^-1 K S^-1 alone. The 1-D factors
     K = Q diag(lam) Q^T are stored in float64 as qx (nx, nx), qy (ny, ny),
     lam_x (nx) and lam_y (ny); on a square grid qx is qy. scale is the
     m-vector S = sqrt(diag K / diag A), so that diag M = diag A. apply_qx,
@@ -191,26 +192,24 @@ def _check_step_size(cfg: SolverConfig) -> None:
 
 
 def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
-                   masses: tuple = (0.0,)) -> tuple:
-    """K = mass I + r |k| D^T D + jump T along one axis of n cells of width
-    h, at each mass of masses: ([diags at each mass], lam, Q), with
-    diags[d] the diagonal of K at offset d for |d| <= min(2, n - 1), and
-    (lam, Q) the eigenpairs of K at masses[0]. K at another mass has the
-    same Q and lam plus that mass's difference.
+                   mass: float) -> tuple:
+    """(bands, lam, Q) along one axis of n cells of width h: bands[d] the
+    diagonal at offset d, |d| <= min(2, n - 1), of r |k| D^T D, and
+    (lam, Q) the eigenpairs of K = mass I + r |k| D^T D + jump T.
 
     D is the 1-D lifting of dg._stencil. T = tridiag(-1, 2, -1) is the jump
     Laplacian, whose end rows carry one interior and one boundary edge, and
-    jump prices every edge (weight times length). K is built n x n by the
-    stencil itself: applied to x I, x = sqrt(r |k|) / (2h), it gives
-    sqrt(r |k|) D, and its adjoint applied to x times that gives
+    jump prices every edge (weight times length). r |k| D^T D is built
+    n x n by the stencil itself: applied to x I, x = sqrt(r |k|) / (2h), it
+    gives sqrt(r |k|) D, and its adjoint applied to x times that gives
     r |k| D^T D. Each entry sums at most two products +-x * x, so these are
-    the bits of the sparse product, to which mass and jump T are added in
-    its order. The eigenpairs come from numpy's dense symmetric eigensolver
-    (LAPACK syevd), so that all of a run's BLAS and LAPACK calls share
-    numpy's one OpenBLAS. scipy's banded eigensolver costs about as much per
-    call, but it loads scipy's own OpenBLAS, whose thread pool stalled the
-    numpy products that followed it: at nx = 128 the first preconditioner
-    applies of a run took 28-93 ms each in place of 0.3 ms.
+    the bits of the sparse product. K adds mass and jump T to it, for the
+    preconditioner alone. The eigenpairs come from numpy's dense symmetric
+    eigensolver (LAPACK syevd), so that all of a run's BLAS and LAPACK calls
+    share numpy's one OpenBLAS. scipy's banded eigensolver costs about as
+    much per call, but it loads scipy's own OpenBLAS, whose thread pool
+    stalled the numpy products that followed it: at nx = 128 the first
+    preconditioner applies of a run took 28-93 ms each in place of 0.3 ms.
     """
     # scaling D, not D^T D: on a tiny domain (1/2h)^2 overflows while
     # r |k| / (2h)^2 stays O(1)
@@ -222,80 +221,80 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
     _stencil(lift, k, adjoint=True)
     del lift  # one n x n array during eigh
     k += 0.0  # +0.0 for -0.0, as in the sparse product, which stores no zero
+    kd = min(2, n - 1)
+    bands = {d: np.diagonal(k, d).copy() for d in range(-kd, kd + 1)}
     i = np.arange(n)
+    k[i, i] = bands[0] + mass + 2.0 * jump
     k[i[1:], i[:-1]] -= jump
     k[i[:-1], i[1:]] -= jump
-    kd = min(2, n - 1)
-    off = {d: np.diagonal(k, d) for d in range(-kd, kd + 1) if d}
-    dtd = k[i, i]
-    bands = [{**off, 0: dtd + mass + 2.0 * jump} for mass in masses]
-    k[i, i] = bands[0][0]
     return (bands, *np.linalg.eigh(k))
 
 
 def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
-    """SPD system: mass + r B^T A B + interior jump and boundary penalties.
+    """SPD system A = |k| I + r |k| B^T B + each edge's w |e| times its
+    squared jump, written from those coefficients as nine bands.
 
-    With every penalty weight times edge length at gamma, their mean over
-    all edges, the system is K = I_y (x) K_x + K_y (x) I_x, K_x = |k| I
-    + r |k| D_x^T D_x + gamma T_x and K_y = r |k| D_y^T D_y + gamma T_y
-    (see _axis_operator). A is K plus each edge's departure from gamma, all
-    0 at p = 2. solve_linear preconditions with K scaled to diag A. On a
-    square grid, (nx, dx) = (ny, dy), K_x = K_y + |k| I: the two axes share
-    their eigenvectors, and one eigensolve serves both.
+    r |k| B^T B = I_y (x) r |k| D_x^T D_x + r |k| D_y^T D_y (x) I_x has the
+    offsets 0, +-1, +-2 within each grid row and 0, +-nx, +-2nx across the
+    rows (see _axis_operator). The edge weights (cx, cy) add each element's
+    four edges on the diagonal, and minus each interior edge's weight
+    between its two elements. The bands are written into one (bands, m)
+    array, each indexed by column as DIA storage keeps it. The offsets
+    ascend, so A @ x sums each row in column order, as CSR does.
 
-    Where some departure exceeds float32's resolution of gamma, M only
-    approximates A, and the transforms the preconditioner applies are
-    float32 copies of Q_x, Q_y and the eigenvalue sums: float64 rounding
-    buys nothing there, and an apply at nx = 400 takes 3.6 ms in place of
-    5.9 on a 2-vCPU VM. No float64 copy of the sums is kept then; lam_x
-    and lam_y rebuild them. Elsewhere M = A to float64 roundoff, and they
-    are the float64 arrays themselves, so that one iteration still solves.
-    That holds at p = 2, where every w |e| is 1 to an ulp, and so is
-    gamma, their mean: at nx = 49 each w |e| rounds to 1 - 2^-53 and
+    gamma, the mean w |e|, enters the preconditioner alone. K is A with
+    every edge at gamma, I_y (x) K_x + K_y (x) I_x with K_x = |k| I +
+    r |k| D_x^T D_x + gamma T_x and K_y = r |k| D_y^T D_y + gamma T_y, and
+    solve_linear preconditions with K scaled to diag A. On a square grid,
+    (nx, dx) = (ny, dy), K_x = K_y + |k| I, and one eigensolve serves both
+    axes.
+
+    Where some w |e| departs from gamma by more than float32 resolves,
+    M only approximates A, and the transforms the preconditioner applies
+    are float32 copies of Q_x, Q_y and the eigenvalue sums: float64
+    rounding buys nothing there, and an apply at nx = 400 takes 3.6 ms in
+    place of 5.9 on a 2-vCPU VM. No float64 copy of the sums is kept then;
+    lam_x and lam_y rebuild them. Elsewhere M = A to float64 roundoff, and
+    they are the float64 arrays themselves, so that one iteration still
+    solves. That holds at p = 2, where every w |e| is 1 to an ulp, and so
+    is gamma, their mean: at nx = 49 each w |e| rounds to 1 - 2^-53 and
     gamma to 1 - 2^-52, and a test of exact zeros would apply float32
     there and take b = 0 from 2 to 4 outer iterations.
-
-    A has nine bands: K_x's offsets 0, +-1, +-2 within each grid row, and
-    K_y's 0, +-nx, +-2nx across the rows. They are written into one
-    (bands, m) array, each band indexed by column as DIA storage keeps it.
-    Where offsets coincide (nx <= 2) their bands are merged. The offsets
-    ascend, so A @ x sums each row in column order, as CSR does.
     """
     mesh = data.mesh
     nx, ny, m = mesh.nx, mesh.ny, mesh.n_elements
     cx, cy = data.penalty_weights
     gamma = float((cx.sum() + cy.sum()) / (cx.size + cy.size))
     cell = mesh.dx * mesh.dy
+    # rx[d], ry[d]: the bands of r |k| D^T D along x and along y
     if (nx, mesh.dx) == (ny, mesh.dy):
-        (ky, kx), lam_y, qy = _axis_operator(ny, mesh.dy, cell, cfg.r, gamma,
-                                             (0.0, cell))
-        lam_x, qx = lam_y + cell, qy
+        ry, lam_y, qy = _axis_operator(ny, mesh.dy, cell, cfg.r, gamma, 0.0)
+        rx, lam_x, qx = ry, lam_y + cell, qy
     else:
-        (kx,), lam_x, qx = _axis_operator(nx, mesh.dx, cell, cfg.r, gamma,
-                                          (cell,))
-        (ky,), lam_y, qy = _axis_operator(ny, mesh.dy, cell, cfg.r, gamma)
-    offsets = sorted({*kx} | {d * nx for d in ky})
+        rx, lam_x, qx = _axis_operator(nx, mesh.dx, cell, cfg.r, gamma, cell)
+        ry, lam_y, qy = _axis_operator(ny, mesh.dy, cell, cfg.r, gamma, 0.0)
+    offsets = sorted({*rx} | {d * nx for d in ry})
     bands = np.zeros((len(offsets), m))
     # band d as an (ny, nx) grid: grid[d][j, i] = A[c - d, c], c = j nx + i
     grid = {d: band.reshape(ny, nx) for d, band in zip(offsets, bands)}
-    for d, diag in kx.items():
-        grid[d][:, max(d, 0):nx + min(d, 0)] += diag
-    for d, diag in ky.items():
-        grid[d * nx][max(d, 0):ny + min(d, 0)] += diag[:, None]
-    # departures from gamma: each element's four edges on the diagonal, and
-    # minus each interior edge's between its two elements
-    dev_x, dev_y = cx - gamma, cy - gamma
-    grid[0] += dev_x[:, :-1] + dev_x[:, 1:] + dev_y[:-1] + dev_y[1:]
+    # the diagonal, by axis: r |k| D^T D and the element's two edges
+    np.add(ry[0][:, None], cy[:-1] + cy[1:], out=grid[0])
+    grid[0] += (rx[0] + cell) + (cx[:, :-1] + cx[:, 1:])
+    # off it: r |k| D^T D, and minus each interior edge's weight
+    for d in rx.keys() - {0}:
+        grid[d][:, max(d, 0):nx + min(d, 0)] = rx[d]
+    for d in ry.keys() - {0}:
+        grid[d * nx][max(d, 0):ny + min(d, 0)] = ry[d][:, None]
     if nx > 1:
-        grid[1][:, 1:] -= dev_x[:, 1:-1]
-        grid[-1][:, :-1] -= dev_x[:, 1:-1]
+        grid[1][:, 1:] -= cx[:, 1:-1]
+        grid[-1][:, :-1] -= cx[:, 1:-1]
     if ny > 1:
-        grid[nx][1:] -= dev_y[1:-1]
-        grid[-nx][:-1] -= dev_y[1:-1]
-    scale = np.sqrt((ky[0][:, None] + kx[0]) / grid[0]).ravel()
-    # the edges depart from gamma by more than float32 resolves: M != A
-    depart = max(np.abs(dev_x).max(), np.abs(dev_y).max())
+        grid[nx][1:] -= cy[1:-1]
+        grid[-nx][:-1] -= cy[1:-1]
+    diag_k = (ry[0] + 2.0 * gamma)[:, None] + (rx[0] + cell + 2.0 * gamma)
+    scale = np.sqrt(diag_k / grid[0]).ravel()
+    # some edge departs from gamma by more than float32 resolves: M != A
+    depart = max(np.abs(cx - gamma).max(), np.abs(cy - gamma).max())
     dtype = (np.float32 if depart > np.finfo(np.float32).eps * gamma
              else np.float64)
     apply_qx = qx.astype(dtype, copy=False)

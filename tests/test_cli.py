@@ -40,7 +40,7 @@ HEADERS = {
 }
 
 
-def _csv_writer_rows(table):
+def _csv_writer_rows(table, nx=4, ny=3):
     """The table's rows as csv.writer got them: %.12g floats, plain ints."""
     if table == "study":
         return [["%.12g" % r.b, r.nx, r.m, "%.12g" % r.l2_error,
@@ -48,7 +48,7 @@ def _csv_writer_rows(table):
                  int(r.converged)]
                 for r in run_study([0.0, 0.5], [4, 5],
                                    SolverConfig(max_outer=3))]
-    data = manufactured_problem(0.25).discretize(4, 3)
+    data = manufactured_problem(0.25).discretize(nx, ny)
     mesh = data.mesh
     state = run(data, SolverConfig())
     if table == "solution":
@@ -63,35 +63,43 @@ def _csv_writer_rows(table):
 
 
 @pytest.mark.parametrize("table", sorted(HEADERS))
-def test_csv_matches_csv_writer(tmp_path, table):
+def test_csv_matches_csv_writer(tmp_path, monkeypatch, table):
     # main formats every table in one pass; csv.writer over the same fields
-    # is the reference layout, CRLF line ends included
+    # is the reference layout, CRLF line ends included. solution.csv is also
+    # written on a 7 x 5 mesh at CSV_CHUNK = 3, so that every grid row is
+    # split into column blocks of 3, 3 and 1
     path = {t: tmp_path / f"{t}.csv" for t in HEADERS}
-    if table == "study":
-        # b = 0.5 stops unconverged, so converged = 0 is written too
-        assert main(["study", "--b", "0,0.5", "--nx", "4,5", "--max-iter",
-                     "3", "--out", str(path["study"])]) == 2
-    else:
-        assert main(["solve", "--b", "0.25", "--nx", "4", "--ny", "3",
-                     "--out", str(path["solution"]),
-                     "--trace", str(path["trace"])]) == 0
-    want = io.StringIO(newline="")
-    writer = csv.writer(want)
-    writer.writerow(HEADERS[table].split(","))
-    writer.writerows(_csv_writer_rows(table))
-    assert path[table].read_bytes() == want.getvalue().encode()
+    cases = [(4, 3, pxdg.cli.CSV_CHUNK)]
+    if table == "solution":
+        cases.append((7, 5, 3))
+    for nx, ny, chunk in cases:
+        monkeypatch.setattr(pxdg.cli, "CSV_CHUNK", chunk)
+        if table == "study":
+            # b = 0.5 stops unconverged, so converged = 0 is written too
+            assert main(["study", "--b", "0,0.5", "--nx", "4,5", "--max-iter",
+                         "3", "--out", str(path["study"])]) == 2
+        else:
+            assert main(["solve", "--b", "0.25", "--nx", str(nx), "--ny",
+                         str(ny), "--out", str(path["solution"]),
+                         "--trace", str(path["trace"])]) == 0
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(HEADERS[table].split(","))
+        writer.writerows(_csv_writer_rows(table, nx, ny))
+        assert path[table].read_bytes() == want.getvalue().encode()
 
 
 def test_solution_csv_written_in_chunks(tmp_path, monkeypatch):
-    # rows are formatted from slices of CSV_CHUNK elements; the bytes are
-    # those of one "%d,%.12g,%.12g,%.12g" row per element
-    monkeypatch.setattr(pxdg.cli, "CSV_CHUNK", 5)
+    # a grid row wider than CSV_CHUNK is formatted in blocks of CSV_CHUNK
+    # columns; the bytes are those of one "%d,%.12g,%.12g,%.12g" row per
+    # element
+    monkeypatch.setattr(pxdg.cli, "CSV_CHUNK", 3)
     out = tmp_path / "solution.csv"
     assert main(["solve", "--b", "0.25", "--nx", "4", "--ny", "3",
                  "--out", str(out)]) == 0
     data = manufactured_problem(0.25).discretize(4, 3)
     mesh = data.mesh
-    assert mesh.n_elements % 5 != 0
+    assert mesh.nx % 3 != 0
     state = run(data, SolverConfig())
     rows = zip(range(mesh.n_elements), *edges(mesh)["barycenters"].T.tolist(),
                state.u.values.tolist())

@@ -269,16 +269,11 @@ def test_matrix_product_matches_csr_bit_for_bit(b):
     assert np.array_equal(sm.matrix @ x, sm.matrix.tocsr() @ x)
 
 
-def _sparse_axis_operator(n, h, area, r, jump, mass=0.0):
-    # the 1-D operator as scipy.sparse forms it, mass I + (sqrt(r |k|) D)^T
-    # (sqrt(r |k|) D) + jump T: the oracle of the closed-form bands
+def _sparse_dtd(n, h, area, r):
+    # r |k| D^T D as scipy.sparse forms it, (sqrt(r |k|) D)^T (sqrt(r |k|) D):
+    # the oracle of the bands; a product stores no zero, so its zeros are +0.0
     lift = np.sqrt(r * area) * axis_lifting(n, h)
-    k = (mass * sp.identity(n) + lift.T @ lift
-         + jump * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)))
-    kd = min(2, n - 1)
-    diags = {d: k.diagonal(d) for d in range(-kd, kd + 1)}
-    band = [np.pad(diags[d], (d, 0)) for d in range(kd, -1, -1)]
-    return (diags, sla.eig_banded(band, eigvals_only=True), k.toarray())
+    return lift.T @ lift
 
 
 def _same_bits(got, want):
@@ -288,30 +283,66 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("h", [0.3, 1e-160])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 54])
 def test_axis_operator_matches_sparse_product_bit_for_bit(n, h):
-    # every entry of D^T D sums at most two products +-x * x, so the closed
-    # form rounds as the sparse product does; zeros keep their sign too.
-    # r = 0.37 makes (mass + 2 x^2) + 2 jump round apart from
-    # mass + (2 x^2 + 2 jump), so the order of additions is pinned. Each
-    # mass asked for gets these bits. The eigenpairs decompose the sparse
-    # product's K at the first mass, and its eigenvalues are the banded
+    # every entry of D^T D sums at most two products +-x * x, so the bands
+    # round as the sparse product does, whatever the mass and jump K is
+    # built with; r = 0 gives +0.0 everywhere. The eigenpairs decompose
+    # K = mass I + r |k| D^T D + jump T, and its eigenvalues are the banded
     # eigensolver's to roundoff of max|K|
+    kd = min(2, n - 1)
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
     for r, mass, jump in itertools.product((0.0, 0.37, 1.0, 1e4),
                                            (0.0, h * h), (1.0, 0.731)):
-        args = (n, h, h * h, r, jump)
-        bands, lam, q = pxdg.solver._axis_operator(*args, (mass, 0.0))
-        for got, at in zip(bands, (mass, 0.0), strict=True):
-            want, want_lam, k = _sparse_axis_operator(*args, at)
-            assert sorted(got) == sorted(want) == list(
-                range(-min(2, n - 1), min(2, n - 1) + 1))
-            for d in want:
-                assert np.array_equal(got[d], want[d]), (args, at, d)
-                assert _same_bits(got[d], want[d]), (args, at, d)
-        want, want_lam, k = _sparse_axis_operator(*args, mass)
+        args = (n, h, h * h, r)
+        bands, lam, q = pxdg.solver._axis_operator(*args, jump, mass)
+        dtd = _sparse_dtd(*args)
+        assert sorted(bands) == list(range(-kd, kd + 1))
+        for d, got in bands.items():
+            assert _same_bits(got, dtd.diagonal(d)), (args, mass, jump, d)
+            if r == 0.0:
+                assert not np.signbit(got).any() and not got.any()
+        k = (mass * sp.identity(n) + dtd + jump * t).toarray()
+        band = [np.pad(np.diagonal(k, d), (d, 0)) for d in range(kd, -1, -1)]
         size = np.abs(k).max()
         assert lam.shape == (n,) and q.shape == (n, n)
         assert np.abs(k @ q - q * lam).max() <= 1e-13 * size, args
         assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13, args
-        assert np.abs(lam - want_lam).max() <= 1e-13 * size, args
+        assert np.abs(lam - sla.eig_banded(band, eigvals_only=True)).max() \
+            <= 1e-13 * size, args
+
+
+def _edge_jumps(n):
+    # the (n + 1) x n jump of a P0 field across the n + 1 edges of one axis,
+    # boundary edges first and last
+    return sp.diags([1.0, -1.0], [0, -1], shape=(n + 1, n), format="csr")
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 1e4])
+@pytest.mark.parametrize("b", [0.0, 0.5])
+@pytest.mark.parametrize("domain, nx, ny", [
+    pytest.param(domain, nx, ny, id=name) for domain, nx, ny, name in
+    MESHES + [(SQUARE, 40, 25, "40x25"), (SQUARE, 12, 12, "12x12")]])
+def test_matrix_bands_match_sparse_oracle(domain, nx, ny, b, r):
+    # A = |k| I + B_x^T B_x + B_y^T B_y + J_x^T C_x J_x + J_y^T C_y J_y, with
+    # B_x = I (x) sqrt(r |k|) D_x and B_y = sqrt(r |k|) D_y (x) I from the
+    # CSR of D, and C_x, C_y the edge weights on the jumps J_x, J_y across
+    # the vertical and the horizontal edges. Every entry of A is the
+    # oracle's to an ulp of max|A|
+    mesh = build_uniform_mesh(domain, nx, ny)
+    data = ProblemData(mesh=mesh, exponent=exponent_on(domain, b), xi=zero,
+                       u_D=zero)
+    cell = mesh.dx * mesh.dy
+    ix, iy = sp.identity(nx), sp.identity(ny)
+    bx = sp.kron(iy, np.sqrt(r * cell) * axis_lifting(nx, mesh.dx))
+    by = sp.kron(np.sqrt(r * cell) * axis_lifting(ny, mesh.dy), ix)
+    jx = sp.kron(iy, _edge_jumps(nx))
+    jy = sp.kron(_edge_jumps(ny), ix)
+    cx, cy = data.penalty_weights
+    want = (cell * sp.identity(nx * ny) + bx.T @ bx + by.T @ by
+            + jx.T @ sp.diags(cx.ravel()) @ jx
+            + jy.T @ sp.diags(cy.ravel()) @ jy)
+    got = assemble_matrix(data, SolverConfig(r=r)).matrix
+    assert np.abs(got.toarray() - want.toarray()).max() \
+        <= np.spacing(abs(want).max())
 
 
 @pytest.mark.parametrize("nx, ny", [(5, 3), (1, 1), (2, 1), (1, 4)])
