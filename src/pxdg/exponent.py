@@ -85,29 +85,33 @@ def modular(field, exponent: ExponentField, mesh) -> float:
 
 def luxemburg_norm(field, exponent: ExponentField, mesh) -> float:
     """inf{k > 0 : modular(u/k) <= 1}, by bisection to 1e-12 relative;
-    NaN for a field with a NaN magnitude, inf for one with an infinite one."""
+    NaN for a field with a NaN magnitude, inf for one with an infinite one.
+
+    The norm is homogeneous, ||c u|| = |c| ||u||, so the search runs on
+    u / max|u|, whose modular stays finite at every k tried and whose norm
+    does not depend on the scale of u, and scales the result back.
+    """
     mag = _field_magnitude(field)
     # a NaN magnitude is not 0, and makes the norm NaN
     if np.all(mag == 0.0):
         return 0.0
-    rho = _scaled_modular(mag, exponent, mesh)
+    top = mag.max()  # NaN if any magnitude is NaN
+    finite = np.isfinite(top)
+    rho = _scaled_modular(mag / top if finite else mag, exponent, mesh)
     # no k brackets the norm of a NaN magnitude (every comparison with a
     # NaN modular is false) or of an infinite one (the modular is inf)
-    if not np.isfinite(mag).all():
-        return float(np.nan if np.isnan(mag).any() else np.inf)
-    k = max(rho(1.0), 1.0)
-    # rho(k) is strictly decreasing in k; expand/shrink by 2 to bracket 1
-    lo = hi = k
+    if not finite:
+        return float(top)
+    # rho(k) is strictly decreasing in k; step by 2 from k = 1 to bracket 1
+    lo = hi = 1.0
     while rho(hi) > 1.0:
-        hi *= 2.0
-    while rho(lo) <= 1.0 and lo > 1e-300:
-        lo /= 2.0
-    for _ in range(200):
+        lo, hi = hi, 2.0 * hi
+    while rho(lo) <= 1.0:
+        lo, hi = 0.5 * lo, lo
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if rho(mid) > 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return float(top * (0.5 * (lo + hi)))

@@ -147,30 +147,25 @@ class SolverState:
 
 @dataclass
 class SystemMatrix:
-    """The u-system and the data of its preconditioner.
+    """The u-system and the data of its preconditioner, each array once.
 
     matrix is A, stored as its nine bands in DIA format and written from
-    its own coefficients (see assemble_matrix). K = I_y (x) K_x +
-    K_y (x) I_x is A with every edge penalty at the mean gamma, kept for
-    the preconditioner M = S^-1 K S^-1 alone. The 1-D factors
-    K = Q diag(lam) Q^T are stored in float64 as qx (nx, nx), qy (ny, ny),
-    lam_x (nx) and lam_y (ny); on a square grid qx is qy. scale is the
-    m-vector S = sqrt(diag K / diag A), so that diag M = diag A. apply_qx,
-    apply_qy and apply_eigsum are the transforms _precondition applies,
-    with apply_eigsum[j, i] = lam_y[j] + lam_x[i]: float32 copies where
-    M != A, and qx, qy and the float64 sums themselves where M = A, as at
-    p = 2 (see assemble_matrix).
+    its own coefficients (see assemble_matrix). scale is the m-vector
+    S = sqrt(diag K / diag A) of the preconditioner M = S^-1 K S^-1, with
+    K = I_y (x) K_x + K_y (x) I_x the Kronecker sum that is A with every
+    edge penalty at the mean gamma. qx (nx, nx) and qy (ny, ny) are the
+    eigenvectors of K_x and K_y, and eigsum (ny, nx) the eigenvalue sums
+    of K, eigsum[j, i] = lam_y[j] + lam_x[i]. These three are stored in
+    the precision _precondition applies: float32 where M != A, float64
+    where M = A, as at p = 2 (see assemble_matrix). On a square grid qx
+    is qy.
     """
 
     matrix: sp.dia_matrix
+    scale: np.ndarray
     qx: np.ndarray
     qy: np.ndarray
-    lam_x: np.ndarray
-    lam_y: np.ndarray
-    scale: np.ndarray
-    apply_qx: np.ndarray
-    apply_qy: np.ndarray
-    apply_eigsum: np.ndarray
+    eigsum: np.ndarray
 
 
 def _zero_state(mesh) -> SolverState:
@@ -191,11 +186,11 @@ def _check_step_size(cfg: SolverConfig) -> None:
     raise ValueError("step size violates the convergence bound")
 
 
-def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
-                   mass: float) -> tuple:
+def _axis_operator(n: int, h: float, area: float, r: float,
+                   jump: float) -> tuple:
     """(bands, lam, Q) along one axis of n cells of width h: bands[d] the
     diagonal at offset d, |d| <= min(2, n - 1), of r |k| D^T D, and
-    (lam, Q) the eigenpairs of K = mass I + r |k| D^T D + jump T.
+    (lam, Q) the eigenpairs of r |k| D^T D + jump T.
 
     D is the 1-D lifting of dg._stencil. T = tridiag(-1, 2, -1) is the jump
     Laplacian, whose end rows carry one interior and one boundary edge, and
@@ -203,13 +198,15 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
     n x n by the stencil itself: applied to x I, x = sqrt(r |k|) / (2h), it
     gives sqrt(r |k|) D, and its adjoint applied to x times that gives
     r |k| D^T D. Each entry sums at most two products +-x * x, so these are
-    the bits of the sparse product. K adds mass and jump T to it, for the
-    preconditioner alone. The eigenpairs come from numpy's dense symmetric
-    eigensolver (LAPACK syevd), so that all of a run's BLAS and LAPACK calls
-    share numpy's one OpenBLAS. scipy's banded eigensolver costs about as
-    much per call, but it loads scipy's own OpenBLAS, whose thread pool
-    stalled the numpy products that followed it: at nx = 128 the first
-    preconditioner applies of a run took 28-93 ms each in place of 0.3 ms.
+    the bits of the sparse product. The eigenpairs add jump T to it, for
+    the preconditioner alone; the mass |k| I shifts eigenvalues only, and
+    assemble_matrix adds it to their sums. They come from numpy's dense
+    symmetric eigensolver (LAPACK syevd), so that all of a run's BLAS and
+    LAPACK calls share numpy's one OpenBLAS. scipy's banded eigensolver
+    costs about as much per call, but it loads scipy's own OpenBLAS, whose
+    thread pool stalled the numpy products that followed it: at nx = 128
+    the first preconditioner applies of a run took 28-93 ms each in place
+    of 0.3 ms.
     """
     # scaling D, not D^T D: on a tiny domain (1/2h)^2 overflows while
     # r |k| / (2h)^2 stays O(1)
@@ -224,7 +221,7 @@ def _axis_operator(n: int, h: float, area: float, r: float, jump: float,
     kd = min(2, n - 1)
     bands = {d: np.diagonal(k, d).copy() for d in range(-kd, kd + 1)}
     i = np.arange(n)
-    k[i, i] = bands[0] + mass + 2.0 * jump
+    k[i, i] = bands[0] + 2.0 * jump
     k[i[1:], i[:-1]] -= jump
     k[i[:-1], i[1:]] -= jump
     return (bands, *np.linalg.eigh(k))
@@ -245,21 +242,21 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     gamma, the mean w |e|, enters the preconditioner alone. K is A with
     every edge at gamma, I_y (x) K_x + K_y (x) I_x with K_x = |k| I +
     r |k| D_x^T D_x + gamma T_x and K_y = r |k| D_y^T D_y + gamma T_y, and
-    solve_linear preconditions with K scaled to diag A. On a square grid,
-    (nx, dx) = (ny, dy), K_x = K_y + |k| I, and one eigensolve serves both
-    axes.
+    solve_linear preconditions with K scaled to diag A. Both axes get the
+    eigenpairs of r |k| D^T D + gamma T from _axis_operator, x first, and
+    |k| enters as a shift of the eigenvalue sums. On a square grid,
+    (nx, dx) = (ny, dy), the two axes are one, and one eigensolve serves
+    both.
 
     Where some w |e| departs from gamma by more than float32 resolves,
-    M only approximates A, and the transforms the preconditioner applies
-    are float32 copies of Q_x, Q_y and the eigenvalue sums: float64
-    rounding buys nothing there, and an apply at nx = 400 takes 3.6 ms in
-    place of 5.9 on a 2-vCPU VM. No float64 copy of the sums is kept then;
-    lam_x and lam_y rebuild them. Elsewhere M = A to float64 roundoff, and
-    they are the float64 arrays themselves, so that one iteration still
-    solves. That holds at p = 2, where every w |e| is 1 to an ulp, and so
-    is gamma, their mean: at nx = 49 each w |e| rounds to 1 - 2^-53 and
-    gamma to 1 - 2^-52, and a test of exact zeros would apply float32
-    there and take b = 0 from 2 to 4 outer iterations.
+    M only approximates A, and qx, qy and the eigenvalue sums are stored
+    in float32: float64 rounding buys nothing there, and an apply at
+    nx = 400 takes 3.6 ms in place of 5.9 on a 2-vCPU VM. Elsewhere M = A
+    to float64 roundoff, and they stay float64, so that one iteration
+    still solves. That holds at p = 2, where every w |e| is 1 to an ulp,
+    and so is gamma, their mean: at nx = 49 each w |e| rounds to
+    1 - 2^-53 and gamma to 1 - 2^-52, and a test of exact zeros would
+    apply float32 there and take b = 0 from 2 to 4 outer iterations.
     """
     mesh = data.mesh
     nx, ny, m = mesh.nx, mesh.ny, mesh.n_elements
@@ -267,12 +264,10 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     gamma = float((cx.sum() + cy.sum()) / (cx.size + cy.size))
     cell = mesh.dx * mesh.dy
     # rx[d], ry[d]: the bands of r |k| D^T D along x and along y
-    if (nx, mesh.dx) == (ny, mesh.dy):
-        ry, lam_y, qy = _axis_operator(ny, mesh.dy, cell, cfg.r, gamma, 0.0)
-        rx, lam_x, qx = ry, lam_y + cell, qy
-    else:
-        rx, lam_x, qx = _axis_operator(nx, mesh.dx, cell, cfg.r, gamma, cell)
-        ry, lam_y, qy = _axis_operator(ny, mesh.dy, cell, cfg.r, gamma, 0.0)
+    square = (nx, mesh.dx) == (ny, mesh.dy)
+    rx, lam_x, qx = _axis_operator(nx, mesh.dx, cell, cfg.r, gamma)
+    ry, lam_y, qy = ((rx, lam_x, qx) if square else
+                     _axis_operator(ny, mesh.dy, cell, cfg.r, gamma))
     offsets = sorted({*rx} | {d * nx for d in ry})
     bands = np.zeros((len(offsets), m))
     # band d as an (ny, nx) grid: grid[d][j, i] = A[c - d, c], c = j nx + i
@@ -297,13 +292,11 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     depart = max(np.abs(cx - gamma).max(), np.abs(cy - gamma).max())
     dtype = (np.float32 if depart > np.finfo(np.float32).eps * gamma
              else np.float64)
-    apply_qx = qx.astype(dtype, copy=False)
-    apply_qy = apply_qx if qy is qx else qy.astype(dtype, copy=False)
-    eigsum = (lam_y[:, None] + lam_x).astype(dtype, copy=False)
+    eigsum = (lam_y[:, None] + (lam_x + cell)).astype(dtype, copy=False)
+    qx = qx.astype(dtype, copy=False)
+    qy = qx if square else qy.astype(dtype, copy=False)
     return SystemMatrix(matrix=sp.dia_matrix((bands, offsets), shape=(m, m)),
-                        qx=qx, qy=qy, lam_x=lam_x, lam_y=lam_y, scale=scale,
-                        apply_qx=apply_qx, apply_qy=apply_qy,
-                        apply_eigsum=eigsum)
+                        scale=scale, qx=qx, qy=qy, eigsum=eigsum)
 
 
 def assemble_rhs(state: SolverState, data: ProblemData,
@@ -319,10 +312,9 @@ def assemble_rhs(state: SolverState, data: ProblemData,
 def _precondition(matrix: SystemMatrix, res: np.ndarray) -> np.ndarray:
     """M^-1 res = S Q_y ((Q_y^T R Q_x) / eigsum) Q_x^T, with R = S res as
     an (ny, nx) array; at p = 2, S = 1 and this is the exact solve. The
-    products and the division run in the applied transforms' precision
+    products and the division run in the stored transforms' precision
     (see assemble_matrix), and the result is float64."""
-    qx, qy, eigsum = matrix.apply_qx, matrix.apply_qy, matrix.apply_eigsum
-    scale = matrix.scale
+    qx, qy, eigsum, scale = matrix.qx, matrix.qy, matrix.eigsum, matrix.scale
     coef = (scale * res).astype(eigsum.dtype, copy=False)
     coef = qy.T @ coef.reshape(eigsum.shape) @ qx
     coef /= eigsum
@@ -549,18 +541,18 @@ def _distance(a, b) -> float:
     return l2_norm(replace(a, values=a.values - b.values))
 
 
-def _extrapolated_start(u: DgScalar, u_older: DgScalar | None,
-                        history: list, au: np.ndarray | None = None,
-                        au_older: np.ndarray | None = None) -> tuple:
-    """(x0, A x0): x0 = u + theta (u - u_older), u_older the u of the outer
-    iteration before u's, with theta = min(0.9, ||du_n|| / ||du_{n-1}||)
-    from the last two records of history, and u itself where that ratio is
-    undefined. A x0 is au + theta (au - au_older) from the products au = A u
-    and au_older = A u_older, au itself with u, and None where a product
-    it needs is None."""
+def _extrapolated_start(u: DgScalar, au: np.ndarray | None,
+                        older: tuple | None, history: list) -> tuple:
+    """(x0, A x0): x0 = u + theta (u - u_older), where older = (u_older,
+    au_older) is the u of the outer iteration before u's and its product,
+    and theta = min(0.9, ||du_n|| / ||du_{n-1}||) from the last two records
+    of history; u itself where that ratio is undefined. A x0 is au +
+    theta (au - au_older), with au = A u, au itself with u, and None where
+    a product it needs is None."""
     if len(history) < 2 or not history[-2].residual_u > 0.0:
         return u.values, au
     theta = min(0.9, history[-1].residual_u / history[-2].residual_u)
+    u_older, au_older = older
     start = _extrapolate(u.values, u_older.values, theta)
     if au is None or au_older is None:
         return start, None
@@ -588,8 +580,8 @@ def run(data: ProblemData, cfg: SolverConfig,
     starts at inf, so the first outer iteration makes one sweep.
 
     u converges linearly, so the first u-solve of an outer iteration starts
-    from u extrapolated along its last increment, u + theta (u - u_prev),
-    with theta the ratio of the last two u-increments capped at 0.9 and 0
+    from u extrapolated along its last increment du, u + theta du, with
+    theta the ratio of the last two u-increments capped at 0.9 and 0
     for the first two iterations (see _extrapolated_start); later sweeps
     start from the current u. A later sweep whose u-solve returns that
     start unchanged ends the sweeps without a flux step, which would
@@ -639,14 +631,14 @@ def run(data: ProblemData, cfg: SolverConfig,
              and cfg.effective_rho == cfg.r else 1.0)
     state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
     rtol = max(LINEAR_TOL, LINEAR_RATIO)
-    u_prev = au = au_prev = None  # A u and A u_prev, where a solve gave them
+    # au = A u where a solve gave it, and older the (u, A u) an outer
+    # iteration back
+    au = older = None
     for n in range(1, cfg.max_outer + 1):
-        u_older, u_prev, lam_prev = u_prev, state.u, state.lam
-        au_older, au_prev = au_prev, au
+        lam_prev = state.lam
         tol_inner = max(TOL_INNER, INNER_RATIO * state.residual_constraint)
-        u0, au0 = _extrapolated_start(state.u, u_older, state.history,
-                                      au, au_older)
-        del u_older, au_older
+        u0, au0 = _extrapolated_start(state.u, au, older, state.history)
+        older = state.u, au
         for sweep in range(sweeps):
             eta_prev = state.eta
             rhs = assemble_rhs(state, data, cfg)
@@ -680,7 +672,7 @@ def run(data: ProblemData, cfg: SolverConfig,
         state.lam = lambda_update(state.lam, DgVector(mesh, gap), cfg)
         del h, gap
         state.iteration = n
-        state.residual_u = _distance(state.u, u_prev)
+        state.residual_u = _distance(state.u, older[0])
         state.residual_lambda = _distance(state.lam, lam_prev)
         state.energy = eval_Jh(state.u, data, bu)
         del bu

@@ -1,6 +1,7 @@
 """The package's public names and the module globals the benchmark wraps."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -99,6 +100,21 @@ def test_every_private_name_and_constant_is_read():
     dead = {name for name in defined
             if not name.startswith("__") and name not in read}
     assert not dead, f"pxdg never reads {sorted(dead)}"
+
+
+def test_every_system_matrix_field_is_read_by_the_u_solve():
+    # SystemMatrix holds what the u-solve reads and nothing more: each field
+    # is read as an attribute in solve_linear or _precondition, so no array
+    # is kept for the tests alone
+    tree = ast.parse(Path(pxdg.__path__[0], "solver.py").read_text())
+    read = {node.attr for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            and func.name in {"solve_linear", "_precondition"}
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = {f.name for f in dataclasses.fields(pxdg.solver.SystemMatrix)}
+    assert not fields - read, f"never read: {sorted(fields - read)}"
 
 
 def test_only_assemble_matrix_names_float32():

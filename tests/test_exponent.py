@@ -180,6 +180,23 @@ def test_luxemburg_homogeneity():
     assert luxemburg_norm(-u, field, mesh) == pytest.approx(base, rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e-100, 1e-50, 1.0, 1e50,
+                                   1e100, 1e170, 1e200])
+def test_luxemburg_norm_at_any_scale(scale):
+    # at b = 0, p = 2 and the Luxemburg norm is the L2 norm; at b = 0.5 a
+    # constant field's norm is its value times the norm of 1. Both hold
+    # also where the modular of the field itself underflows or overflows
+    mesh = build_uniform_mesh(SQUARE, 4, 4)
+    u = np.random.default_rng(5).normal(size=mesh.n_elements)
+    want = np.sqrt(np.sum(u * u) * mesh.dx * mesh.dy)
+    assert luxemburg_norm(scale * u, manufactured_exponent(0.0), mesh) \
+        == pytest.approx(scale * want, rel=1e-10, abs=0.0)
+    field, ones = manufactured_exponent(0.5), np.ones(mesh.n_elements)
+    assert luxemburg_norm(scale * ones, field, mesh) == \
+        pytest.approx(scale * luxemburg_norm(ones, field, mesh), rel=1e-10,
+                      abs=0.0)
+
+
 def test_luxemburg_unit_modular_at_norm():
     mesh = build_uniform_mesh(SQUARE, 4, 4)
     field = manufactured_exponent(0.25)

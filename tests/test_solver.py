@@ -176,6 +176,21 @@ def _kronecker_sum(mesh, r, jump):
     return np.kron(np.eye(mesh.ny), kx) + np.kron(ky, np.eye(mesh.nx))
 
 
+def float64_transforms(data, r):
+    # (qx, qy, eigsum) of K in float64 from pxdg.solver._axis_operator,
+    # whose eigenpairs are checked against the sparse oracle below: the
+    # eigenpairs of r |k| D^T D + gamma T per axis, and |k| as a shift of
+    # the eigenvalue sums
+    mesh = data.mesh
+    cx, cy = data.penalty_weights
+    gamma = float((cx.sum() + cy.sum()) / (cx.size + cy.size))
+    cell = mesh.dx * mesh.dy
+    axis = pxdg.solver._axis_operator
+    _, lam_x, qx = axis(mesh.nx, mesh.dx, cell, r, gamma)
+    _, lam_y, qy = axis(mesh.ny, mesh.dy, cell, r, gamma)
+    return qx, qy, lam_y[:, None] + (lam_x + cell)
+
+
 def edge_pieces(mesh, exponent):
     """Per edge from the oracle: (i, j, w |e|) for the interior edges and
     (k, w |e|) for the boundary ones."""
@@ -232,7 +247,8 @@ def test_matrix_matches_dense_edge_loop(domain, nx, ny, b, r):
 def test_matrix_is_kronecker_sum_at_p2(domain, nx, ny, b, r):
     # at p = 2 the system is I_y (x) K_x + K_y (x) I_x with unit jump
     # penalties; for b > 0 each edge adds its departure w |e| - 1 from them.
-    # The stored eigenpairs rebuild the Kronecker sum at the mean w |e|.
+    # The float64 eigenpairs rebuild the Kronecker sum at the mean w |e|,
+    # and the stored transforms are theirs in the precision applied
     mesh = build_uniform_mesh(domain, nx, ny)
     exponent = exponent_on(domain, b)
     data = ProblemData(mesh=mesh, exponent=exponent, xi=zero, u_D=zero)
@@ -249,11 +265,13 @@ def test_matrix_is_kronecker_sum_at_p2(domain, nx, ny, b, r):
         prices.append(c)
     scale = np.abs(want).max()
     assert np.abs(sm.matrix.toarray() - want).max() <= 1e-14 * scale
-    q = np.kron(sm.qy, sm.qx)
-    eigsum = sm.lam_y[:, None] + sm.lam_x
+    qx, qy, eigsum = float64_transforms(data, r)
+    q = np.kron(qy, qx)
     spectral = q @ (eigsum.ravel()[:, None] * q.T)
     assert np.abs(spectral - _kronecker_sum(mesh, r, np.mean(prices))).max() \
         <= 1e-12 * scale
+    for stored, want in zip((sm.qx, sm.qy, sm.eigsum), (qx, qy, eigsum)):
+        assert _same_bits(stored, want.astype(stored.dtype))
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
@@ -284,23 +302,22 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 54])
 def test_axis_operator_matches_sparse_product_bit_for_bit(n, h):
     # every entry of D^T D sums at most two products +-x * x, so the bands
-    # round as the sparse product does, whatever the mass and jump K is
+    # round as the sparse product does, whatever jump the eigenpairs are
     # built with; r = 0 gives +0.0 everywhere. The eigenpairs decompose
-    # K = mass I + r |k| D^T D + jump T, and its eigenvalues are the banded
-    # eigensolver's to roundoff of max|K|
+    # r |k| D^T D + jump T, and its eigenvalues are the banded
+    # eigensolver's to roundoff of its max
     kd = min(2, n - 1)
     t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
-    for r, mass, jump in itertools.product((0.0, 0.37, 1.0, 1e4),
-                                           (0.0, h * h), (1.0, 0.731)):
+    for r, jump in itertools.product((0.0, 0.37, 1.0, 1e4), (1.0, 0.731)):
         args = (n, h, h * h, r)
-        bands, lam, q = pxdg.solver._axis_operator(*args, jump, mass)
+        bands, lam, q = pxdg.solver._axis_operator(*args, jump)
         dtd = _sparse_dtd(*args)
         assert sorted(bands) == list(range(-kd, kd + 1))
         for d, got in bands.items():
-            assert _same_bits(got, dtd.diagonal(d)), (args, mass, jump, d)
+            assert _same_bits(got, dtd.diagonal(d)), (args, jump, d)
             if r == 0.0:
                 assert not np.signbit(got).any() and not got.any()
-        k = (mass * sp.identity(n) + dtd + jump * t).toarray()
+        k = (dtd + jump * t).toarray()
         band = [np.pad(np.diagonal(k, d), (d, 0)) for d in range(kd, -1, -1)]
         size = np.abs(k).max()
         assert lam.shape == (n,) and q.shape == (n, n)
@@ -358,7 +375,7 @@ def test_assembly_builds_only_the_dia_matrix(nx, ny, monkeypatch):
                         types.SimpleNamespace(dia_matrix=sp.dia_matrix))
     got = assemble_matrix(data, SolverConfig())
     assert _same_bits(got.matrix.data, want.matrix.data)
-    for name in ("qx", "qy", "lam_x", "lam_y", "scale", "apply_eigsum"):
+    for name in ("scale", "qx", "qy", "eigsum"):
         assert _same_bits(getattr(got, name), getattr(want, name)), name
 
 
@@ -395,8 +412,8 @@ def test_preconditioner_matches_the_diagonal(b, r):
     data = ProblemData(mesh=mesh, exponent=exponent_on(domain, b),
                        xi=zero, u_D=zero)
     sm = assemble_matrix(data, SolverConfig(r=r))
-    q = np.kron(sm.qy, sm.qx) / sm.scale[:, None]
-    eigsum = sm.lam_y[:, None] + sm.lam_x
+    qx, qy, eigsum = float64_transforms(data, r)
+    q = np.kron(qy, qx) / sm.scale[:, None]
     m = q @ (eigsum.ravel()[:, None] * q.T)
     a = sm.matrix.toarray()
     assert np.abs(m - m.T).max() <= 1e-14 * np.abs(m).max()
@@ -415,8 +432,8 @@ OFFSET = Domain(0.5, 2.0, -1.0, 0.2)
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_one_eigensolve_per_distinct_axis(domain, nx, ny, sizes, b,
                                           monkeypatch):
-    # on a square grid K_x = K_y + |k| I, so one eigh serves both axes and
-    # qx is qy, in the stored and the applied precision alike
+    # on a square grid the two axes are one, so one eigh serves both and
+    # qx is qy, in float32 and in float64 alike
     sizes_seen = []
     eigh = np.linalg.eigh
 
@@ -430,40 +447,38 @@ def test_one_eigensolve_per_distinct_axis(domain, nx, ny, sizes, b,
     assert sizes_seen == sizes
     square = len(sizes) == 1
     assert (sm.qx is sm.qy) == square
-    assert (sm.apply_qx is sm.apply_qy) == square
 
 
 @pytest.mark.parametrize("domain, nx, ny", [
     (SQUARE, 1, 1), (SQUARE, 6, 6), (SQUARE, 31, 31), (SQUARE, 49, 49),
     (OFFSET, 7, 5)])
 def test_preconditioner_applies_float64_where_m_is_a(domain, nx, ny):
-    # at b = 0 every w |e| is 1 on any mesh: M = A, and the applied
-    # transforms are the stored float64 ones, not copies. At nx = 49 each
-    # w |e| rounds to 1 - 2^-53 and their mean gamma to 1 - 2^-52, and
-    # float32 there would break the one-iteration solves
+    # at b = 0 every w |e| is 1 on any mesh: M = A, and the transforms are
+    # the float64 eigenpairs themselves. At nx = 49 each w |e| rounds to
+    # 1 - 2^-53 and their mean gamma to 1 - 2^-52, and float32 there would
+    # break the one-iteration solves
     data = ProblemData(mesh=build_uniform_mesh(domain, nx, ny),
                        exponent=exponent_on(domain, 0.0), xi=zero, u_D=zero)
     sm = assemble_matrix(data, SolverConfig())
-    assert sm.apply_qx is sm.qx and sm.apply_qy is sm.qy
-    assert _same_bits(sm.apply_eigsum, sm.lam_y[:, None] + sm.lam_x)
-    assert sm.qx.dtype == sm.apply_eigsum.dtype == np.float64
+    for stored, want in zip((sm.qx, sm.qy, sm.eigsum),
+                            float64_transforms(data, 1.0)):
+        assert stored.dtype == np.float64 and _same_bits(stored, want)
 
 
 @pytest.mark.parametrize("domain, nx, ny, b", [
     (SQUARE, 12, 12, 0.5), (OFFSET, 7, 5, 0.5), (SQUARE, 20, 20, 1e-6)])
 def test_preconditioner_applies_float32_where_m_is_not_a(domain, nx, ny, b):
     # at b > 0 the edges depart from gamma, by ~1e-6 at b = 1e-6: the
-    # applied transforms are float32 copies, and the stored decomposition
-    # stays float64; no float64 eigenvalue sums are kept
+    # transforms are stored as float32 roundings of the float64 eigenpairs,
+    # and no float64 copy of them is kept
     data = ProblemData(mesh=build_uniform_mesh(domain, nx, ny),
                        exponent=exponent_on(domain, b), xi=zero, u_D=zero)
     sm = assemble_matrix(data, SolverConfig())
-    eigsum = sm.lam_y[:, None] + sm.lam_x
-    for name, stored in (("qx", sm.qx), ("qy", sm.qy), ("eigsum", eigsum)):
-        applied = getattr(sm, f"apply_{name}")
-        assert stored.dtype == np.float64 and applied.dtype == np.float32
-        assert np.array_equal(applied, stored.astype(np.float32)), name
-    assert not hasattr(sm, "eigsum")
+    for name, want in zip(("qx", "qy", "eigsum"),
+                          float64_transforms(data, 1.0)):
+        stored = getattr(sm, name)
+        assert stored.dtype == np.float32, name
+        assert np.array_equal(stored, want.astype(np.float32)), name
     res = np.random.default_rng(64).normal(size=data.mesh.n_elements)
     assert pxdg.solver._precondition(sm, res).dtype == np.float64
 
@@ -477,13 +492,12 @@ def test_float32_transforms_keep_the_counts(b, nx, r, algorithm, monkeypatch):
     _, data = manufactured_data(b, nx)
     cfg = SolverConfig(r=r, algorithm=algorithm)
     assemble = pxdg.solver.assemble_matrix
-    assert assemble(data, cfg).apply_eigsum.dtype == np.float32
+    assert assemble(data, cfg).eigsum.dtype == np.float32
     got = run(data, cfg)
 
     def float64_applied(*args):
-        sm = assemble(*args)
-        return replace(sm, apply_qx=sm.qx, apply_qy=sm.qy,
-                       apply_eigsum=sm.lam_y[:, None] + sm.lam_x)
+        qx, qy, eigsum = float64_transforms(data, cfg.r)
+        return replace(assemble(*args), qx=qx, qy=qy, eigsum=eigsum)
     monkeypatch.setattr(pxdg.solver, "assemble_matrix", float64_applied)
     want = run(data, cfg)
     assert got.converged and want.converged
@@ -522,10 +536,19 @@ def test_solve_linear_meets_residual_test(r, monkeypatch):
 
 # at p = 2 the preconditioner is the inverse; at r = 1e4 the system's
 # condition number (~1e6) puts the roundoff of that one exact step above
-# LINEAR_TOL, and a second step refines it
-@pytest.mark.parametrize("r, iterations", [(0.0, 1), (1.0, 1), (1e4, 2)])
-def test_solve_linear_is_exact_at_p2(r, iterations, monkeypatch):
-    _, data = manufactured_data(0.0, 48)
+# LINEAR_TOL, and a second step refines it. On a rectangle each axis has
+# its own eigenpairs, and |k| shifts their sums; at 40 x 25 the one step
+# meets LINEAR_TOL at r = 1e4 as well
+@pytest.mark.parametrize("r, iterations, domain, nx, ny", [
+    pytest.param(r, iterations, domain, nx, ny, id=f"{r}-{iterations}{name}")
+    for domain, nx, ny, name, big_r in [(SQUARE, 48, 48, "", 2),
+                                        (OFFSET, 7, 5, "-7x5-offset", 2),
+                                        (SQUARE, 40, 25, "-40x25", 1)]
+    for r, iterations in [(0.0, 1), (1.0, 1), (1e4, big_r)]])
+def test_solve_linear_is_exact_at_p2(r, iterations, domain, nx, ny,
+                                     monkeypatch):
+    data = ProblemData(mesh=build_uniform_mesh(domain, nx, ny),
+                       exponent=exponent_on(domain, 0.0), xi=zero, u_D=zero)
     sm = assemble_matrix(data, SolverConfig(r=r))
     rhs = np.random.default_rng(63).normal(size=data.mesh.n_elements)
     calls = _count_preconditioner_calls(monkeypatch)
@@ -559,24 +582,26 @@ def test_extrapolated_start():
     # products A u and A u_older extrapolate alike, and the start's product
     # is None where one it needs is
     mesh = build_uniform_mesh(SQUARE, 2, 1)
-    u, older = DgScalar(mesh, [1.0, 2.0]), DgScalar(mesh, [0.0, 4.0])
+    u, u_older = DgScalar(mesh, [1.0, 2.0]), DgScalar(mesh, [0.0, 4.0])
     au, au_older = np.array([3.0, -1.0]), np.array([1.0, 1.0])
 
     def records(*increments):
         return [pxdg.solver.IterationRecord(n, du, 0.0, 0.0, 0.0)
                 for n, du in enumerate(increments, 1)]
     start = pxdg.solver._extrapolated_start
-    assert np.array_equal(start(u, older, records(1.0, 0.5))[0], [1.5, 1.0])
-    assert np.allclose(start(u, older, records(1.0, 2.0))[0], [1.9, 0.2],
-                       rtol=0.0, atol=1e-15)
+    older = (u_older, None)
+    assert np.array_equal(start(u, None, older, records(1.0, 0.5))[0],
+                          [1.5, 1.0])
+    assert np.allclose(start(u, None, older, records(1.0, 2.0))[0],
+                       [1.9, 0.2], rtol=0.0, atol=1e-15)
     for history in (records(), records(0.5), records(0.0, 0.5)):
-        assert np.array_equal(start(u, None, history)[0], u.values)
-        assert start(u, None, history)[1] is None
-        assert start(u, None, history, au)[1] is au
-    x0, ax0 = start(u, older, records(1.0, 0.5), au, au_older)
+        assert np.array_equal(start(u, None, None, history)[0], u.values)
+        assert start(u, None, None, history)[1] is None
+        assert start(u, au, None, history)[1] is au
+    x0, ax0 = start(u, au, (u_older, au_older), records(1.0, 0.5))
     assert np.array_equal(x0, [1.5, 1.0]) and np.array_equal(ax0, [4.0, -2.0])
-    for products in ((au, None), (None, au_older)):
-        assert start(u, older, records(1.0, 0.5), *products)[1] is None
+    for a, a_older in ((au, None), (None, au_older)):
+        assert start(u, a, (u_older, a_older), records(1.0, 0.5))[1] is None
 
 
 def _pcg_reference(matrix, rhs, u0=None):
@@ -721,9 +746,9 @@ def test_solve_linear_misses_on_a_non_positive_inner_product(part):
     _, data = manufactured_data(0.5, 6)
     sm = assemble_matrix(data, SolverConfig())
     if part == "eigsum":
-        eigsum = sm.apply_eigsum.copy()
+        eigsum = sm.eigsum.copy()
         eigsum[0, 0] = -1e-8 * eigsum.min()
-        sm = replace(sm, apply_eigsum=eigsum)
+        sm = replace(sm, eigsum=eigsum)
     else:
         sm = replace(sm, matrix=-sm.matrix)
     rhs = np.random.default_rng(66).normal(size=data.mesh.n_elements)
