@@ -11,8 +11,8 @@ from .mesh import Domain, Mesh, build_uniform_mesh, edge_weights
 from .quadrature import gauss_points
 from .solver import (Algorithm, IterationRecord, SolverConfig, SolverState,
                      StepSizeWarning, SystemMatrix, assemble_matrix,
-                     assemble_rhs, eta_update, lambda_update, run,
-                     solve_linear, stopping_check)
+                     assemble_rhs, lambda_update, run, solve_linear,
+                     stopping_check)
 from .study import (FLUX_CONSTANT, ManufacturedProblem, StudyRow,
                     exact_l2_norm, fit_rate, l2_error, manufactured_problem,
                     run_study)

@@ -8,17 +8,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import astuple
-from itertools import chain, islice
 
 from .solver import SolverConfig, run
 from .study import exact_l2_norm, l2_error, manufactured_problem, run_study
 
 __all__ = ["main"]
-
-# CSV rows per % call; a solution.csv grid row wider than this is split into
-# blocks of columns. At 8192 the rows and text of one chunk raised the peak
-# RSS of a 128^2 solve by 1.3 MB
-CSV_CHUNK = 1024
 
 
 class _UsageError(Exception):
@@ -94,36 +88,30 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _write_csv(path, header, row_format, rows) -> None:
-    """One CSV table of row tuples: csv.writer's layout and CRLF line ends.
-    CSV_CHUNK rows are one % call, with the row format repeated once per
-    row."""
+    """One CSV table of row tuples, one % call per row: csv.writer's
+    layout and CRLF line ends. It writes the trace and study tables, a row
+    per outer iteration or per study cell."""
     line = row_format + "\r\n"
-    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        while chunk := list(islice(rows, CSV_CHUNK)):
-            fh.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
+        fh.writelines(line % row for row in rows)
 
 
 def _write_solution(path, mesh, u) -> None:
     """solution.csv, (k, x, y, u) per element, as _write_csv lays it out,
-    one grid row at a time. Each block of at most CSV_CHUNK columns of a
-    row is one template, with the "%.12g" text of its x and y written in,
-    and one % call formats its k and u."""
+    one grid row at a time. A row is one template, with the "%.12g" text
+    of its x and y written in, and one % call formats its k and u."""
     _, _, xc, yc = mesh.axes()
     xs = ["%.12g" % x for x in xc.tolist()]
+    values = [None] * (2 * mesh.nx)
     with open(path, "w", newline="") as fh:
         fh.write("element,x,y,u\r\n")
         for row, y in enumerate(yc.tolist()):
             tail = ",%.12g,%%.12g\r\n" % y  # the y text and u's format
-            for col in range(0, mesh.nx, CSV_CHUNK):
-                xs_block = xs[col:col + CSV_CHUNK]
-                k = row * mesh.nx + col
-                values = [None] * (2 * len(xs_block))
-                values[0::2] = range(k, k + len(xs_block))
-                values[1::2] = u[k:k + len(xs_block)].tolist()
-                fh.write(("%d," + (tail + "%d,").join(xs_block) + tail)
-                         % tuple(values))
+            k = row * mesh.nx
+            values[0::2] = range(k, k + mesh.nx)
+            values[1::2] = u[k:k + mesh.nx].tolist()
+            fh.write(("%d," + (tail + "%d,").join(xs) + tail) % tuple(values))
 
 
 def _cmd_solve(args) -> int:

@@ -43,9 +43,11 @@ class ProblemData:
 
     @cached_property
     def p_bar(self) -> np.ndarray:
-        """Exponent of every element at its barycenter, checked by the field."""
+        """Exponent of every element at its barycenter, checked by the
+        field, as an m-vector however many values the field returns."""
         _, _, xc, yc = self.mesh.axes()
-        return self.exponent(*np.broadcast_arrays(xc, yc[:, None])).ravel()
+        x, y = np.broadcast_arrays(xc, yc[:, None])
+        return np.broadcast_to(self.exponent(x, y), x.shape).ravel()
 
     @cached_property
     def penalty_weights(self) -> tuple:

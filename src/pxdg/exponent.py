@@ -46,8 +46,9 @@ class ExponentField:
 def manufactured_exponent(b: float) -> ExponentField:
     """Exponent family on [-1,1]^2: p(x) = 1 + 1/((b/2)(x1+x2) + 1 + b),
     with p1 = 1 + 1/(1+2b), p2 = 2; b = 0 gives the constant 2."""
-    if b < 0:
-        raise ValueError("b must be nonnegative")
+    # NaN passes b < 0, and b = inf makes p1 NaN
+    if not (np.isfinite(b) and b >= 0):
+        raise ValueError(f"b must be finite and nonnegative, got {b!r}")
     func = lambda x, y: 1.0 + 1.0 / ((b / 2.0) * (np.asarray(x, float) + y) + 1.0 + b)
     return ExponentField(func, p1=1.0 + 1.0 / (1.0 + 2.0 * b), p2=2.0)
 

@@ -54,7 +54,6 @@ __all__ = [
     "assemble_matrix",
     "assemble_rhs",
     "solve_linear",
-    "eta_update",
     "lambda_update",
     "stopping_check",
     "run",
@@ -414,7 +413,8 @@ def _cold_start(e: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
 
 
 def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> tuple:
-    """Vector solve of x^{p_bar - 1} + r x = c, x >= 0, by monotone Newton.
+    """Vector solve of x^{p_bar - 1} + r x = c, x >= 0, by monotone Newton,
+    for float arrays p_bar and c of one shape.
 
     f(x) = x^{p_bar - 1} + r x - c is increasing and concave for
     1 < p_bar <= 2, so Newton climbs from any x with f(x) <= 0 to the root
@@ -431,8 +431,6 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> tuple:
     """
     if r <= 0:
         raise ValueError("flux root solve requires r > 0")
-    c = np.asarray(c, float)
-    p_bar = np.broadcast_to(np.asarray(p_bar, float), c.shape)
     p_m1 = p_bar - 1.0
     p_m2 = p_m1 - 1.0
     tol = np.maximum(1.0, c)
@@ -467,20 +465,19 @@ def _root_many(p_bar: np.ndarray, r: float, c: np.ndarray) -> tuple:
 
 
 def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
-              r: float, state: SolverState | None = None) -> np.ndarray:
-    """Per-element minimizer of the flux subproblem.
+              r: float) -> tuple:
+    """(eta, passes): the per-element minimizer of the flux subproblem and
+    the Newton passes that found it.
 
     Solves |eta|^{p_bar - 2} eta + r (eta - bu) = lam elementwise: the
     solution is parallel to s = lam + r bu, its magnitude x solves
     x^{p_bar - 1} + r x = |s|, and eta = s / (x^{p_bar - 2} + r) = s x / |s|.
     The rows go FLUX_BLOCK at a time, with s written into eta's buffer, so
-    the root's work arrays are a block's. The step's Newton passes are the
-    most any block took, as one solve over all rows would count them, and
-    with state they are added to state.flux_passes. A RuntimeWarning
+    the root's work arrays are a block's. passes is the most any block
+    took, as one solve over all rows would count them. A RuntimeWarning
     counts the roots of all blocks that missed _root_many's test.
     """
     eta = np.empty((len(bu), 2))
-    p_bar = np.broadcast_to(np.asarray(p_bar, float), len(eta))
     passes = missed = 0
     for start in range(0, len(eta), FLUX_BLOCK):
         rows = slice(start, start + FLUX_BLOCK)
@@ -492,20 +489,10 @@ def _eta_from(bu: np.ndarray, lam: np.ndarray, p_bar: np.ndarray,
         passes, missed = max(passes, block_passes), missed + block_missed
         np.divide(x, c, out=x, where=c > 0.0)  # s = 0 where c = 0
         s *= x[:, None]
-    if state is not None:
-        state.flux_passes += passes
     if missed:
         warnings.warn(f"flux root solve: {missed} of {len(eta)} entries "
                       "missed the residual test", RuntimeWarning, stacklevel=2)
-    return eta
-
-
-def eta_update(bu: DgVector, lam: DgVector, data: ProblemData,
-               cfg: SolverConfig, state: SolverState | None = None) -> DgVector:
-    """Flux recovery step for the lifted field bu = Bu and the multiplier;
-    with state, it counts its Newton passes (see _eta_from)."""
-    return DgVector(data.mesh, _eta_from(bu.values, lam.values, data.p_bar,
-                                         cfg.r, state))
+    return eta, passes
 
 
 def lambda_update(lam: DgVector, gap: DgVector, cfg: SolverConfig) -> DgVector:
@@ -654,11 +641,13 @@ def run(data: ProblemData, cfg: SolverConfig,
             u0, au0 = u, au
             bu = lifting(state.u)
             if relax == 1.0:
-                h = bu
+                h = bu.values
             else:  # relax bu + (1 - relax) eta_prev, in one new buffer
-                h = DgVector(mesh, relax * bu.values)
-                h.values += (1.0 - relax) * eta_prev.values
-            state.eta = eta_update(h, state.lam, data, cfg, state)
+                h = relax * bu.values
+                h += (1.0 - relax) * eta_prev.values
+            eta, passes = _eta_from(h, state.lam.values, data.p_bar, cfg.r)
+            state.eta = DgVector(mesh, eta)
+            state.flux_passes += passes
             # a NaN flux passes too; the checks below end the run on it
             if sweeps == 1 or not _distance(state.eta, eta_prev) > tol_inner:
                 break
@@ -667,8 +656,8 @@ def run(data: ProblemData, cfg: SolverConfig,
         del rhs, u0, au0, eta_prev
         gap = bu.values - state.eta.values
         state.residual_constraint = l2_norm(DgVector(mesh, gap))
-        if h is not bu:  # the step h - eta, in h's buffer in place of gap's
-            gap = np.subtract(h.values, state.eta.values, out=h.values)
+        if h is not bu.values:  # the step h - eta, in h's buffer
+            gap = np.subtract(h, state.eta.values, out=h)
         state.lam = lambda_update(state.lam, DgVector(mesh, gap), cfg)
         del h, gap
         state.iteration = n

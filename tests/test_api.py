@@ -117,6 +117,23 @@ def test_every_system_matrix_field_is_read_by_the_u_solve():
     assert not fields - read, f"never read: {sorted(fields - read)}"
 
 
+def test_only_run_writes_the_solver_state():
+    # run owns the SolverState it returns: no other function stores to an
+    # attribute of a name state, by plain or augmented assignment, so the
+    # step functions return what they did and run records it
+    found = []
+    for name in sorted({"__init__"} | set(SUBMODULES)):
+        tree = ast.parse(Path(pxdg.__path__[0], f"{name}.py").read_text())
+        found += [(name, func.name, node.lineno)
+                  for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name != "run"
+                  for node in ast.walk(func)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and getattr(node.value, "id", None) == "state"]
+    assert not found, f"SolverState written outside run: {found}"
+
+
 def test_only_assemble_matrix_names_float32():
     # the precision of the preconditioner's transforms has one owner:
     # assemble_matrix chooses it, and _precondition reads it off the arrays

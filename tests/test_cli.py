@@ -63,17 +63,15 @@ def _csv_writer_rows(table, nx=4, ny=3):
 
 
 @pytest.mark.parametrize("table", sorted(HEADERS))
-def test_csv_matches_csv_writer(tmp_path, monkeypatch, table):
+def test_csv_matches_csv_writer(tmp_path, table):
     # main formats every table in one pass; csv.writer over the same fields
     # is the reference layout, CRLF line ends included. solution.csv is also
-    # written on a 7 x 5 mesh at CSV_CHUNK = 3, so that every grid row is
-    # split into column blocks of 3, 3 and 1
+    # written on a 7 x 5 mesh, one template per grid row of 7
     path = {t: tmp_path / f"{t}.csv" for t in HEADERS}
-    cases = [(4, 3, pxdg.cli.CSV_CHUNK)]
+    cases = [(4, 3)]
     if table == "solution":
-        cases.append((7, 5, 3))
-    for nx, ny, chunk in cases:
-        monkeypatch.setattr(pxdg.cli, "CSV_CHUNK", chunk)
+        cases.append((7, 5))
+    for nx, ny in cases:
         if table == "study":
             # b = 0.5 stops unconverged, so converged = 0 is written too
             assert main(["study", "--b", "0,0.5", "--nx", "4,5", "--max-iter",
@@ -89,31 +87,10 @@ def test_csv_matches_csv_writer(tmp_path, monkeypatch, table):
         assert path[table].read_bytes() == want.getvalue().encode()
 
 
-def test_solution_csv_written_in_chunks(tmp_path, monkeypatch):
-    # a grid row wider than CSV_CHUNK is formatted in blocks of CSV_CHUNK
-    # columns; the bytes are those of one "%d,%.12g,%.12g,%.12g" row per
-    # element
-    monkeypatch.setattr(pxdg.cli, "CSV_CHUNK", 3)
-    out = tmp_path / "solution.csv"
-    assert main(["solve", "--b", "0.25", "--nx", "4", "--ny", "3",
-                 "--out", str(out)]) == 0
-    data = manufactured_problem(0.25).discretize(4, 3)
-    mesh = data.mesh
-    assert mesh.nx % 3 != 0
-    state = run(data, SolverConfig())
-    rows = zip(range(mesh.n_elements), *edges(mesh)["barycenters"].T.tolist(),
-               state.u.values.tolist())
-    want = "element,x,y,u\r\n" + "".join(
-        "%d,%.12g,%.12g,%.12g\r\n" % row for row in rows)
-    assert out.read_bytes() == want.encode()
-
-
 @pytest.mark.parametrize("n", [0, 1, 4, 5, 7])
-def test_write_csv_formats_a_chunk_per_call(tmp_path, monkeypatch, n):
-    # each chunk of CSV_CHUNK rows is one % call on the row format repeated
-    # per row; the bytes are those of one formatted row per line, whatever
-    # the chunk boundaries
-    monkeypatch.setattr(pxdg.cli, "CSV_CHUNK", 2)
+def test_write_csv_formats_a_chunk_per_call(tmp_path, n):
+    # the bytes are those of one formatted row per CRLF line, after the
+    # header, for no row, one and several
     rows = [(k, "%.12g" % (0.1 * k), -k / 3.0) for k in range(n)]
     out = tmp_path / "table.csv"
     pxdg.cli._write_csv(out, "k,s,v", "%d,%s,%.12g", iter(rows))

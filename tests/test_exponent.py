@@ -59,8 +59,11 @@ def test_manufactured_variable_case():
     assert field(0.0, 0.0) == pytest.approx(5.0 / 3.0)
     assert field(1.0, 1.0) == pytest.approx(1.5)   # min at (1, 1)
     assert field(-1.0, -1.0) == pytest.approx(2.0)  # max at (-1, -1)
-    with pytest.raises(ValueError):
-        manufactured_exponent(-0.1)
+    # NaN is not below 0 and inf gives p1 = NaN: each is an error naming
+    # b, not a complaint about the exponent bounds
+    for b in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="b must be"):
+            manufactured_exponent(b)
 
 
 def test_manufactured_bounds_attained_on_domain():

@@ -19,9 +19,9 @@ from edge_loop import axis_lifting, dense_lifting, edges, penalty
 from pxdg import (Algorithm, DgScalar, DgVector, Domain, ExponentField,
                   ProblemData, SolverConfig, SolverState, StepSizeWarning,
                   assemble_matrix, assemble_rhs, build_uniform_mesh,
-                  eta_update, eval_Jh, eval_lagrangian, l2_error, l2_norm,
-                  lambda_update, lifting, manufactured_exponent,
-                  manufactured_problem, run, solve_linear, stopping_check)
+                  eval_Jh, eval_lagrangian, l2_error, l2_norm, lambda_update,
+                  lifting, manufactured_exponent, manufactured_problem, run,
+                  solve_linear, stopping_check)
 from pxdg.cli import main
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -971,12 +971,11 @@ def test_root_many_misses_only_the_underflowing_root(r):
 
 
 def _flux_step(bu, lam, p_bar):
-    # eta, the Newton passes counted and the warnings of one flux step
-    state = types.SimpleNamespace(flux_passes=0)
+    # eta, the Newton passes and the warnings of one flux step
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        eta = pxdg.solver._eta_from(bu, lam, p_bar, 1.0, state)
-    return eta, state.flux_passes, [str(w.message) for w in caught]
+        eta, passes = pxdg.solver._eta_from(bu, lam, p_bar, 1.0)
+    return eta, passes, [str(w.message) for w in caught]
 
 
 def test_flux_step_in_blocks_matches_one_block(monkeypatch):
@@ -1014,7 +1013,7 @@ def test_flux_step_memory():
     p_bar = rng.uniform(1.05, 2.0, m)
     tracemalloc.start()
     try:
-        eta = pxdg.solver._eta_from(bu, lam, p_bar, 1.0)
+        eta, _ = pxdg.solver._eta_from(bu, lam, p_bar, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1034,10 +1033,9 @@ def test_run_counts_flux_passes():
 def test_eta_update_zero():
     data = problem_data(3, b=0.25)
     m = data.mesh.n_elements
-    eta = eta_update(lifting(DgScalar(data.mesh, np.zeros(m))),
-                     DgVector(data.mesh, np.zeros((m, 2))),
-                     data, SolverConfig(r=1.0))
-    assert np.allclose(eta.values, 0.0)
+    eta, _ = pxdg.solver._eta_from(np.zeros((m, 2)), np.zeros((m, 2)),
+                                   data.p_bar, 1.0)
+    assert np.allclose(eta, 0.0)
 
 
 def test_eta_update_hand_value():
@@ -1045,9 +1043,10 @@ def test_eta_update_hand_value():
     data = problem_data(1)
     u = DgScalar(data.mesh, [0.0])
     lam = DgVector(data.mesh, [[3.0, 4.0]])
-    eta = eta_update(lifting(u), lam, data, SolverConfig(r=1.0))
-    assert np.allclose(eta.values[0], [1.5, 2.0], rtol=1e-12)
-    assert np.hypot(*eta.values[0]) == pytest.approx(
+    eta, _ = pxdg.solver._eta_from(lifting(u).values, lam.values,
+                                   data.p_bar, 1.0)
+    assert np.allclose(eta[0], [1.5, 2.0], rtol=1e-12)
+    assert np.hypot(*eta[0]) == pytest.approx(
         scalar_root(2.0, 1.0, 5.0), rel=1e-12)
 
 
@@ -1058,7 +1057,8 @@ def test_eta_update_parallel_with_resolvent_magnitude():
     rng = np.random.default_rng(26)
     u = DgScalar(mesh, rng.normal(size=mesh.n_elements))
     lam = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
-    eta = eta_update(lifting(u), lam, data, cfg).values
+    eta, _ = pxdg.solver._eta_from(lifting(u).values, lam.values,
+                                   data.p_bar, cfg.r)
     s = lam.values + cfg.r * bu_of(u.values, mesh)
     p_bar = data.p_bar
     for k in range(mesh.n_elements):
@@ -1078,7 +1078,8 @@ def test_eta_update_takes_hypot_where_the_square_leaves_the_normal_range():
     mesh = data.mesh
     lam = DgVector(mesh, [[1e200, 1e200], [3e200, -4e200], [3.0, 4.0],
                           [1e-200, 2e-200]])
-    eta = eta_update(DgVector(mesh, np.zeros((4, 2))), lam, data, cfg).values
+    eta, _ = pxdg.solver._eta_from(np.zeros((4, 2)), lam.values,
+                                   data.p_bar, cfg.r)
     c = np.hypot(lam.values[:, 0], lam.values[:, 1])
     want = lam.values * (
         pxdg.solver._root_many(data.p_bar, cfg.r, c)[0] / c)[:, None]
@@ -1095,7 +1096,8 @@ def test_eta_update_satisfies_flux_equation():
     rng = np.random.default_rng(27)
     u = DgScalar(mesh, rng.normal(size=mesh.n_elements))
     lam = DgVector(mesh, rng.normal(size=(mesh.n_elements, 2)))
-    eta = eta_update(lifting(u), lam, data, cfg).values
+    eta, _ = pxdg.solver._eta_from(lifting(u).values, lam.values,
+                                   data.p_bar, cfg.r)
     bu = bu_of(u.values, mesh)
     p_bar = data.p_bar
     mag = np.hypot(eta[:, 0], eta[:, 1])
@@ -1194,7 +1196,7 @@ def test_run_stops_at_non_finite_flux_or_energy(name, algorithm, monkeypatch):
     # a NaN flux makes ||Bu - eta|| NaN, and a NaN energy is J_h's: either
     # ends the run unconverged before the next u-solve, so u stays finite
     # and solve_linear never sees a NaN right-hand side
-    nan = {"_eta_from": lambda bu, *args: np.full_like(bu, np.nan),
+    nan = {"_eta_from": lambda bu, *args: (np.full_like(bu, np.nan), 0),
            "eval_Jh": lambda *args: np.nan}
     monkeypatch.setattr(pxdg.solver, name, nan[name])
     _, data = manufactured_data(0.5, 8)
@@ -1299,8 +1301,9 @@ def test_fixed_point_satisfies_all_three_equations():
     lin = np.abs(sm.matrix @ state.u.values - rhs).max()
     assert lin <= 1e-7 * max(1.0, np.abs(rhs).max())
     # flux resolvent consistency
-    eta = eta_update(lifting(state.u), state.lam, data, cfg)
-    assert l2_norm(DgVector(mesh, eta.values - state.eta.values)) <= 1e-7
+    eta, _ = pxdg.solver._eta_from(lifting(state.u).values,
+                                   state.lam.values, data.p_bar, cfg.r)
+    assert l2_norm(DgVector(mesh, eta - state.eta.values)) <= 1e-7
     # constraint
     gap = bu_of(state.u.values, mesh) - state.eta.values
     assert float(np.sqrt((mesh.dx * mesh.dy * gap**2).sum())) <= \
@@ -1386,7 +1389,7 @@ def _spy_sweeps(monkeypatch, zero_rhs_once=False):
     # the first later sweep of an outer iteration gets a zero rhs
     events, zeroed = [], []
     solve, flux, update, rhs_of = (
-        pxdg.solver.solve_linear, pxdg.solver.eta_update,
+        pxdg.solver.solve_linear, pxdg.solver._eta_from,
         pxdg.solver.lambda_update, pxdg.solver.assemble_rhs)
 
     def spied_rhs(*args):
@@ -1409,7 +1412,7 @@ def _spy_sweeps(monkeypatch, zero_rhs_once=False):
         return call
     monkeypatch.setattr(pxdg.solver, "assemble_rhs", spied_rhs)
     monkeypatch.setattr(pxdg.solver, "solve_linear", spied_solve)
-    monkeypatch.setattr(pxdg.solver, "eta_update", spied("flux", flux))
+    monkeypatch.setattr(pxdg.solver, "_eta_from", spied("flux", flux))
     monkeypatch.setattr(pxdg.solver, "lambda_update", spied("lambda", update))
     return events
 
@@ -1465,10 +1468,10 @@ def test_coupled_sweep_with_a_zero_rhs_keeps_its_flux_step(monkeypatch):
 
 
 def test_run_dispatches_on_algorithm(monkeypatch):
-    # both algorithms run through the public step functions; only the
+    # both algorithms run through the same step functions; only the
     # coupled one repeats the u-solve and flux recovery per multiplier step
     calls = {}
-    for name in ("solve_linear", "eta_update", "lambda_update"):
+    for name in ("solve_linear", "_eta_from", "lambda_update"):
         def counted(*args, _fn=getattr(pxdg.solver, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
@@ -1479,7 +1482,7 @@ def test_run_dispatches_on_algorithm(monkeypatch):
         state = run(data, SolverConfig(algorithm=algorithm))
         assert state.converged
         assert calls["lambda_update"] == state.iteration
-        assert calls["eta_update"] == calls["solve_linear"]
+        assert calls["_eta_from"] == calls["solve_linear"]
         if algorithm == Algorithm.COUPLED:
             assert calls["solve_linear"] > state.iteration
         else:
@@ -1769,12 +1772,15 @@ def test_run_on_a_tiny_domain():
 
 def test_scalar_valued_exponent_and_data():
     # p, xi and u_D may return one number for all points, as a constant
-    # function written without numpy does; it stands for every point
+    # function written without numpy does; it stands for every point, and
+    # p_bar is still one exponent per element
     mesh = build_uniform_mesh(SQUARE, 4, 3)
 
     def solve(p, xi, u_D):
-        state = run(ProblemData(mesh=mesh, exponent=ExponentField(p, 1.5, 1.5),
-                                xi=xi, u_D=u_D), SolverConfig())
+        data = ProblemData(mesh=mesh, exponent=ExponentField(p, 1.5, 1.5),
+                           xi=xi, u_D=u_D)
+        assert data.p_bar.shape == (mesh.n_elements,)
+        state = run(data, SolverConfig())
         assert state.converged
         return state.u.values
 
