@@ -7,8 +7,7 @@ from .energy import (ProblemData, eval_F, eval_G, eval_Jh, eval_lagrangian,
                      grad_F)
 from .exponent import (ExponentField, luxemburg_norm, manufactured_exponent,
                        modular)
-from .mesh import Domain, Mesh, build_uniform_mesh, edge_weights
-from .quadrature import gauss_points
+from .mesh import Domain, Mesh, build_uniform_mesh, edge_weights, gauss_points
 from .solver import (Algorithm, IterationRecord, SolverConfig, SolverState,
                      StepSizeWarning, SystemMatrix, assemble_matrix,
                      assemble_rhs, lambda_update, run, solve_linear,

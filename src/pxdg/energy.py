@@ -15,8 +15,7 @@ import numpy as np
 
 from .dg import DgScalar, DgVector, _magnitude, lifting
 from .exponent import ExponentField
-from .mesh import Mesh, edge_weights
-from .quadrature import GAUSS_RULE, gauss_points
+from .mesh import GAUSS_RULE, Mesh, _sample, edge_weights, gauss_points
 
 __all__ = [
     "ProblemData",
@@ -46,8 +45,7 @@ class ProblemData:
         """Exponent of every element at its barycenter, checked by the
         field, as an m-vector however many values the field returns."""
         _, _, xc, yc = self.mesh.axes()
-        x, y = np.broadcast_arrays(xc, yc[:, None])
-        return np.broadcast_to(self.exponent(x, y), x.shape).ravel()
+        return self.exponent(xc, yc[:, None]).ravel()
 
     @cached_property
     def penalty_weights(self) -> tuple:
@@ -66,7 +64,7 @@ class ProblemData:
         mesh = self.mesh
         xi, wq = np.empty((9, mesh.ny, mesh.nx)), np.empty(9)
         for q, (x, y, w) in enumerate(gauss_points(mesh)):
-            xi[q], wq[q] = self.xi(x, y), w
+            xi[q], wq[q] = _sample(self.xi, x, y), w
         xi = xi.reshape(9, -1)
         total = float(wq.sum())
         integrals = wq @ xi
@@ -92,8 +90,7 @@ class ProblemData:
 
         def moments(x, y, c):
             # u_D at points (3, ...): its means over axis 0, and C's share
-            x, y = np.broadcast_arrays(x, y)
-            vals = np.broadcast_to(np.asarray(self.u_D(x, y), float), x.shape)
+            vals = _sample(self.u_D, x, y)
             mean = np.tensordot(w, vals, 1)
             spread = np.tensordot(w, (vals - mean) ** 2, 1)
             return mean, float((c * spread).sum())

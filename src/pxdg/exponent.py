@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dg import _magnitude
-from .quadrature import gauss_points
+from .mesh import _sample, gauss_points
 
 __all__ = [
     "ExponentField",
@@ -31,9 +31,10 @@ class ExponentField:
             raise ValueError("exponent bounds must satisfy 1 < p1 <= p2 <= 2")
 
     def __call__(self, x, y) -> np.ndarray:
-        """p at the points (x, y) as a float array; a value outside
-        [p1, p2], or not finite, is a ValueError naming its point."""
-        p = np.asarray(self.func(x, y), float)
+        """p at the points (x, y), sampled by mesh._sample, as a float
+        array of their broadcast shape; a value outside [p1, p2], or not
+        finite, is a ValueError naming its point."""
+        p = _sample(self.func, x, y)
         # NaN fails both comparisons, and +-inf lies outside [p1, p2]
         bad = np.flatnonzero(~((self.p1 <= p) & (p <= self.p2)))
         if bad.size:

@@ -61,6 +61,23 @@ def test_only_the_exponent_field_reads_its_func(name):
     assert not reads, f"pxdg.{name} reads .func at lines {reads}"
 
 
+def test_only_the_sampler_calls_a_datum():
+    # p, xi, u_D and the exact u reach their callables through mesh._sample
+    # alone, which holds every result to one shape contract: no call of an
+    # attribute xi, u_D or func, or of a name func, outside it
+    found = []
+    for name in sorted({"__init__"} | set(SUBMODULES)):
+        tree = ast.parse(Path(pxdg.__path__[0], f"{name}.py").read_text())
+        inside = {id(n) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_sample" for n in ast.walk(node)}
+        found += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and (getattr(node.func, "attr", None) in {"xi", "u_D", "func"}
+                       or getattr(node.func, "id", None) == "func")]
+    assert not found, f"a datum called outside mesh._sample: {found}"
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_no_module_imports_a_name_it_never_uses(name):
     # __init__ imports to re-export; every other module reads each name it

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pxdg.cli
+import pxdg.study
 from edge_loop import edges
 from pxdg import (Algorithm, Domain, ExponentField, ManufacturedProblem,
                   SolverConfig, build_uniform_mesh, gauss_points, l2_error,
@@ -246,6 +247,20 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["solve", "--b", "400", "--nx", "4", "--out", out]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "b=400" in err
+
+
+@pytest.mark.parametrize("b, nx", [("0.5,0.25,nan", "4,5"),
+                                   ("0.5", "4,5,-1"), ("0.5,-1", "4")])
+def test_study_checks_every_cell_before_its_first_solve(b, nx, tmp_path,
+                                                         monkeypatch, capsys):
+    # a bad b or nx anywhere in the lists is an input error before any
+    # cell is solved, and no table is written
+    solved = []
+    monkeypatch.setattr(pxdg.study, "run", lambda *args: solved.append(args))
+    out = tmp_path / "study.csv"
+    assert main(["study", "--b", b, "--nx", nx, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert solved == [] and not out.exists()
 
 
 def test_non_convergence_exits_two(tmp_path):

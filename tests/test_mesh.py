@@ -1,15 +1,19 @@
-"""Mesh construction: counts, geometry, the edge oracle's orientation, and
-penalty weights on the edge grids."""
+"""Mesh construction: counts, geometry, the edge oracle's orientation,
+penalty weights on the edge grids, and the one sampler of p, xi, u_D and
+the exact u."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from edge_loop import edges, grid_loop
-from pxdg import (Domain, ExponentField, Mesh, build_uniform_mesh,
-                  edge_weights, manufactured_exponent)
+from pxdg import (DgScalar, Domain, ExponentField, ManufacturedProblem, Mesh,
+                  ProblemData, build_uniform_mesh, edge_weights, l2_error,
+                  manufactured_exponent)
+from pxdg.mesh import _sample
 
 SQUARE = Domain(-1.0, 1.0, -1.0, 1.0)
 
@@ -300,3 +304,60 @@ def test_invalid_inputs():
             build_uniform_mesh(SQUARE, nx, ny)
     mesh = build_uniform_mesh(SQUARE, np.int64(3), np.int64(2))
     assert mesh.n_elements == 6
+
+
+def test_sample_broadcasts_the_points_and_calls_once():
+    calls = []
+
+    def func(x, y):
+        calls.append((x.shape, y.shape))
+        return x + 10.0 * y
+
+    got = _sample(func, np.arange(3.0), np.arange(2.0)[:, None])
+    assert calls == [((2, 3), (2, 3))]
+    assert got.dtype == float and got.shape == (2, 3)
+    assert np.array_equal(got, [[0.0, 1.0, 2.0], [10.0, 11.0, 12.0]])
+
+
+@pytest.mark.parametrize("value", [1.5, 2, np.float32(1.5), np.array(1.5)])
+def test_sample_spreads_one_number_over_the_points(value):
+    got = _sample(lambda x, y: value, np.zeros((3, 4)), 0.0)
+    assert got.dtype == float and got.shape == (3, 4)
+    assert np.all(got == float(value))
+
+
+@pytest.mark.parametrize("shape", [(1,), (4,), (3, 1), (1, 4), (4, 3),
+                                   (1, 3, 4)])
+def test_sample_rejects_any_other_shape(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            "points of shape (3, 4) returned shape " + str(shape))):
+        _sample(lambda x, y: np.ones(shape), np.zeros((3, 4)), 0.0)
+
+
+@pytest.mark.parametrize("datum", ["p", "xi", "u_D", "u"])
+def test_every_datum_rejects_a_shape_off_the_contract(datum):
+    # one value per grid column would be broadcast along the rows: p at
+    # the barycenters, xi and u_D at their Gauss points and the exact u at
+    # the L2 error's each raise, naming both shapes
+    shapes = []
+
+    def per_column(x, y):
+        shapes.append(np.shape(x))
+        return np.zeros(np.shape(x)[-1])
+
+    given = dict.fromkeys(["p", "xi", "u_D", "u"], lambda x, y: 0.0)
+    given[datum] = per_column
+    mesh = build_uniform_mesh(SQUARE, 4, 3)
+    exponent = ExponentField(lambda x, y: 1.5 + given["p"](x, y), 1.2, 2.0)
+    data = ProblemData(mesh, exponent, xi=given["xi"], u_D=given["u_D"])
+    prob = ManufacturedProblem(b=0.0, exponent=exponent,
+                               exact_u=given["u"], grad_u=None)
+    zero = DgScalar(mesh, np.zeros(mesh.n_elements))
+    sample = {"p": lambda: data.p_bar, "xi": lambda: data.xi_moments,
+              "u_D": lambda: data.boundary_moments,
+              "u": lambda: l2_error(zero, prob)}[datum]
+    with pytest.raises(ValueError) as info:
+        sample()
+    points = shapes[-1]
+    assert (f"points of shape {points} returned shape ({points[-1]},)"
+            in str(info.value))

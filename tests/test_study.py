@@ -1,6 +1,8 @@
 """Manufactured problems, error measurement, refinement studies, rate fits."""
 
 import csv
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from pxdg import (DgScalar, Domain, FLUX_CONSTANT, ManufacturedProblem,
                   SolverConfig, StudyRow, build_uniform_mesh, exact_l2_norm,
                   fit_rate, l2_error, manufactured_exponent,
                   manufactured_problem, run_study)
+import pxdg.study
 from pxdg.cli import main
 
 
@@ -156,6 +159,35 @@ def test_exact_l2_norm_is_the_error_of_zero():
     assert exact_l2_norm(prob, mesh) == l2_error(zero, prob) > 0.0
 
 
+def unit_problem(xi=None):
+    # u = 1 on [-1, 1]^2, given as one number for every point: its L2 norm
+    # is 2 on every mesh
+    return ManufacturedProblem(b=0.0, exponent=manufactured_exponent(0.0),
+                               exact_u=lambda x, y: 1.0,
+                               grad_u=lambda x, y: (0.0, 0.0), xi=xi, u_D=xi)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (4, 4), (16, 16), (40, 25)])
+def test_exact_l2_norm_of_a_scalar_valued_u(nx, ny):
+    prob = unit_problem()
+    mesh = build_uniform_mesh(prob.domain, nx, ny)
+    assert exact_l2_norm(prob, mesh) == pytest.approx(2.0, rel=1e-14)
+    half = DgScalar(mesh, np.full(mesh.n_elements, 0.5))
+    assert l2_error(half, prob) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("nx", [1, 4, 16])
+def test_rel_l2_error_of_a_scalar_valued_u(nx, monkeypatch):
+    # with xi = u_D = 0 the discrete solution is 0, a distance 2 from u = 1
+    # whose norm is 2, so the relative error is 1 at every nx
+    monkeypatch.setattr(pxdg.study, "manufactured_problem",
+                        lambda b: unit_problem(xi=lambda x, y: 0.0))
+    (row,) = run_study([0.0], [nx], SolverConfig())
+    assert row.converged
+    assert row.l2_error == pytest.approx(2.0, rel=1e-14)
+    assert row.rel_l2_error == pytest.approx(1.0, rel=1e-14)
+
+
 def test_l2_error_memory():
     # the exact solution is sampled one Gauss point at a time: m-vector
     # temporaries only, where (m, 9) point arrays take ~20 m-vectors
@@ -185,6 +217,37 @@ def test_l2_error_scales_linearly():
 
 def test_run_study_empty():
     assert run_study([], [4], SolverConfig()) == []
+
+
+@pytest.mark.parametrize("b_list, nx_list, named", [
+    ([0.5, 0.25, math.nan], [4, 5], "got nan"),
+    ([0.5, -1.0], [4], "got -1.0"),
+    ([0.5, 400.0], [4], "b=400"),
+    ([0.5], [4, 5, -1], "got -1"),
+    ([0.5, 0.25], [4, 0], "got 0"),
+    ([0.5], [4, 2.5], "got 2.5"),
+])
+def test_run_study_checks_every_cell_before_solving(b_list, nx_list, named,
+                                                     monkeypatch):
+    solved = []
+    monkeypatch.setattr(pxdg.study, "run", lambda *args: solved.append(args))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_study(b_list, nx_list, SolverConfig())
+    assert solved == []
+
+
+def test_run_study_makes_each_problem_just_before_its_cells(monkeypatch):
+    # the checks make no problem through manufactured_problem: perfbench
+    # wraps that name, times setup_s by it and names each solve's b by its
+    # last call, so that call must come just before the b's own solves
+    calls = []
+    make, solve = pxdg.study.manufactured_problem, pxdg.study.run
+    monkeypatch.setattr(pxdg.study, "manufactured_problem",
+                        lambda b: calls.append(b) or make(b))
+    monkeypatch.setattr(pxdg.study, "run",
+                        lambda *args: calls.append("run") or solve(*args))
+    run_study([0.0, 0.5], [3, 4], SolverConfig())
+    assert calls == [0.0, "run", "run", 0.5, "run", "run"]
 
 
 def test_run_study_single_cell():
@@ -250,6 +313,15 @@ def test_fit_rate_input_validation():
     mixed = synthetic_rows([4], [0.1], b=0.0) + synthetic_rows([8], [0.05], b=0.5)
     with pytest.raises(ValueError):
         fit_rate(mixed)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.1])
+def test_fit_rate_rejects_an_error_it_cannot_take_the_log_of(bad):
+    # an unconverged row's NaN, or an error of zero, has no rate: a
+    # ValueError naming the row's nx, and no floating-point warning
+    rows = synthetic_rows([4, 8, 16], [0.1, bad, 0.025])
+    with pytest.raises(ValueError, match="at nx=8"):
+        fit_rate(rows)
 
 
 def test_solution_jump_seminorm_is_finite():
