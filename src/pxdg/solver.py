@@ -17,18 +17,20 @@ The coupled variant and a rho other than r keep the paper's step, for which
 alone Glowinski's bounds on rho are proved.
 
 The u-system matrix A = |k| I + r |k| B^T B + the edge penalties w |e|
-on the squared jumps is fixed for a run. It is stored as its nine bands,
-written from those coefficients, and no factor is formed, so memory stays
-O(m + nx^2 + ny^2). Conjugate gradients solve it, preconditioned with
-M = S^-1 K S^-1. K is A with every edge penalty at its mean gamma, the
-Kronecker sum of two 1-D operators, kept for the preconditioner alone:
-fast diagonalization inverts it exactly (Lynch, Rice and Thomas 1964;
-Concus and Golub 1973), and the scaling S = sqrt(diag K / diag A) makes
-diag M = diag A. At p = 2, M = A. Where the edges depart from gamma, M
-only approximates A, and the preconditioner applies its transforms in
-float32 (mixed-precision preconditioning, Higham and Mary 2022); where
-they do not, beyond float32's resolution, M = A and the transforms stay
-float64, so that one iteration still solves.
+on the squared jumps is fixed for a run. It is symmetric, stored as its
+diagonal and four upper bands written from those coefficients, and A @ x
+reads each lower band off its upper one. No factor is formed, so memory
+stays O(m + nx^2 + ny^2), and numpy is the one dependency. Conjugate
+gradients solve it, preconditioned with M = S^-1 K S^-1. K is A with
+every edge penalty at its mean gamma, the Kronecker sum of two 1-D
+operators, kept for the preconditioner alone: fast diagonalization
+inverts it exactly (Lynch, Rice and Thomas 1964; Concus and Golub 1973),
+and the scaling S = sqrt(diag K / diag A) makes diag M = diag A. At
+p = 2, M = A. Where the edges depart from gamma, M only approximates A,
+and the preconditioner applies its transforms in float32
+(mixed-precision preconditioning, Higham and Mary 2022); where they do
+not, beyond float32's resolution, M = A and the transforms stay float64,
+so that one iteration still solves.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dg import (DgScalar, DgVector, _magnitude, _stencil, l2_norm, lifting,
                  lifting_adjoint)
@@ -69,8 +70,9 @@ LINEAR_RATIO = 1e-3  # u-solves in run: this share of ||Bu - eta|| / ||eta||
 RELAX = 1.5  # uncoupled algorithm at rho = r: over-relaxation of Bu (see run)
 MAX_INNER = 200  # coupled algorithm: inner sweeps per multiplier step
 MAX_NEWTON = 200  # flux root: Newton passes per call
-FLUX_BLOCK = 16384  # flux step: rows per root solve (see _eta_from); at
-# nx = 400, 4,096-8,192 rows ran slower and 16,384-32,768 the fastest
+FLUX_BLOCK = 16384  # rows per block of the flux step's root solves and of
+# A @ x (see _eta_from, _SymmetricBands); at nx = 400 both ran slower at
+# 4,096-8,192 rows, the flux step fastest at 16,384-32,768
 
 
 class Algorithm(IntEnum):
@@ -144,23 +146,72 @@ class SolverState:
     history: list = field(default_factory=list)
 
 
+class _SymmetricBands:
+    """A symmetric m x m band matrix, stored as its diagonal and upper
+    bands: bands[k] is the band at offset d = offsets[k], the offsets
+    ascending from 0, indexed by column as DIA storage keeps it,
+    bands[k][c] = A[c - d, c] for c >= d (its first d entries are unused).
+    The band at offset -d is the same values indexed by row:
+    A[i, i - d] = A[i - d, i] = bands[k][i].
+
+    A @ x adds the products of all the bands, lower ones included, in
+    ascending offset order into a zero vector, the order and the start of
+    scipy's DIA product, so it gives the same bits. It runs FLUX_BLOCK
+    rows at a time, so that each product stays in cache until it is
+    added. The slices of every block are planned here, once: planned on
+    every call, they made the 15 small solves of criterion 1's study 8%
+    slower. The buffer of the products is the call's own, so threads may
+    share the matrix.
+    """
+
+    def __init__(self, bands: np.ndarray, offsets: tuple):
+        self.bands, self.offsets = bands, offsets
+        m = bands.shape[1]
+        self._block = min(m, FLUX_BLOCK)  # rows per block
+        signed = [-d for d in reversed(offsets) if d] + list(offsets)
+        # per block and band: rows of y, band values, columns of x, buffer
+        self._plan = []
+        for start in range(0, m, self._block):
+            stop = min(start + self._block, m)
+            for d, band in zip(signed, [*bands[:0:-1], *bands]):
+                # rows i with 0 <= i + d < m, and the values of A[i, i + d]
+                # at index i of a lower band, i + d of an upper one
+                lo, hi = max(start, -d), min(stop, m - d)
+                if lo < hi:
+                    at = max(d, 0)
+                    self._plan.append((slice(lo, hi), band[lo + at:hi + at],
+                                       slice(lo + d, hi + d),
+                                       slice(hi - lo)))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        m = self.bands.shape[1]
+        if np.shape(x) != (m,):
+            raise ValueError(f"A is {m} x {m}, x has shape {np.shape(x)}")
+        y = np.zeros(m)
+        buf = np.empty(self._block)  # each product, before its add
+        for rows, band, cols, part in self._plan:
+            out = y[rows]
+            out += np.multiply(band, x[cols], out=buf[part])
+        return y
+
+
 @dataclass
 class SystemMatrix:
     """The u-system and the data of its preconditioner, each array once.
 
-    matrix is A, stored as its nine bands in DIA format and written from
-    its own coefficients (see assemble_matrix). scale is the m-vector
-    S = sqrt(diag K / diag A) of the preconditioner M = S^-1 K S^-1, with
-    K = I_y (x) K_x + K_y (x) I_x the Kronecker sum that is A with every
-    edge penalty at the mean gamma. qx (nx, nx) and qy (ny, ny) are the
-    eigenvectors of K_x and K_y, and eigsum (ny, nx) the eigenvalue sums
-    of K, eigsum[j, i] = lam_y[j] + lam_x[i]. These three are stored in
-    the precision _precondition applies: float32 where M != A, float64
-    where M = A, as at p = 2 (see assemble_matrix). On a square grid qx
-    is qy.
+    matrix is A, stored as its diagonal and upper bands (_SymmetricBands)
+    and written from its own coefficients (see assemble_matrix). scale is
+    the m-vector S = sqrt(diag K / diag A) of the preconditioner
+    M = S^-1 K S^-1, with K = I_y (x) K_x + K_y (x) I_x the Kronecker sum
+    that is A with every edge penalty at the mean gamma. qx (nx, nx) and
+    qy (ny, ny) are the eigenvectors of K_x and K_y, and eigsum (ny, nx)
+    the eigenvalue sums of K, eigsum[j, i] = lam_y[j] + lam_x[i]. These
+    three are stored in the precision _precondition applies: float32
+    where M != A, float64 where M = A, as at p = 2 (see assemble_matrix).
+    On a square grid qx is qy.
     """
 
-    matrix: sp.dia_matrix
+    matrix: _SymmetricBands
     scale: np.ndarray
     qx: np.ndarray
     qy: np.ndarray
@@ -188,7 +239,7 @@ def _check_step_size(cfg: SolverConfig) -> None:
 def _axis_operator(n: int, h: float, area: float, r: float,
                    jump: float) -> tuple:
     """(bands, lam, Q) along one axis of n cells of width h: bands[d] the
-    diagonal at offset d, |d| <= min(2, n - 1), of r |k| D^T D, and
+    diagonal at offset d, 0 <= d <= min(2, n - 1), of r |k| D^T D, and
     (lam, Q) the eigenpairs of r |k| D^T D + jump T.
 
     D is the 1-D lifting of dg._stencil. T = tridiag(-1, 2, -1) is the jump
@@ -218,7 +269,7 @@ def _axis_operator(n: int, h: float, area: float, r: float,
     del lift  # one n x n array during eigh
     k += 0.0  # +0.0 for -0.0, as in the sparse product, which stores no zero
     kd = min(2, n - 1)
-    bands = {d: np.diagonal(k, d).copy() for d in range(-kd, kd + 1)}
+    bands = {d: np.diagonal(k, d).copy() for d in range(kd + 1)}
     i = np.arange(n)
     k[i, i] = bands[0] + 2.0 * jump
     k[i[1:], i[:-1]] -= jump
@@ -228,15 +279,18 @@ def _axis_operator(n: int, h: float, area: float, r: float,
 
 def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     """SPD system A = |k| I + r |k| B^T B + each edge's w |e| times its
-    squared jump, written from those coefficients as nine bands.
+    squared jump, written from those coefficients as its diagonal and
+    upper bands.
 
     r |k| B^T B = I_y (x) r |k| D_x^T D_x + r |k| D_y^T D_y (x) I_x has the
     offsets 0, +-1, +-2 within each grid row and 0, +-nx, +-2nx across the
     rows (see _axis_operator). The edge weights (cx, cy) add each element's
     four edges on the diagonal, and minus each interior edge's weight
-    between its two elements. The bands are written into one (bands, m)
-    array, each indexed by column as DIA storage keeps it. The offsets
-    ascend, so A @ x sums each row in column order, as CSR does.
+    between its two elements. A is symmetric (each lower entry, written
+    out, equals its upper one to the bit), so only the offsets 0, 1, 2, nx
+    and 2nx are written, into one (bands, m) array, each indexed by column
+    as DIA storage keeps it: 5 m values in place of 9 m (see
+    _SymmetricBands). A @ x sums each row in column order, as CSR does.
 
     gamma, the mean w |e|, enters the preconditioner alone. K is A with
     every edge at gamma, I_y (x) K_x + K_y (x) I_x with K_x = |k| I +
@@ -267,7 +321,7 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     rx, lam_x, qx = _axis_operator(nx, mesh.dx, cell, cfg.r, gamma)
     ry, lam_y, qy = ((rx, lam_x, qx) if square else
                      _axis_operator(ny, mesh.dy, cell, cfg.r, gamma))
-    offsets = sorted({*rx} | {d * nx for d in ry})
+    offsets = tuple(sorted({*rx} | {d * nx for d in ry}))
     bands = np.zeros((len(offsets), m))
     # band d as an (ny, nx) grid: grid[d][j, i] = A[c - d, c], c = j nx + i
     grid = {d: band.reshape(ny, nx) for d, band in zip(offsets, bands)}
@@ -276,15 +330,13 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     grid[0] += (rx[0] + cell) + (cx[:, :-1] + cx[:, 1:])
     # off it: r |k| D^T D, and minus each interior edge's weight
     for d in rx.keys() - {0}:
-        grid[d][:, max(d, 0):nx + min(d, 0)] = rx[d]
+        grid[d][:, d:] = rx[d]
     for d in ry.keys() - {0}:
-        grid[d * nx][max(d, 0):ny + min(d, 0)] = ry[d][:, None]
+        grid[d * nx][d:] = ry[d][:, None]
     if nx > 1:
         grid[1][:, 1:] -= cx[:, 1:-1]
-        grid[-1][:, :-1] -= cx[:, 1:-1]
     if ny > 1:
         grid[nx][1:] -= cy[1:-1]
-        grid[-nx][:-1] -= cy[1:-1]
     diag_k = (ry[0] + 2.0 * gamma)[:, None] + (rx[0] + cell + 2.0 * gamma)
     scale = np.sqrt(diag_k / grid[0]).ravel()
     # some edge departs from gamma by more than float32 resolves: M != A
@@ -294,8 +346,8 @@ def assemble_matrix(data: ProblemData, cfg: SolverConfig) -> SystemMatrix:
     eigsum = (lam_y[:, None] + (lam_x + cell)).astype(dtype, copy=False)
     qx = qx.astype(dtype, copy=False)
     qy = qx if square else qy.astype(dtype, copy=False)
-    return SystemMatrix(matrix=sp.dia_matrix((bands, offsets), shape=(m, m)),
-                        scale=scale, qx=qx, qy=qy, eigsum=eigsum)
+    return SystemMatrix(matrix=_SymmetricBands(bands, offsets), scale=scale,
+                        qx=qx, qy=qy, eigsum=eigsum)
 
 
 def assemble_rhs(state: SolverState, data: ProblemData,
@@ -608,15 +660,16 @@ def run(data: ProblemData, cfg: SolverConfig,
         raise ValueError("iteration requires r > 0")
     _check_step_size(cfg)
     mesh = data.mesh
-    start = init if init is not None else _zero_state(mesh)
-    for f in (start.u, start.eta, start.lam):
+    # state alone holds the start fields, so each is freed once replaced
+    state = (_zero_state(mesh) if init is None else
+             SolverState(u=init.u, eta=init.eta, lam=init.lam))
+    for f in (state.u, state.eta, state.lam):
         if f.mesh != mesh:
             raise ValueError(f"init lives on {f.mesh}, the problem on {mesh}")
     matrix = assemble_matrix(data, cfg)
     sweeps = MAX_INNER if cfg.algorithm == Algorithm.COUPLED else 1
     relax = (RELAX if cfg.algorithm == Algorithm.UNCOUPLED
              and cfg.effective_rho == cfg.r else 1.0)
-    state = SolverState(u=start.u, eta=start.eta, lam=start.lam)
     rtol = max(LINEAR_TOL, LINEAR_RATIO)
     # au = A u where a solve gave it, and older the (u, A u) an outer
     # iteration back

@@ -4,7 +4,9 @@ definition, and the edge quantities written edge by edge from them.
 The library keeps no per-edge or per-element arrays; it reads the
 elements and edges off the grid.
 Tests that check it edge by edge get the edges from `grid_loop` alone,
-and tests that check it against a sparse matrix get D from `axis_lifting`.
+and tests that check it against a sparse matrix get D from `axis_lifting`
+and the u-system A, which the library stores as its diagonal and upper
+bands, as a sparse matrix from `sparse_system`.
 """
 
 import functools
@@ -133,3 +135,18 @@ def axis_lifting(n, h):
     c = 1.0 / (2.0 * h)
     ends = np.bincount([0, n - 1], [-c, c], minlength=n)  # n = 1: zero
     return sp.diags([-c, ends, c], [-1, 0, 1], shape=(n, n), format="csr")
+
+
+def sparse_system(matrix):
+    """The u-system A of pxdg.solver as a scipy.sparse.dia_matrix of all
+    its bands, offsets ascending: the stored diagonal and upper bands
+    (indexed by column, band d holds A[c - d, c] at c), and each lower band
+    -d read off band d, A[c + d, c] = A[c, c + d], so its last d entries
+    are unused."""
+    bands, offsets = matrix.bands, matrix.offsets
+    m = bands.shape[1]
+    lower = [np.concatenate([band[d:], np.zeros(d)])
+             for d, band in zip(offsets[:0:-1], bands[:0:-1])]
+    return sp.dia_matrix(
+        (np.vstack([*lower, *bands]),
+         [-d for d in offsets[:0:-1]] + list(offsets)), shape=(m, m))

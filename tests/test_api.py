@@ -182,10 +182,11 @@ def test_dg_imports_only_numpy():
         f"pxdg.dg imports {sorted(imported)}"
 
 
-def test_only_the_solver_imports_scipy_and_only_its_sparse():
-    # every BLAS and LAPACK call runs on numpy's OpenBLAS: scipy.linalg maps
-    # a second OpenBLAS, whose thread pool stalls numpy's products after it.
-    # scipy.sparse, which holds A in DIA form, maps none
+def test_no_module_imports_scipy():
+    # the package runs on numpy alone: scipy.linalg maps a second OpenBLAS,
+    # whose thread pool stalls numpy's products after it, and importing
+    # scipy.sparse, which held A until A kept its own bands, raised peak RSS
+    # by about 20 MiB
     found = {}
     for name in sorted({"__init__"} | set(SUBMODULES)):
         tree = ast.parse(Path(pxdg.__path__[0], f"{name}.py").read_text())
@@ -198,24 +199,23 @@ def test_only_the_solver_imports_scipy_and_only_its_sparse():
                 continue
             found.setdefault(name, set()).update(
                 mod for mod in mods if mod.split(".")[0] == "scipy")
-    assert {name: mods for name, mods in found.items() if mods} == {
-        "solver": {"scipy.sparse"}}
+    assert not {name: mods for name, mods in found.items() if mods}
 
 
-def test_a_solve_loads_no_scipy_linalg(tmp_path):
+def test_a_solve_loads_no_scipy(tmp_path):
     # the imports a module makes indirectly too: a fresh interpreter that
-    # runs a solve has not loaded scipy.linalg
+    # runs a solve has loaded no scipy module
     code = ("import sys\n"
             "from pxdg.cli import main\n"
             "rc = main(['solve', '--b', '0.5', '--nx', '6', '--alg', '1',\n"
             f"           '--out', {str(tmp_path / 'u.csv')!r}])\n"
-            "print(rc, 'scipy.linalg' in sys.modules)\n")
+            "print(rc, [m for m in sys.modules if m.startswith('scipy')])\n")
     path = [str(Path(pxdg.__path__[0]).parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(p for p in path if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "0 False"
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_readme_library_example_runs():

@@ -4,7 +4,6 @@ import copy
 import itertools
 import re
 import tracemalloc
-import types
 import warnings
 from dataclasses import replace
 
@@ -15,7 +14,8 @@ import scipy.sparse as sp
 
 import pxdg.energy
 import pxdg.solver
-from edge_loop import axis_lifting, dense_lifting, edges, penalty
+from edge_loop import (axis_lifting, dense_lifting, edges, penalty,
+                       sparse_system)
 from pxdg import (Algorithm, DgScalar, DgVector, Domain, ExponentField,
                   ProblemData, SolverConfig, SolverState, StepSizeWarning,
                   assemble_matrix, assemble_rhs, build_uniform_mesh,
@@ -70,22 +70,25 @@ def test_matrix_single_element():
     data = problem_data(1)
     sm = assemble_matrix(data, SolverConfig(r=1.0))
     # mass 4 plus four boundary edges at weight(2) * |e| = 1 each
-    assert sm.matrix.shape == (1, 1)
-    assert np.allclose(sm.matrix.toarray(), [[8.0]], rtol=1e-14)
+    assert sparse_system(sm.matrix).shape == (1, 1)
+    assert np.allclose(sparse_system(sm.matrix).toarray(), [[8.0]],
+                       rtol=1e-14)
 
 
 def test_matrix_two_elements_r_zero():
     mesh = build_uniform_mesh(SQUARE, 2, 1)
     data = ProblemData(mesh=mesh, exponent=manufactured_exponent(0.0),
                        xi=zero, u_D=zero)
-    dense = assemble_matrix(data, SolverConfig(r=0.0)).matrix.toarray()
+    dense = sparse_system(
+        assemble_matrix(data, SolverConfig(r=0.0)).matrix).toarray()
     # mass 2 + interior jump 1 + three boundary contributions of 1
     assert np.allclose(dense, [[6.0, -1.0], [-1.0, 6.0]], rtol=1e-14)
 
 
 def test_matrix_symmetric_positive_definite():
     data = problem_data(10, b=0.25)
-    dense = assemble_matrix(data, SolverConfig(r=1.0)).matrix.toarray()
+    dense = sparse_system(
+        assemble_matrix(data, SolverConfig(r=1.0)).matrix).toarray()
     assert np.abs(dense - dense.T).max() <= 1e-12
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
@@ -94,7 +97,8 @@ def test_matrix_couples_second_neighbors_only():
     mesh = build_uniform_mesh(SQUARE, 5, 4)
     data = ProblemData(mesh=mesh, exponent=manufactured_exponent(0.25),
                        xi=zero, u_D=zero)
-    dense = assemble_matrix(data, SolverConfig(r=1.0)).matrix.toarray()
+    dense = sparse_system(
+        assemble_matrix(data, SolverConfig(r=1.0)).matrix).toarray()
     # graph distance on the element adjacency (shared edge) graph
     m = mesh.n_elements
     e = edges(mesh)
@@ -234,7 +238,8 @@ def test_matrix_matches_dense_edge_loop(domain, nx, ny, b, r):
         want[[i, j], [j, i]] -= c
     for k, c in boundary:
         want[k, k] += c
-    got = assemble_matrix(data, SolverConfig(r=r)).matrix.toarray()
+    got = sparse_system(
+        assemble_matrix(data, SolverConfig(r=r)).matrix).toarray()
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -264,7 +269,8 @@ def test_matrix_is_kronecker_sum_at_p2(domain, nx, ny, b, r):
         want[k, k] += c - 1.0
         prices.append(c)
     scale = np.abs(want).max()
-    assert np.abs(sm.matrix.toarray() - want).max() <= 1e-14 * scale
+    assert np.abs(sparse_system(sm.matrix).toarray() - want).max() \
+        <= 1e-14 * scale
     qx, qy, eigsum = float64_transforms(data, r)
     q = np.kron(qy, qx)
     spectral = q @ (eigsum.ravel()[:, None] * q.T)
@@ -284,7 +290,55 @@ def test_matrix_product_matches_csr_bit_for_bit(b):
                        xi=zero, u_D=zero)
     sm = assemble_matrix(data, SolverConfig())
     x = np.random.default_rng(31).normal(size=mesh.n_elements)
-    assert np.array_equal(sm.matrix @ x, sm.matrix.tocsr() @ x)
+    assert np.array_equal(sm.matrix @ x, sparse_system(sm.matrix).tocsr() @ x)
+
+
+def _product_vector(m):
+    # a random x with an exact +0.0 and a -0.0 (only -0.0 where m = 1): a
+    # row whose products are all zeros sums to +0.0 from DIA's zero start
+    x = np.random.default_rng(32).normal(size=m)
+    x[m // 2] = 0.0
+    x[-1] = -0.0
+    return x
+
+
+# one element, one row, one column, the least grids with two and three rows,
+# and two grids with all nine bands
+@pytest.mark.parametrize("r", [0.0, 1.0, 1e4])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 2),
+                                    (40, 25), (54, 54)])
+def test_matrix_product_matches_dia_bit_for_bit(nx, ny, r):
+    # A @ x adds the nine bands' products, each lower band read off its
+    # upper one, in ascending offset order into a zero vector, as scipy's
+    # DIA product of the same nine bands does: the same bits
+    mesh = build_uniform_mesh(SQUARE, nx, ny)
+    data = ProblemData(mesh=mesh, exponent=exponent_on(SQUARE, 0.5),
+                       xi=zero, u_D=zero)
+    sm = assemble_matrix(data, SolverConfig(r=r))
+    x = _product_vector(mesh.n_elements)
+    assert _same_bits(sm.matrix @ x, sparse_system(sm.matrix) @ x)
+    zeros = np.zeros(mesh.n_elements)
+    assert _same_bits(sm.matrix @ zeros, zeros)
+
+
+# m = 49 rows on 7 x 7: 7 blocks of 7, 6 of 8 and one row more, 5 of 10
+# and one row less; blocks narrower than the band at offset 2nx = 14
+@pytest.mark.parametrize("block", [7, 8, 10])
+def test_matrix_product_in_blocks_matches_dia(block, monkeypatch):
+    monkeypatch.setattr(pxdg.solver, "FLUX_BLOCK", block)
+    mesh = build_uniform_mesh(SQUARE, 7, 7)
+    data = ProblemData(mesh=mesh, exponent=exponent_on(SQUARE, 0.5),
+                       xi=zero, u_D=zero)
+    sm = assemble_matrix(data, SolverConfig())
+    x = _product_vector(mesh.n_elements)
+    assert _same_bits(sm.matrix @ x, sparse_system(sm.matrix) @ x)
+
+
+def test_matrix_product_rejects_a_vector_of_another_length():
+    sm = assemble_matrix(problem_data(3), SolverConfig())
+    for x in (np.ones(8), np.ones(10), np.ones((9, 1))):
+        with pytest.raises(ValueError, match="A is 9 x 9"):
+            sm.matrix @ x
 
 
 def _sparse_dtd(n, h, area, r):
@@ -312,7 +366,7 @@ def test_axis_operator_matches_sparse_product_bit_for_bit(n, h):
         args = (n, h, h * h, r)
         bands, lam, q = pxdg.solver._axis_operator(*args, jump)
         dtd = _sparse_dtd(*args)
-        assert sorted(bands) == list(range(-kd, kd + 1))
+        assert sorted(bands) == list(range(kd + 1))
         for d, got in bands.items():
             assert _same_bits(got, dtd.diagonal(d)), (args, jump, d)
             if r == 0.0:
@@ -357,49 +411,51 @@ def test_matrix_bands_match_sparse_oracle(domain, nx, ny, b, r):
     want = (cell * sp.identity(nx * ny) + bx.T @ bx + by.T @ by
             + jx.T @ sp.diags(cx.ravel()) @ jx
             + jy.T @ sp.diags(cy.ravel()) @ jy)
-    got = assemble_matrix(data, SolverConfig(r=r)).matrix
+    got = sparse_system(assemble_matrix(data, SolverConfig(r=r)).matrix)
     assert np.abs(got.toarray() - want.toarray()).max() \
         <= np.spacing(abs(want).max())
 
 
 @pytest.mark.parametrize("nx, ny", [(5, 3), (1, 1), (2, 1), (1, 4)])
-def test_assembly_builds_only_the_dia_matrix(nx, ny, monkeypatch):
-    # per-run setup is numpy and one dense eigensolve per axis: with
-    # scipy.sparse cut down to dia_matrix, in which A is stored, it runs
-    # and gives the same system
+def test_assembly_builds_only_the_dia_matrix(nx, ny):
+    # A is stored as the upper half of its DIA bands alone: the diagonal
+    # and the offsets 1, 2, nx and 2nx that the grid has, ascending and
+    # merged where they coincide, each band indexed by column with its
+    # first d entries unused and zero
     domain = Domain(0.5, 2.0, -1.0, 0.2)
     data = ProblemData(mesh=build_uniform_mesh(domain, nx, ny),
                        exponent=exponent_on(domain, 0.5), xi=zero, u_D=zero)
-    want = assemble_matrix(data, SolverConfig())
-    monkeypatch.setattr(pxdg.solver, "sp",
-                        types.SimpleNamespace(dia_matrix=sp.dia_matrix))
-    got = assemble_matrix(data, SolverConfig())
-    assert _same_bits(got.matrix.data, want.matrix.data)
-    for name in ("scale", "qx", "qy", "eigsum"):
-        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    a = assemble_matrix(data, SolverConfig()).matrix
+    want = sorted({*range(min(2, nx - 1) + 1)}
+                  | {d * nx for d in range(min(2, ny - 1) + 1)})
+    assert list(a.offsets) == want
+    assert a.bands.shape == (len(want), nx * ny) and a.bands.dtype == float
+    for d, band in zip(a.offsets, a.bands):
+        assert not band[:d].any()
 
 
 @pytest.mark.parametrize("nx, ny", [(64, 64), (128, 96)])
 def test_assemble_matrix_memory(nx, ny):
-    # A is stored as its nine bands and no other m x m matrix is formed:
-    # assembly's traced peak stays under 24 m-vectors (a Kronecker sum
-    # built in CSR takes ~57), and A's arrays hold nine m-vectors and the
-    # offsets (CSR adds an index to every value)
+    # A is stored as its diagonal and upper bands and no other m x m
+    # matrix is formed: assembly's traced peak stays under 24 m-vectors (a
+    # Kronecker sum built in CSR takes ~57), and what assembly keeps beside
+    # the preconditioner's arrays is A's five m-vectors and the plan of
+    # its products (nine bands held as DIA took nine m-vectors, and CSR
+    # adds an index to every value)
     data = manufactured_problem(0.5).discretize(nx, ny)
     data.penalty_weights  # cached on data; not assembly's own memory
     m = data.mesh.n_elements
     tracemalloc.start()
     try:
         sm = assemble_matrix(data, SolverConfig())
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 8 * m
-    assert sm.matrix.data.size <= 9 * m
-    stored = [getattr(sm.matrix, name) for name in
-              ("data", "offsets", "indices", "indptr")
-              if hasattr(sm.matrix, name)]
-    assert sum(a.nbytes for a in stored) <= 8 * 9 * (m + 1)
+    assert sm.matrix.bands.shape == (5, m)
+    kept -= sum(a.nbytes for a in {id(a): a for a in (
+        sm.scale, sm.qx, sm.qy, sm.eigsum)}.values())
+    assert kept <= 8 * 5 * m + 16384
 
 
 @pytest.mark.parametrize("r", [0.0, 1.0, 1e4])
@@ -415,7 +471,7 @@ def test_preconditioner_matches_the_diagonal(b, r):
     qx, qy, eigsum = float64_transforms(data, r)
     q = np.kron(qy, qx) / sm.scale[:, None]
     m = q @ (eigsum.ravel()[:, None] * q.T)
-    a = sm.matrix.toarray()
+    a = sparse_system(sm.matrix).toarray()
     assert np.abs(m - m.T).max() <= 1e-14 * np.abs(m).max()
     assert np.linalg.eigvalsh(m).min() > 0.0
     assert np.abs(np.diag(m) / np.diag(a) - 1.0).max() <= 1e-13
@@ -750,7 +806,7 @@ def test_solve_linear_misses_on_a_non_positive_inner_product(part):
         eigsum[0, 0] = -1e-8 * eigsum.min()
         sm = replace(sm, eigsum=eigsum)
     else:
-        sm = replace(sm, matrix=-sm.matrix)
+        sm = replace(sm, matrix=-sparse_system(sm.matrix))
     rhs = np.random.default_rng(66).normal(size=data.mesh.n_elements)
     with pytest.warns(RuntimeWarning, match="non-positive inner product"):
         x, tight, iterations, ax = solve_linear(sm, rhs)
