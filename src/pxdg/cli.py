@@ -135,6 +135,7 @@ def _cmd_solve(args) -> int:
           f"cg_iterations={state.linear_iterations} "
           f"flux_passes={state.flux_passes} jh={state.energy:.6g} "
           f"converged={state.converged} "
+          f"inner_converged={state.inner_converged} "
           f"constraint_residual={state.residual_constraint:.6g}")
     return 0 if state.converged else 2
 

@@ -102,10 +102,19 @@ def lifting_adjoint(q: DgVector) -> np.ndarray:
 
 def l2_norm(field) -> float:
     """Area-weighted L2 norm of a P0 scalar or vector field: the root of
-    area times one dot product of its values, inf or NaN where they are."""
+    area times one dot product of its values, inf or NaN where they are.
+    Where that product overflows but every value is finite, the norm is
+    top sqrt(area (v / top) . (v / top)), top = max|v|."""
     mesh = field.mesh
     v = field.values.ravel()
-    return float(np.sqrt(mesh.dx * mesh.dy * (v @ v)))
+    area = mesh.dx * mesh.dy
+    with np.errstate(over="ignore"):  # inf only where the norm itself is
+        norm = float(np.sqrt(area * (v @ v)))
+        if norm == np.inf and np.isfinite(v).all():
+            top = np.abs(v).max()
+            v = v / top
+            norm = float(top * np.sqrt(area * (v @ v)))
+    return norm
 
 
 def _magnitude(v: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ from .mesh import _sample, gauss_points
 
 __all__ = [
     "ExponentField",
-    "manufactured_exponent",
     "modular",
     "luxemburg_norm",
 ]
@@ -42,16 +41,6 @@ class ExponentField:
             raise ValueError(f"exponent {p:g} at ({x:g}, {y:g}), "
                              f"outside [{self.p1:g}, {self.p2:g}]")
         return p
-
-
-def manufactured_exponent(b: float) -> ExponentField:
-    """Exponent family on [-1,1]^2: p(x) = 1 + 1/((b/2)(x1+x2) + 1 + b),
-    with p1 = 1 + 1/(1+2b), p2 = 2; b = 0 gives the constant 2."""
-    # NaN passes b < 0, and b = inf makes p1 NaN
-    if not (np.isfinite(b) and b >= 0):
-        raise ValueError(f"b must be finite and nonnegative, got {b!r}")
-    func = lambda x, y: 1.0 + 1.0 / ((b / 2.0) * (np.asarray(x, float) + y) + 1.0 + b)
-    return ExponentField(func, p1=1.0 + 1.0 / (1.0 + 2.0 * b), p2=2.0)
 
 
 def _field_magnitude(field) -> np.ndarray:

@@ -218,13 +218,6 @@ class SystemMatrix:
     eigsum: np.ndarray
 
 
-def _zero_state(mesh) -> SolverState:
-    m = mesh.n_elements
-    return SolverState(u=DgScalar(mesh, np.zeros(m)),
-                       eta=DgVector(mesh, np.zeros((m, 2))),
-                       lam=DgVector(mesh, np.zeros((m, 2))))
-
-
 def _check_step_size(cfg: SolverConfig) -> None:
     rho, r = cfg.effective_rho, cfg.r
     bound = 2.0 * r if cfg.algorithm == Algorithm.COUPLED else GOLDEN * r
@@ -376,23 +369,22 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
                  u0: np.ndarray | None = None,
                  rtol: float = LINEAR_TOL,
                  au0: np.ndarray | None = None) -> tuple:
-    """Preconditioned conjugate gradients from u0 (default zero).
+    """Preconditioned conjugate gradients from the pair (u0, au0), au0 =
+    A u0, to the pair (x, A x).
 
-    Returns (x, tight, iterations, ax). It stops once the true residual
-    meets max|rhs - A u| <= rtol max(1, max|rhs|), so a u0 that meets it
-    comes back unchanged; tight says whether that residual also meets the
-    test at LINEAR_TOL, iterations counts the preconditioner applies, and
-    ax is the product A x of that true residual. au0, if given, stands in
-    for A u0 in the start residual. It is not checked, so x is accepted
-    only on a product formed here: a start residual formed here from u0 is
-    one already, and a u0 that meets the test costs one product either
-    way. Residuals
-    and search directions are kept divided by max|rhs|, so huge data cannot
-    overflow their inner products. At p = 2 the preconditioner is the
-    inverse and one iteration solves. A RuntimeWarning reports a miss, which
-    is never tight and returns ax = None: an inner product r.z or d.Ad not
-    positive and finite,
-    which returns NaN, or, returning the last iterate, MAX_LINEAR
+    Returns (x, tight, iterations, ax), ax the product A x formed here on
+    every exit. The start defaults to the zero pair, whose product is 0; a
+    u0 given without au0 has its product formed once, at the start. au0 is
+    not checked, so x is accepted only on a product formed here: the solve
+    stops once that product meets max|rhs - A x| <= rtol max(1, max|rhs|),
+    and a start that meets it comes back unchanged. tight says whether the
+    residual also meets the test at LINEAR_TOL, and iterations counts the
+    preconditioner applies. Residuals and search directions are kept
+    divided by max|rhs|, so huge data cannot overflow their inner
+    products. At p = 2 the preconditioner is the inverse and one iteration
+    solves. A RuntimeWarning reports a miss, which is never tight: an inner
+    product r.z or d.Ad not positive and finite, which returns NaN for x
+    and ax, or, returning the last iterate and its product, MAX_LINEAR
     iterations without meeting the test or STALL iterations in which
     max|res| sets no new minimum. Its message carries no per-solve number,
     so the default warning filter shows a run's repeated misses once. A
@@ -401,21 +393,24 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
     true one stays ~1e-6.
     """
     a = matrix.matrix
+    m = len(rhs)
     scale = float(np.abs(rhs).max(initial=0.0))
     if scale == 0.0:
-        return np.zeros(len(rhs)), True, 0, np.zeros(len(rhs))
-    x = np.zeros(len(rhs)) if u0 is None else np.array(u0, float)
+        return np.zeros(m), True, 0, np.zeros(m)
+    if u0 is None:
+        x, ax = np.zeros(m), np.zeros(m)
+    else:
+        x = np.array(u0, float)
+        ax = a @ x if au0 is None else au0
     tol = rtol * max(1.0, scale) / scale
-    true = au0 is None  # res is the true residual of x
-    ax = a @ x if true else au0
     res = rhs - ax
     res /= scale
     rz_old, direction = 1.0, np.zeros_like(x)
     best, best_n = np.inf, 0
     for n in range(MAX_LINEAR):
         err = np.abs(res).max()
-        if err <= tol and not true:
-            ax = a @ x  # accept only on the true residual
+        if err <= tol:
+            ax = a @ x  # accept only on a product formed here
             res = rhs - ax
             res /= scale
             err = np.abs(res).max()
@@ -427,7 +422,7 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
             warnings.warn("solve_linear: residual test missed, no new "
                           f"minimum in {STALL} iterations", RuntimeWarning,
                           stacklevel=2)
-            return x, False, n, None
+            return x, False, n, a @ x
         z = _precondition(matrix, res)
         rz = float(res @ z)
         if 0.0 < rz < np.inf:
@@ -438,16 +433,16 @@ def solve_linear(matrix: SystemMatrix, rhs: np.ndarray,
         if not (0.0 < rz < np.inf and 0.0 < curvature < np.inf):
             warnings.warn("solve_linear: non-finite or non-positive inner "
                           "product", RuntimeWarning, stacklevel=2)
-            return np.full_like(x, np.nan), False, n + 1, None
+            return np.full(m, np.nan), False, n + 1, np.full(m, np.nan)
         # x += (scale step) direction and res -= step a_dir, the products
         # in z's and a_dir's buffers
         step = rz / curvature
         x += np.multiply(direction, scale * step, out=z)
         res -= np.multiply(a_dir, step, out=a_dir)
-        rz_old, true = rz, False
+        rz_old = rz
     warnings.warn("solve_linear: residual test missed after "
                   f"{MAX_LINEAR} iterations", RuntimeWarning, stacklevel=2)
-    return x, False, MAX_LINEAR, None
+    return x, False, MAX_LINEAR, a @ x
 
 
 def _cold_start(e: np.ndarray, r: float, c: np.ndarray) -> np.ndarray:
@@ -580,22 +575,19 @@ def _distance(a, b) -> float:
     return l2_norm(replace(a, values=a.values - b.values))
 
 
-def _extrapolated_start(u: DgScalar, au: np.ndarray | None,
-                        older: tuple | None, history: list) -> tuple:
-    """(x0, A x0): x0 = u + theta (u - u_older), where older = (u_older,
-    au_older) is the u of the outer iteration before u's and its product,
-    and theta = min(0.9, ||du_n|| / ||du_{n-1}||) from the last two records
-    of history; u itself where that ratio is undefined. A x0 is au +
-    theta (au - au_older), with au = A u, au itself with u, and None where
-    a product it needs is None."""
+def _extrapolated_start(u: DgScalar, au: np.ndarray, older: tuple | None,
+                        history: list) -> tuple:
+    """The pair (x0, A x0): x0 = u + theta (u - u_older) and A x0 =
+    au + theta (au - au_older), where (u, au) is the last pair a u-solve
+    returned, older = (u_older, au_older) the pair of the outer iteration
+    before, and theta = min(0.9, ||du_n|| / ||du_{n-1}||) from the last two
+    records of history; (u, au) itself where that ratio is undefined."""
     if len(history) < 2 or not history[-2].residual_u > 0.0:
         return u.values, au
     theta = min(0.9, history[-1].residual_u / history[-2].residual_u)
     u_older, au_older = older
-    start = _extrapolate(u.values, u_older.values, theta)
-    if au is None or au_older is None:
-        return start, None
-    return start, _extrapolate(au, au_older, theta)
+    return (_extrapolate(u.values, u_older.values, theta),
+            _extrapolate(au, au_older, theta))
 
 
 def _extrapolate(v: np.ndarray, v_older: np.ndarray, theta: float):
@@ -606,10 +598,8 @@ def _extrapolate(v: np.ndarray, v_older: np.ndarray, theta: float):
     return out
 
 
-def run(data: ProblemData, cfg: SolverConfig,
-        init: SolverState | None = None) -> SolverState:
-    """Iterate cfg.algorithm from init (default zero), whose fields must
-    live on data.mesh, to a saddle point.
+def run(data: ProblemData, cfg: SolverConfig) -> SolverState:
+    """Iterate cfg.algorithm from zero to a saddle point.
 
     An outer iteration sweeps a u-solve and a flux recovery, then updates
     the multiplier. The uncoupled algorithm makes one sweep. The coupled one
@@ -624,11 +614,16 @@ def run(data: ProblemData, cfg: SolverConfig,
     for the first two iterations (see _extrapolated_start); later sweeps
     start from the current u. A later sweep whose u-solve returns that
     start unchanged ends the sweeps without a flux step, which would
-    rebuild eta bit for bit and pass the eta test at distance 0. Each
-    u-solve after the first starts from a product A u0 made from the
-    products its predecessors accepted, extrapolated as u is, in place of
-    forming it (see solve_linear). The energy reuses the flux step's
-    lifting of u. The u-solves stop at the
+    rebuild eta bit for bit and pass the eta test at distance 0. Where
+    MAX_INNER sweeps end without meeting the eta test, inner_converged is
+    False; converged follows the outer test alone.
+
+    Every u-solve takes and returns a pair (u, A u) (see solve_linear), so
+    no start product is formed: the first starts from the zero pair, a
+    later sweep from the pair the last solve returned, and the first sweep
+    of an outer iteration from that pair and the pair an outer iteration
+    back, extrapolated alike. A missed solve returns its pair too. The
+    energy reuses the flux step's lifting of u. The u-solves stop at the
     relative residual max(LINEAR_TOL, LINEAR_RATIO ||Bu - eta|| /
     max(1, ||eta||)) with the same residual.
     While it is inf, in the first outer iteration, they stop at
@@ -660,20 +655,18 @@ def run(data: ProblemData, cfg: SolverConfig,
         raise ValueError("iteration requires r > 0")
     _check_step_size(cfg)
     mesh = data.mesh
-    # state alone holds the start fields, so each is freed once replaced
-    state = (_zero_state(mesh) if init is None else
-             SolverState(u=init.u, eta=init.eta, lam=init.lam))
-    for f in (state.u, state.eta, state.lam):
-        if f.mesh != mesh:
-            raise ValueError(f"init lives on {f.mesh}, the problem on {mesh}")
+    m = mesh.n_elements
+    state = SolverState(u=DgScalar(mesh, np.zeros(m)),
+                        eta=DgVector(mesh, np.zeros((m, 2))),
+                        lam=DgVector(mesh, np.zeros((m, 2))))
     matrix = assemble_matrix(data, cfg)
-    sweeps = MAX_INNER if cfg.algorithm == Algorithm.COUPLED else 1
-    relax = (RELAX if cfg.algorithm == Algorithm.UNCOUPLED
-             and cfg.effective_rho == cfg.r else 1.0)
+    coupled = cfg.algorithm == Algorithm.COUPLED
+    sweeps = MAX_INNER if coupled else 1
+    relax = RELAX if not coupled and cfg.effective_rho == cfg.r else 1.0
     rtol = max(LINEAR_TOL, LINEAR_RATIO)
-    # au = A u where a solve gave it, and older the (u, A u) an outer
-    # iteration back
-    au = older = None
+    # (state.u, au) the last pair, from the zero one, and older the pair
+    # an outer iteration back
+    au, older = np.zeros(m), None
     for n in range(1, cfg.max_outer + 1):
         lam_prev = state.lam
         tol_inner = max(TOL_INNER, INNER_RATIO * state.residual_constraint)
@@ -702,7 +695,7 @@ def run(data: ProblemData, cfg: SolverConfig,
             state.eta = DgVector(mesh, eta)
             state.flux_passes += passes
             # a NaN flux passes too; the checks below end the run on it
-            if sweeps == 1 or not _distance(state.eta, eta_prev) > tol_inner:
+            if not coupled or not _distance(state.eta, eta_prev) > tol_inner:
                 break
         else:
             state.inner_converged = False

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dg import DgScalar
 from .energy import ProblemData
-from .exponent import ExponentField, manufactured_exponent
+from .exponent import ExponentField
 from .mesh import (Domain, _check_counts, _sample, build_uniform_mesh,
                    gauss_points)
 from .solver import SolverConfig, run
@@ -23,6 +23,7 @@ __all__ = [
     "FLUX_CONSTANT",
     "ManufacturedProblem",
     "StudyRow",
+    "manufactured_exponent",
     "manufactured_problem",
     "l2_error",
     "exact_l2_norm",
@@ -58,6 +59,19 @@ class ManufacturedProblem:
 def manufactured_problem(b: float) -> ManufacturedProblem:
     """Problem with known solution; b = 0 is the linear (p = 2) case."""
     return _problem(b)
+
+
+def manufactured_exponent(b: float) -> ExponentField:
+    """Exponent family on [-1,1]^2: p(x) = 1 + 1/((b/2)(x1+x2) + 1 + b),
+    with p1 = 1 + 1/(1+2b), p2 = 2; b = 0 gives the constant 2. The exact
+    u of manufactured_problem(b) is built for this p, so that its flux is
+    the constant one; b must be finite and nonnegative here, and small
+    enough there that u^2 stays finite."""
+    # NaN passes b < 0, and b = inf makes p1 NaN
+    if not (np.isfinite(b) and b >= 0):
+        raise ValueError(f"b must be finite and nonnegative, got {b!r}")
+    func = lambda x, y: 1.0 + 1.0 / ((b / 2.0) * (np.asarray(x, float) + y) + 1.0 + b)
+    return ExponentField(func, p1=1.0 + 1.0 / (1.0 + 2.0 * b), p2=2.0)
 
 
 def _problem(b: float) -> ManufacturedProblem:

@@ -134,6 +134,22 @@ def test_every_system_matrix_field_is_read_by_the_u_solve():
     assert not fields - read, f"never read: {sorted(fields - read)}"
 
 
+def test_solve_linear_never_returns_a_missing_product():
+    # every exit of the u-solve returns the pair (x, A x), the product
+    # formed or NaN beside a NaN x, so no caller branches on a missing
+    # one: no return of solve_linear puts the constant None in its tuple
+    tree = ast.parse(Path(pxdg.__path__[0], "solver.py").read_text())
+    func, = (node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "solve_linear")
+    returns = [node for node in ast.walk(func) if isinstance(node, ast.Return)]
+    assert returns and all(isinstance(node.value, ast.Tuple)
+                           for node in returns)
+    found = [node.lineno for node in returns for item in node.value.elts
+             if isinstance(item, ast.Constant) and item.value is None]
+    assert not found, f"solve_linear returns None at lines {found}"
+
+
 def test_only_run_writes_the_solver_state():
     # run owns the SolverState it returns: no other function stores to an
     # attribute of a name state, by plain or augmented assignment, so the

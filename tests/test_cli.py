@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pxdg.cli
+import pxdg.solver
 import pxdg.study
 from edge_loop import edges
 from pxdg import (Algorithm, Domain, ExponentField, ManufacturedProblem,
@@ -107,6 +108,21 @@ def test_solve_reports_constraint_residual(tmp_path, capsys):
     fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
     assert fields["converged"] == "True" and fields["iterations"] == "2"
     assert float(fields["constraint_residual"]) > 0.1
+
+
+def test_solve_reports_inner_misses(tmp_path, capsys, monkeypatch):
+    # ALG1's inner sweeps that end at MAX_INNER without meeting the eta test
+    # are reported after converged=, which alone sets the exit code
+    out = str(tmp_path / "solution.csv")
+    argv = ["solve", "--b", "0.5", "--nx", "10", "--alg", "1", "--out", out]
+    for max_inner, inner in ((pxdg.solver.MAX_INNER, "True"), (1, "False")):
+        monkeypatch.setattr(pxdg.solver, "MAX_INNER", max_inner)
+        assert main(argv) == 0
+        line = capsys.readouterr().out
+        fields = dict(tok.split("=") for tok in line.split())
+        assert fields["converged"] == "True"
+        assert fields["inner_converged"] == inner
+        assert f"converged=True inner_converged={inner} " in line
 
 
 def test_solve_reports_relative_error(tmp_path, capsys):

@@ -193,21 +193,42 @@ def test_l2_norm_values():
 
 @pytest.mark.parametrize("shape", [(15,), (15, 2)])
 def test_l2_norm_is_one_dot_product(shape):
-    # sqrt(area v . v) agrees with the area-weighted sum of squares, and a
-    # non-finite value, or one whose square overflows, makes it inf or NaN
+    # sqrt(area v . v), bit for bit, agrees with the area-weighted sum of
+    # squares, and a non-finite value makes it inf or NaN
     mesh = build_uniform_mesh(Domain(0.5, 2.0, -1.0, 0.2), 5, 3)
     field = DgScalar if len(shape) == 1 else DgVector
     rng = np.random.default_rng(14)
     for size in (1e-150, 1.0, 1e150):
         v = size * rng.normal(size=shape)
+        got = l2_norm(field(mesh, v))
+        flat = v.ravel()
+        assert got == float(np.sqrt(mesh.dx * mesh.dy * (flat @ flat)))
         want = np.sqrt((mesh.dx * mesh.dy * v ** 2).sum())
-        assert l2_norm(field(mesh, v)) == pytest.approx(want, rel=1e-14)
-    for bad in (np.inf, -np.inf, 1e200, np.nan):
+        assert got == pytest.approx(want, rel=1e-14)
+    for bad in (np.inf, -np.inf, np.nan):
         v = rng.normal(size=shape)
         v.flat[4] = bad
-        with np.errstate(over="ignore"):  # 1e200^2 warns, as it did squared
-            got = l2_norm(field(mesh, v))
+        got = l2_norm(field(mesh, v))
         assert np.isnan(got) if np.isnan(bad) else got == np.inf
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 2)])
+def test_l2_norm_scales_an_overflowing_square(shape):
+    # finite values whose squares overflow give the norm, silently: a
+    # field of 1e200s on the square of area 4 has norm 2e200 per component
+    mesh = build_uniform_mesh(SQUARE, 3, 3)
+    field = DgScalar if len(shape) == 1 else DgVector
+    huge = np.full(shape, 1e200)
+    want = 2e200 * np.sqrt(huge.size // 9)
+    assert l2_norm(field(mesh, huge)) == pytest.approx(want, rel=1e-15)
+    assert l2_norm(field(mesh, -huge)) == pytest.approx(want, rel=1e-15)
+    # one such value amid O(1) ones, of cell area 4/9, dominates the norm
+    v = np.random.default_rng(15).normal(size=shape)
+    v.flat[4] = 1e200
+    assert l2_norm(field(mesh, v)) == pytest.approx(1e200 * 2.0 / 3.0,
+                                                    rel=1e-15)
+    # a norm beyond the doubles is inf
+    assert l2_norm(field(mesh, np.full(shape, 1e308))) == np.inf
 
 
 def test_l2_norm_matches_quadratic_modular():
