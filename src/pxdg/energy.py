@@ -133,30 +133,55 @@ def grad_F(q: DgVector, data: ProblemData) -> DgVector:
     return DgVector(data.mesh, factor[:, None] * q.values)
 
 
-def eval_G(v: DgScalar, data: ProblemData) -> float:
-    """Half of: mean-square data misfit + weighted boundary and jump penalties."""
+def _jumps(v: DgScalar, data: ProblemData) -> tuple:
+    """(jx, jy): the jumps of v across every edge, on the edge grids, with
+    ubar beyond the boundary."""
     mesh = data.mesh
-    total, xbar, spread, _ = data.xi_moments
-    misfit = v.values - xbar
-    data_term = total * float(misfit @ misfit) + spread
-
-    # the jumps across every edge, on the edge grids, with ubar beyond the
-    # boundary: cx and cy times their squares
-    cx, cy = data.penalty_weights
-    ux, uy, bnd_spread = data.boundary_moments
+    ux, uy, _ = data.boundary_moments
     grid = v.values.reshape(mesh.ny, mesh.nx)
-    jx, jy = np.empty(cx.shape), np.empty(cy.shape)
+    jx = np.empty((mesh.ny, mesh.nx + 1))
+    jy = np.empty((mesh.ny + 1, mesh.nx))
     np.subtract(grid[:, :1], ux[:, :1], out=jx[:, :1])
     np.subtract(grid[:, 1:], grid[:, :-1], out=jx[:, 1:-1])
     np.subtract(ux[:, 1:], grid[:, -1:], out=jx[:, -1:])
     np.subtract(grid[:1], uy[:1], out=jy[:1])
     np.subtract(grid[1:], grid[:-1], out=jy[1:-1])
     np.subtract(uy[1:], grid[-1:], out=jy[-1:])
-    for c, j in ((cx, jx), (cy, jy)):
+    return jx, jy
+
+
+def _squares(misfit: np.ndarray, jx: np.ndarray, jy: np.ndarray,
+             data: ProblemData) -> tuple:
+    """W misfit . misfit and the sum of cx jx^2 + cy jy^2, the jumps
+    squared in place: G without its constants C (see xi_moments and
+    boundary_moments)."""
+    total = data.xi_moments[0]
+    for c, j in zip(data.penalty_weights, (jx, jy)):
         j *= j
         j *= c
-    edge_term = float(jx.sum() + jy.sum()) + bnd_spread
-    return 0.5 * (data_term + edge_term)
+    return total * float(misfit @ misfit), float(jx.sum() + jy.sum())
+
+
+def eval_G(v: DgScalar, data: ProblemData) -> float:
+    """Half of: mean-square data misfit + weighted boundary and jump
+    penalties. Where their sum overflows but every misfit and jump is
+    finite, they are divided by their largest magnitude top first and the
+    sum multiplied back by top twice, as dg.l2_norm scales, so that G is
+    inf only where it is itself."""
+    spread, bnd_spread = data.xi_moments[2], data.boundary_moments[2]
+    misfit = v.values - data.xi_moments[1]
+    with np.errstate(over="ignore"):
+        data_sq, edge_sq = _squares(misfit, *_jumps(v, data), data)
+        energy = 0.5 * ((data_sq + spread) + (edge_sq + bnd_spread))
+        if energy == np.inf:
+            parts = (misfit, *_jumps(v, data))  # the jumps again, unsquared
+            top = max(float(np.abs(part).max()) for part in parts)
+            if top < np.inf:  # and not NaN
+                data_sq, edge_sq = _squares(*(part / top for part in parts),
+                                            data)
+                energy = 0.5 * ((data_sq + edge_sq) * top * top
+                                + spread + bnd_spread)
+    return energy
 
 
 def eval_Jh(v: DgScalar, data: ProblemData,

@@ -111,9 +111,21 @@ def _problem(b: float) -> ManufacturedProblem:
 
 def _gauss_l2(mesh, values, func) -> float:
     """L2 norm of values - func, values P0 on the (ny, nx) grid, under 3x3
-    Gauss taken one point of every element at a time."""
-    total = sum(w * float(np.square(values - _sample(func, x, y)).sum())
+    Gauss taken one point of every element at a time. Where the sum of
+    squares overflows but every difference is finite, the differences are
+    divided by their largest magnitude top first and the norm is top times
+    the root of that sum, as dg.l2_norm does; u is sampled again for it."""
+    def differences():
+        return ((w, values - _sample(func, x, y))
                 for x, y, w in gauss_points(mesh))
+    with np.errstate(over="ignore"):  # inf only where the norm itself is
+        total = sum(w * float(np.square(d).sum()) for w, d in differences())
+        if total == np.inf:
+            top = max(float(np.abs(d).max()) for _, d in differences())
+            if top < np.inf:  # and not NaN
+                total = sum(w * float(np.square(d / top).sum())
+                            for w, d in differences())
+                return top * float(np.sqrt(total))
     return float(np.sqrt(total))
 
 

@@ -167,6 +167,24 @@ def test_only_run_writes_the_solver_state():
     assert not found, f"SolverState written outside run: {found}"
 
 
+def test_one_function_computes_the_increment_ratio():
+    # theta = min(0.9, ||du_n|| / ||du_{n-1}||) has one owner, _ratio, so
+    # the extrapolated start and the predicted stop read one value: no
+    # other min(0.9, ...) in solver.py, and both read _ratio
+    tree = ast.parse(Path(pxdg.__path__[0], "solver.py").read_text())
+    funcs = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)]
+    owners = [func.name for func in funcs for node in ast.walk(func)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "min"
+              and any(isinstance(arg, ast.Constant) and arg.value == 0.9
+                      for arg in node.args)]
+    assert owners == ["_ratio"], f"min(0.9, ...) in {owners}"
+    readers = {func.name for func in funcs for node in ast.walk(func)
+               if isinstance(node, ast.Name) and node.id == "_ratio"}
+    assert readers == {"_extrapolated_start", "_stop_predicted"}
+
+
 def test_only_assemble_matrix_names_float32():
     # the precision of the preconditioner's transforms has one owner:
     # assemble_matrix chooses it, and _precondition reads it off the arrays

@@ -336,6 +336,20 @@ def test_overflowing_b_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "b=300" in err
 
 
+def test_norms_stay_finite_at_the_top_of_b(tmp_path, capsys):
+    # at b = 179.3, the top of the accepted range, |u| reaches ~1e154 and
+    # the sums of squares behind J_h and the L2 errors overflow at
+    # nx = 400: the run goes on with finite norms rather than stopping at
+    # iteration 1 on jh=inf and l2_error=inf
+    out = str(tmp_path / "x.csv")
+    assert main(["solve", "--b", "179.3", "--nx", "400", "--max-iter", "2",
+                 "--out", out]) == 2
+    fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+    assert fields["iterations"] == "2"
+    for name in ("l2_error", "rel_l2_error", "jh", "constraint_residual"):
+        assert np.isfinite(float(fields[name])), name
+
+
 def test_config_file_sets_defaults(tmp_path):
     out = str(tmp_path / "x.csv")
     cfg = tmp_path / "solver.cfg"

@@ -176,6 +176,61 @@ def test_eval_G_matches_pointwise_quadrature():
     assert spread == pytest.approx(data_term, rel=1e-12)
 
 
+def _plain_G(v, data):
+    # G as one sum of unscaled squares, the operations of eval_G's plain
+    # path in their order: W misfit . misfit + C, and the edge weights
+    # times the squared jumps on the edge grids, with ubar beyond the
+    # boundary, + C
+    mesh = data.mesh
+    total, xbar, spread, _ = data.xi_moments
+    ux, uy, bnd_spread = data.boundary_moments
+    misfit = v - xbar
+    grid = v.reshape(mesh.ny, mesh.nx)
+    jx = np.hstack([grid[:, :1] - ux[:, :1], grid[:, 1:] - grid[:, :-1],
+                    ux[:, 1:] - grid[:, -1:]])
+    jy = np.vstack([grid[:1] - uy[:1], grid[1:] - grid[:-1],
+                    uy[1:] - grid[-1:]])
+    cx, cy = data.penalty_weights
+    edge = float((jx * jx * cx).sum() + (jy * jy * cy).sum())
+    return 0.5 * ((total * float(misfit @ misfit) + spread)
+                  + (edge + bnd_spread))
+
+
+def test_eval_G_plain_path_is_one_sum_of_squares():
+    # where no square overflows, G is the plain sum, bit for bit
+    mesh = build_uniform_mesh(SQUARE, 9, 7)
+    data = make_data(mesh, b=0.5, xi=lambda x, y: np.sin(3 * x) + x * y,
+                     u_D=lambda x, y: x - y)
+    rng = np.random.default_rng(26)
+    for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+        v = scale * rng.normal(size=mesh.n_elements)
+        assert eval_G(DgScalar(mesh, v), data) == _plain_G(v, data)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_eval_G_scales_an_overflowing_sum(b):
+    # G is quadratic in (v, xi, u_D) together. At 3e153 times each, the
+    # misfit's sum of squares overflows on 16 x 16 while W times it, and so
+    # G, stay finite: G scales by the square, silently. Beyond the largest
+    # double it is inf, and a NaN value gives NaN
+    mesh = build_uniform_mesh(SQUARE, 16, 16)
+    rng = np.random.default_rng(27)
+    v = 1.0 + 0.01 * rng.normal(size=mesh.n_elements)
+    one = lambda x, y: np.ones_like(np.asarray(x, float))
+    scale = 3e153
+    big = make_data(mesh, b=b, xi=lambda x, y: scale * np.sin(x + y),
+                    u_D=lambda x, y: scale * one(x, y))
+    misfit = scale * v - big.xi_moments[1]
+    with np.errstate(over="ignore"):
+        assert misfit @ misfit == np.inf
+    want = eval_G(DgScalar(mesh, v), make_data(
+        mesh, b=b, xi=lambda x, y: np.sin(x + y), u_D=one)) * scale * scale
+    got = eval_G(DgScalar(mesh, scale * v), big)
+    assert np.isfinite(got) and got == pytest.approx(want, rel=1e-12)
+    assert eval_G(DgScalar(mesh, 1e200 * v), big) == np.inf
+    assert np.isnan(eval_G(DgScalar(mesh, np.where(v > 1.0, np.nan, v)), big))
+
+
 @pytest.mark.parametrize("nx, ny", [(64, 64), (128, 96)])
 def test_xi_moments_memory(nx, ny):
     # xi is sampled one Gauss point at a time into one (m, 9) array: the

@@ -613,16 +613,18 @@ def test_solve_linear_is_exact_at_p2(r, iterations, domain, nx, ny,
     assert np.abs(sm.matrix @ u - rhs).max() <= pxdg.solver.LINEAR_TOL * scale
 
 
-# at b = 0.5, nx = 54 the run needs 37 iterations over its 16 u-solves,
+# at b = 0.5, nx = 54 the run needs 24 iterations over its 16 u-solves,
 # which stop early while ||Bu - eta|| is large (the first at LINEAR_RATIO)
-# and start from u extrapolated along its last increment. With a tight first
-# solve it needed 44, and unrelaxed 43 over 27 (63 from the bare previous u,
-# 157 if each went to LINEAR_TOL). At b = 2, nx = 31 it needs 66 over 39
-# (75 with a tight first solve, unrelaxed 142 over 57, and 237 from the bare
-# u). At b = 0 the preconditioner is the inverse: one iteration per u-solve
+# and start from u extrapolated along its last increment; only the last is
+# tight. At LINEAR_RATIO = 1e-3 it needed 37; with a tight first solve 44,
+# and unrelaxed 43 over 27 (63 from the bare previous u, 157 if each went to
+# LINEAR_TOL). At b = 2, nx = 31 it needs 54 over 38 (66 over 39 at
+# LINEAR_RATIO = 1e-3, 75 with a tight first solve, unrelaxed 142 over 57,
+# and 237 from the bare u). At b = 0 the preconditioner is the inverse: one
+# iteration per u-solve
 @pytest.mark.parametrize("b", [0.5, 0.0, 2.0])
 def test_run_conjugate_gradient_iterations(b, monkeypatch):
-    nx, bound = {0.5: (54, 50), 0.0: (54, None), 2.0: (31, 170)}[b]
+    nx, bound = {0.5: (54, 26), 0.0: (54, None), 2.0: (31, 170)}[b]
     _, data = manufactured_data(b, nx)
     calls = _count_preconditioner_calls(monkeypatch)
     state = run(data, SolverConfig())
@@ -733,29 +735,39 @@ def test_solve_linear_loose_tolerance(rtol):
     assert solve_linear(sm, rhs, exact, rtol=rtol)[1:3] == (True, 0)
 
 
+def _spy_schedule(monkeypatch):
+    # (rtol, tight) of each u-solve of a run, and (state, passed) of each
+    # stopping test, the predictions' included: those test a copy of the
+    # run's state
+    solves, checks = [], []
+    solve, check = pxdg.solver.solve_linear, pxdg.solver.stopping_check
+
+    def spied_solve(matrix, rhs, u0, rtol, au0):
+        out = solve(matrix, rhs, u0, rtol, au0)
+        solves.append((rtol, out[1]))
+        return out
+
+    def spied_check(state, cfg):
+        checks.append((state, check(state, cfg)))
+        return checks[-1][1]
+    monkeypatch.setattr(pxdg.solver, "solve_linear", spied_solve)
+    monkeypatch.setattr(pxdg.solver, "stopping_check", spied_check)
+    return solves, checks
+
+
 def test_run_stops_only_after_a_tight_solve(monkeypatch):
-    # at LINEAR_RATIO = 0.2 the warm start can meet the loose tolerance,
-    # and a u-solve returns it unchanged: the u-increment is 0 and the
-    # stopping test passes after a loose solve (at iteration 17). The run
-    # must go on with a tight solve.
-    _, data = manufactured_data(0.5, 54)
+    # at LINEAR_RATIO = 0.2 a loose u-solve stops so early that the stopping
+    # test passes after it where _stop_predicted did not foresee the pass
+    # (b = 0.5, nx = 10, at iteration 11; at nx = 54 the prediction now
+    # foresees every such pass). The run must go on with a tight solve.
+    _, data = manufactured_data(0.5, 10)
     monkeypatch.setattr(pxdg.solver, "LINEAR_RATIO", 0.0)  # every solve tight
     exact = run(data, SolverConfig(tol_outer=1e-12))
     monkeypatch.setattr(pxdg.solver, "LINEAR_RATIO", 0.2)
-    tight, passed = [], []
-    solve, check = pxdg.solver.solve_linear, pxdg.solver.stopping_check
-
-    def spied_solve(*args):
-        out = solve(*args)
-        tight.append(out[1])
-        return out
-
-    def spied_check(*args):
-        passed.append(check(*args))
-        return passed[-1]
-    monkeypatch.setattr(pxdg.solver, "solve_linear", spied_solve)
-    monkeypatch.setattr(pxdg.solver, "stopping_check", spied_check)
+    solves, checks = _spy_schedule(monkeypatch)
     state = run(data, SolverConfig())
+    tight = [t for _, t in solves]
+    passed = [ok for st, ok in checks if st is state]  # not the predictions
     assert state.converged and tight[-1]
     assert len(tight) == len(passed) == state.iteration
     assert any(p and not t for p, t in zip(passed, tight))  # the trap
@@ -765,6 +777,93 @@ def test_run_stops_only_after_a_tight_solve(monkeypatch):
             assert tight[n + 1]
     dist = np.abs(state.u.values - exact.u.values).max()
     assert dist <= 1e-7 * np.abs(exact.u.values).max()
+
+
+def test_default_run_makes_one_tight_solve_its_last(monkeypatch):
+    # the stop is predicted one iteration ahead, so the one solve at
+    # LINEAR_TOL is the one after which the run stops, and no iteration is
+    # spent confirming a loose pass
+    _, data = manufactured_data(0.5, 54)
+    solves, _ = _spy_schedule(monkeypatch)
+    state = run(data, SolverConfig())
+    assert state.converged and len(solves) == state.iteration == 16
+    assert [t for _, t in solves] == [False] * 15 + [True]
+    assert [rtol == pxdg.solver.LINEAR_TOL for rtol, _ in solves] == \
+        [False] * 15 + [True]
+
+
+def test_tight_solve_on_a_failed_prediction_does_not_stop_the_run(
+        monkeypatch):
+    # unrelaxed at rho = 0.8 r, b = 0.5, nx = 10: the stop is predicted at
+    # iteration 22, the tight solve of iteration 23 misses the test, and
+    # the run goes on to stop at 24, after another tight solve
+    _, data = manufactured_data(0.5, 10)
+    predicted, predict = [], pxdg.solver._stop_predicted
+
+    def spied_prediction(state, cfg):
+        predicted.append((state.iteration, predict(state, cfg)))
+        return predicted[-1][1]
+    solves, checks = _spy_schedule(monkeypatch)
+    monkeypatch.setattr(pxdg.solver, "_stop_predicted", spied_prediction)
+    state = run(data, SolverConfig(rho=0.8))
+    passed = [ok for st, ok in checks if st is state]
+    tight = [t for _, t in solves]
+    assert state.converged and state.iteration == 24
+    assert [n for n, ok in predicted if ok] == [22, 23]
+    assert tight[22] and not passed[22]  # iteration 23: tight, no stop
+    assert tight[23] and passed[23]
+    assert not any(tight[:22])
+
+
+def test_required_constraint_keeps_solves_loose_until_predicted(monkeypatch):
+    # under require_constraint the prediction also shrinks ||Bu - eta|| by
+    # its own last ratio, so no solve is tight before that predicted
+    # residual passes, though the predicted u-increment passes earlier
+    # (b = 0.5, nx = 10, rho = 0.8 r)
+    _, data = manufactured_data(0.5, 10)
+    cfg = SolverConfig(rho=0.8, require_constraint=True)
+    increment, constraint, predict = [], [], pxdg.solver._stop_predicted
+
+    def spied_prediction(state, cfg):
+        h, tol = state.history, cfg.tol_outer
+        ratios = [min(0.9, getattr(h[-1], name) / getattr(h[-2], name))
+                  if len(h) > 1 else np.inf
+                  for name in ("residual_u", "residual_constraint")]
+        increment.append(ratios[0] * state.residual_u
+                         <= tol * max(1.0, l2_norm(state.u)))
+        constraint.append(ratios[1] * state.residual_constraint
+                          <= tol * max(1.0, l2_norm(state.eta)))
+        return predict(state, cfg)
+    solves, _ = _spy_schedule(monkeypatch)
+    monkeypatch.setattr(pxdg.solver, "_stop_predicted", spied_prediction)
+    state = run(data, cfg)
+    tight = [t for _, t in solves]
+    assert state.converged and tight[-1]
+    first = constraint.index(True) + 1  # the iteration it first passes at
+    assert increment.index(True) + 1 < first
+    assert not any(tight[:first]) and state.iteration == first + 1
+
+
+# outer, CG, Newton and u-solve counts under the u-solve schedule
+# (LINEAR_RATIO and the predicted tight solve): summed over criterion 1's
+# 15 cells, and for the coupled algorithm at b = 0.5, nx = 64. A change to
+# the schedule shows here as a count, not only as a benchmark time. At
+# LINEAR_RATIO = 1e-3 without the prediction they were 143/248/542/143 and
+# 17/71/172/50
+def test_run_counts_of_the_solve_schedule(monkeypatch):
+    solves, _ = _spy_schedule(monkeypatch)
+
+    def counts(b, nx, algorithm):
+        solves.clear()
+        state = run(manufactured_data(b, nx)[1],
+                    SolverConfig(algorithm=algorithm))
+        assert state.converged
+        return np.array([state.iteration, state.linear_iterations,
+                         state.flux_passes, len(solves)])
+    study = sum(counts(b, nx, Algorithm.UNCOUPLED)
+                for b in (0.0, 0.25, 0.5) for nx in (10, 14, 22, 31, 54))
+    assert study.tolist() == [136, 186, 514, 136]
+    assert counts(0.5, 64, Algorithm.COUPLED).tolist() == [16, 42, 128, 46]
 
 
 def test_solve_linear_scales_huge_data():
@@ -908,7 +1007,7 @@ def test_solve_linear_returns_the_product_of_x_on_every_exit(monkeypatch):
 # none for a start: the first u-solve starts from the zero pair, and every
 # later one from the last accepted product, extrapolated as u is
 @pytest.mark.parametrize("b, nx, algorithm, products", [
-    (0.5, 54, Algorithm.UNCOUPLED, 53), (0.25, 31, Algorithm.COUPLED, 125)])
+    (0.5, 54, Algorithm.UNCOUPLED, 40), (0.25, 31, Algorithm.COUPLED, 93)])
 def test_run_matrix_products(b, nx, algorithm, products, monkeypatch):
     spies, starts = [], []
     assemble, solve = pxdg.solver.assemble_matrix, pxdg.solver.solve_linear
@@ -1584,8 +1683,8 @@ def test_run_dispatches_on_algorithm(monkeypatch):
 # the paper's steps: RELAX = 1.0 makes the uncoupled algorithm at rho = r
 # the unrelaxed iteration, so these pins predate the relaxed step
 @pytest.mark.parametrize("b, nx, algorithm, iterations, l2, jh", [
-    (0.5, 10, Algorithm.UNCOUPLED, 22, 1.0028175693037031, 50.19428811669475),
-    (0.25, 8, Algorithm.COUPLED, 20, 0.9506124493466878, 32.98384732928439),
+    (0.5, 10, Algorithm.UNCOUPLED, 21, 1.0028175755549535, 50.19428811669475),
+    (0.25, 8, Algorithm.COUPLED, 19, 0.9506124463182646, 32.98384732928439),
     (0.0, 6, Algorithm.UNCOUPLED, 2, 0.9241147661433949, 20.983263168451302),
 ])
 def test_run_pinned_outputs(b, nx, algorithm, iterations, l2, jh, monkeypatch):
@@ -1602,8 +1701,8 @@ def test_run_pinned_outputs(b, nx, algorithm, iterations, l2, jh, monkeypatch):
 # ~5 keeps only the ~1e-13 absolute accuracy of u-solves at LINEAR_TOL, so
 # their pins hold them to ~5e-13 absolute rather than 1e-12 relative
 @pytest.mark.parametrize("b, nx, algorithm, residual, rel", [
-    (0.5, 10, Algorithm.UNCOUPLED, 7.446461202241775e-08, 6e-6),
-    (0.25, 8, Algorithm.COUPLED, 1.2847988978913485e-07, 3e-6),
+    (0.5, 10, Algorithm.UNCOUPLED, 1.4829009542866364e-07, 6e-6),
+    (0.25, 8, Algorithm.COUPLED, 2.967243787662571e-07, 3e-6),
     (0.0, 6, Algorithm.UNCOUPLED, 0.8926130402601007, 1e-12),
 ])
 def test_run_pinned_residuals(b, nx, algorithm, residual, rel, monkeypatch):
@@ -1617,15 +1716,15 @@ def test_run_pinned_residuals(b, nx, algorithm, residual, rel, monkeypatch):
 
 
 # the default uncoupled run at rho = r, over-relaxed by RELAX = 1.5: b = 0.5
-# takes 13 iterations where the unrelaxed one takes 22, and b = 0 still
+# takes 12 iterations where the unrelaxed one takes 21, and b = 0 still
 # stops at iteration 2. The multiplier moves by rho (h - eta), with
 # h = RELAX Bu + (1 - RELAX) eta_prev, so residual_lambda = rho ||h - eta||
 # is pinned apart from ||Bu - eta||. The b = 0.5 residuals are cancellations
 # held to ~5e-13 absolute, as above
 @pytest.mark.parametrize(
     "b, nx, iterations, l2, jh, constraint, rel_c, lam, rel_l", [
-        (0.5, 10, 13, 1.0028175642460724, 50.19428811669475,
-         2.7369532929481244e-09, 2e-4, 1.3623397852103101e-08, 4e-5),
+        (0.5, 10, 12, 1.002817565827797, 50.19428811669475,
+         1.1018398123354706e-08, 2e-4, 5.4229564544293125e-08, 4e-5),
         (0.0, 6, 2, 0.9241147661433953, 20.98326316845131,
          0.22315326006502512, 1e-12, 0.6694597801950755, 1e-12),
     ])
@@ -1673,7 +1772,7 @@ def test_relaxed_run_reaches_the_unrelaxed_solution(monkeypatch):
     relaxed = _run_at_relax(data, SolverConfig(), 1.5, monkeypatch)
     plain = _run_at_relax(data, SolverConfig(), 1.0, monkeypatch)
     assert relaxed.converged and plain.converged
-    assert (relaxed.iteration, plain.iteration) == (14, 25)
+    assert (relaxed.iteration, plain.iteration) == (14, 24)
     dist = np.abs(relaxed.u.values - plain.u.values).max()
     assert dist <= 1e-7 * np.abs(plain.u.values).max()
 

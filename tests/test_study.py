@@ -11,7 +11,7 @@ import pytest
 from edge_loop import edges, weighted_jump_norm
 from pxdg import (DgScalar, Domain, FLUX_CONSTANT, ManufacturedProblem,
                   SolverConfig, StudyRow, build_uniform_mesh, exact_l2_norm,
-                  fit_rate, l2_error, manufactured_exponent,
+                  fit_rate, gauss_points, l2_error, manufactured_exponent,
                   manufactured_problem, run_study)
 import pxdg.study
 from pxdg.cli import main
@@ -213,6 +213,46 @@ def test_l2_error_scales_linearly():
         exact_u=lambda x, y: 2.0 * prob.exact_u(x, y),
         grad_u=prob.grad_u)
     assert l2_error(u_h, doubled) == pytest.approx(2.0 * base, rel=1e-12)
+
+
+def test_l2_error_plain_path_is_one_sum_of_squares():
+    # where no square overflows, the error is the plain Gauss sum, bit for
+    # bit
+    prob = manufactured_problem(0.5)
+    mesh = build_uniform_mesh(prob.domain, 9, 7)
+    rng = np.random.default_rng(32)
+    for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+        u_h = scale * rng.normal(size=(mesh.ny, mesh.nx))
+        total = sum(w * float(np.square(u_h - prob.exact_u(x, y)).sum())
+                    for x, y, w in gauss_points(mesh))
+        got = l2_error(DgScalar(mesh, u_h.ravel()), prob)
+        assert got == float(np.sqrt(total))
+
+
+def test_l2_error_scales_an_overflowing_sum():
+    # at 1e154 times both fields the sum of squares overflows while the
+    # norm stays finite: the error and the exact norm scale by 1e154,
+    # silently. A field beyond the largest double still gives inf, and a
+    # NaN value gives NaN
+    prob = manufactured_problem(0.5)
+    mesh = build_uniform_mesh(prob.domain, 4, 4)
+    u_h = np.random.default_rng(33).normal(size=mesh.n_elements)
+    scale = 1e154
+    big = ManufacturedProblem(
+        b=0.5, exponent=prob.exponent,
+        exact_u=lambda x, y: scale * prob.exact_u(x, y), grad_u=prob.grad_u)
+    with np.errstate(over="ignore"):
+        assert np.square(scale * u_h).sum() == np.inf
+    for got, want in (
+            (l2_error(DgScalar(mesh, scale * u_h), big),
+             l2_error(DgScalar(mesh, u_h), prob)),
+            (exact_l2_norm(big, mesh), exact_l2_norm(prob, mesh))):
+        assert np.isfinite(got) and got == pytest.approx(scale * want,
+                                                         rel=1e-12)
+    huge = DgScalar(mesh, np.full(mesh.n_elements, 1e308))
+    assert l2_error(huge, big) == np.inf
+    u_h[3] = np.nan
+    assert np.isnan(l2_error(DgScalar(mesh, scale * u_h), big))
 
 
 def test_run_study_empty():
