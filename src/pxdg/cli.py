@@ -133,6 +133,7 @@ def _cmd_solve(args) -> int:
           f"l2_error={err:.6g} rel_l2_error={rel_err:.6g} "
           f"iterations={state.iteration} "
           f"cg_iterations={state.linear_iterations} "
+          f"u_solves={state.u_solves} "
           f"flux_passes={state.flux_passes} jh={state.energy:.6g} "
           f"converged={state.converged} "
           f"inner_converged={state.inner_converged} "

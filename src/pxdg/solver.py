@@ -65,12 +65,17 @@ LINEAR_TOL = 1e-12  # solve_linear stops at max|res| <= this * max(1, max|rhs|)
 MAX_LINEAR = 1000  # solve_linear: conjugate-gradient iterations per solve
 STALL = 50  # ... and iterations without a new minimum of max|res|
 TOL_INNER = 1e-10  # coupled algorithm: eta increment ending the inner sweeps
-INNER_RATIO = 1e-2  # ... or this share of the previous outer ||Bu - eta||
+INNER_RATIO = 1e-1  # ... or this share of the previous outer ||Bu - eta||:
+# loose u-solves do not resolve eta finer, and at 1e-2 ALG1 at b = 0.5,
+# nx = 128 ended 14 of its 15 multi-sweep iterations on a u-solve that
+# returned its start (7 at 2e-2, 1 at 5e-2, none at 0.1 or 0.3)
 LINEAR_RATIO = 5e-3  # loose u-solves in run stop at this share of
 # ||Bu - eta|| / max(1, ||eta||) (see run): ALG1 at b = 0.5, nx = 128
 # took 67 CG iterations at 1e-3 and takes 44 at 5e-3
 RELAX = 1.5  # uncoupled algorithm at rho = r: over-relaxation of Bu (see run)
-MAX_INNER = 200  # coupled algorithm: inner sweeps per multiplier step
+MAX_INNER = 400  # coupled algorithm: inner sweeps per multiplier step; at
+# r = 10 the sweeps contract by 1-2% each, and b = 2, nx = 54 takes up to
+# 240 of them in an outer iteration
 MAX_NEWTON = 200  # flux root: Newton passes per call
 FLUX_BLOCK = 16384  # rows per block of the flux step's root solves and of
 # A @ x (see _eta_from, _SymmetricBands); at nx = 400 both ran slower at
@@ -145,6 +150,7 @@ class SolverState:
     inner_converged: bool = True
     linear_iterations: int = 0  # conjugate-gradient iterations of the run
     flux_passes: int = 0  # Newton passes of the run's flux root solves
+    u_solves: int = 0  # solve_linear calls of the run
     history: list = field(default_factory=list)
 
 
@@ -640,10 +646,11 @@ def run(data: ProblemData, cfg: SolverConfig) -> SolverState:
     theta the ratio of the last two u-increments capped at 0.9 and 0
     for the first two iterations (see _extrapolated_start); later sweeps
     start from the current u. A later sweep whose u-solve returns that
-    start unchanged ends the sweeps without a flux step, which would
+    start unchanged settles the sweeps without a flux step, which would
     rebuild eta bit for bit and pass the eta test at distance 0. Where
     MAX_INNER sweeps end without meeting the eta test, inner_converged is
-    False; converged follows the outer test alone.
+    False; converged follows the outer test alone. u_solves counts the
+    u-solves of the run, sweeps and outer iterations together.
 
     Every u-solve takes and returns a pair (u, A u) (see solve_linear), so
     no start product is formed: the first starts from the zero pair, a
@@ -661,17 +668,24 @@ def run(data: ProblemData, cfg: SolverConfig) -> SolverState:
     1992), as they are while the constraint residual decays geometrically.
     A loose solve can return its start, and so a zero u-increment: the run
     stops only on an iteration whose last u-solve met LINEAR_TOL, and where
-    the stopping test passes after a looser one, the next iteration solves
-    at LINEAR_TOL and tests again. So that the iteration which stops is
-    mostly the first to pass, the next iteration also solves at LINEAR_TOL
+    the stopping test passes after a looser one, the next iteration ends
+    on a solve at LINEAR_TOL and tests again. So that the iteration which
+    stops is mostly the first to pass, the next iteration also ends tight
     where the test fails but is predicted to pass (_stop_predicted): its
     residuals shrink by their last ratios, theta for the u-increment as in
     the extrapolated start. A prediction that holds saves the iteration
-    that would confirm a loose pass, and one that fails costs a tight
-    iteration that does not stop the run. A non-finite u-increment,
-    ||Bu - eta||, multiplier step or energy ends the run unconverged,
-    before the next u-solve could take the non-finite flux or multiplier
-    into u.
+    that would confirm a loose pass, and one that fails costs an iteration
+    that does not stop the run. Only the last sweep of such an iteration
+    need be tight: the coupled algorithm sweeps at the loose tolerance
+    until the sweeps settle, by the eta test or on a solve that returns
+    its start, then sweeps at LINEAR_TOL until they settle again; a loose
+    solve that meets LINEAR_TOL all the same settles them for good. At
+    b = 0.5, nx = 128 the stopping iteration so takes 1 tight solve in
+    place of 3, and at b = 1 the tightened iterations take 2 in place of
+    10. The uncoupled algorithm's one sweep is its last, and is tight. A
+    non-finite u-increment, ||Bu - eta||, multiplier step or energy ends
+    the run unconverged, before the next u-solve could take the
+    non-finite flux or multiplier into u.
 
     The uncoupled algorithm at rho = r is over-relaxed (Eckstein and
     Bertsekas 1992; Boyd et al. 2011, sec. 3.4.3): the flux step solves
@@ -701,36 +715,45 @@ def run(data: ProblemData, cfg: SolverConfig) -> SolverState:
     # (state.u, au) the last pair, from the zero one, and older the pair
     # an outer iteration back
     au, older = np.zeros(m), None
+    # whether the iteration must end on a u-solve at LINEAR_TOL (see above)
+    tighten = False
     for n in range(1, cfg.max_outer + 1):
         lam_prev = state.lam
         tol_inner = max(TOL_INNER, INNER_RATIO * state.residual_constraint)
         u0, au0 = _extrapolated_start(state.u, au, older, state.history)
         older = state.u, au
+        last = tighten and not coupled  # whether the sweep solves tight
         for sweep in range(sweeps):
             eta_prev = state.eta
             rhs = assemble_rhs(state, data, cfg)
-            u, tight, iterations, au = solve_linear(matrix, rhs, u0, rtol,
-                                                    au0)
+            u, tight, iterations, au = solve_linear(
+                matrix, rhs, u0, LINEAR_TOL if last else rtol, au0)
             state.u = DgScalar(mesh, u)
             state.linear_iterations += iterations
-            # a later sweep's solve that returns its start (0 iterations;
-            # a zero rhs returns zeros instead) leaves Bu, and so the flux
+            state.u_solves += 1
+            # the sweeps settle on the eta test, or on a later sweep's
+            # solve that returns its start (0 iterations; a zero rhs
+            # returns zeros instead): that leaves Bu, and so the flux
             # step's eta, bit for bit as the last sweep made them
-            if sweep and not iterations and rhs.any():
+            settled = bool(sweep and not iterations and rhs.any())
+            if not settled:
+                u0, au0 = u, au
+                bu = lifting(state.u)
+                if relax == 1.0:
+                    h = bu.values
+                else:  # relax bu + (1 - relax) eta_prev, in one new buffer
+                    h = relax * bu.values
+                    h += (1.0 - relax) * eta_prev.values
+                eta, passes = _eta_from(h, state.lam.values, data.p_bar,
+                                        cfg.r)
+                state.eta = DgVector(mesh, eta)
+                state.flux_passes += passes
+                # a NaN flux passes too; the checks below end the run on it
+                settled = (not coupled
+                           or not _distance(state.eta, eta_prev) > tol_inner)
+            if settled and (last or tight or not tighten):
                 break
-            u0, au0 = u, au
-            bu = lifting(state.u)
-            if relax == 1.0:
-                h = bu.values
-            else:  # relax bu + (1 - relax) eta_prev, in one new buffer
-                h = relax * bu.values
-                h += (1.0 - relax) * eta_prev.values
-            eta, passes = _eta_from(h, state.lam.values, data.p_bar, cfg.r)
-            state.eta = DgVector(mesh, eta)
-            state.flux_passes += passes
-            # a NaN flux passes too; the checks below end the run on it
-            if not coupled or not _distance(state.eta, eta_prev) > tol_inner:
-                break
+            last = last or settled  # settled loose: sweep on at LINEAR_TOL
         else:
             state.inner_converged = False
         del rhs, u0, au0, eta_prev
@@ -755,9 +778,7 @@ def run(data: ProblemData, cfg: SolverConfig) -> SolverState:
         if passed and tight:
             state.converged = True
             break
-        if passed or _stop_predicted(state, cfg):
-            rtol = LINEAR_TOL
-        else:
-            rtol = max(LINEAR_TOL, LINEAR_RATIO * state.residual_constraint
-                       / max(1.0, l2_norm(state.eta)))
+        tighten = passed or _stop_predicted(state, cfg)
+        rtol = max(LINEAR_TOL, LINEAR_RATIO * state.residual_constraint
+                   / max(1.0, l2_norm(state.eta)))
     return state

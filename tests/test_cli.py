@@ -154,6 +154,26 @@ def test_solve_reports_linear_and_flux_work(tmp_path, capsys):
     assert state.iteration < state.linear_iterations < state.flux_passes
 
 
+def test_solve_reports_u_solves(tmp_path, capsys):
+    # u_solves= follows cg_iterations= and counts the run's u-solves: one
+    # per outer iteration of algorithm 2, one per inner sweep of algorithm 1
+    out = str(tmp_path / "solution.csv")
+    data = manufactured_problem(0.5).discretize(10, 10)
+    for alg in Algorithm:
+        assert main(["solve", "--b", "0.5", "--nx", "10", "--alg",
+                     str(int(alg)), "--out", out]) == 0
+        line = capsys.readouterr().out
+        fields = dict(tok.split("=") for tok in line.split())
+        state = run(data, SolverConfig(algorithm=alg))
+        assert int(fields["u_solves"]) == state.u_solves
+        assert (f"cg_iterations={state.linear_iterations} "
+                f"u_solves={state.u_solves} ") in line
+        if alg == Algorithm.UNCOUPLED:
+            assert state.u_solves == state.iteration
+        else:
+            assert state.u_solves > state.iteration
+
+
 def test_solve_samples_every_datum_on_the_grid(tmp_path, monkeypatch):
     # p, xi, u_D and the exact u each get two arrays of one shape laid out
     # on the grid: (ny, nx) at the cell centers and Gauss points, the edge
