@@ -65,17 +65,15 @@ LINEAR_TOL = 1e-12  # solve_linear stops at max|res| <= this * max(1, max|rhs|)
 MAX_LINEAR = 1000  # solve_linear: conjugate-gradient iterations per solve
 STALL = 50  # ... and iterations without a new minimum of max|res|
 TOL_INNER = 1e-10  # coupled algorithm: eta increment ending the inner sweeps
-INNER_RATIO = 1e-1  # ... or this share of the previous outer ||Bu - eta||:
-# loose u-solves do not resolve eta finer, and at 1e-2 ALG1 at b = 0.5,
-# nx = 128 ended 14 of its 15 multi-sweep iterations on a u-solve that
-# returned its start (7 at 2e-2, 1 at 5e-2, none at 0.1 or 0.3)
+INNER_RATIO = 1e-1  # ... or this share of the previous outer ||Bu - eta||,
+# as finely as the loose u-solves resolve eta (finer, they return their start)
+TIGHT_RATIO = 5e-2  # ... in a sweep whose u-solve met LINEAR_TOL (see run)
 LINEAR_RATIO = 5e-3  # loose u-solves in run stop at this share of
 # ||Bu - eta|| / max(1, ||eta||) (see run): ALG1 at b = 0.5, nx = 128
 # took 67 CG iterations at 1e-3 and takes 44 at 5e-3
 RELAX = 1.5  # uncoupled algorithm at rho = r: over-relaxation of Bu (see run)
 MAX_INNER = 400  # coupled algorithm: inner sweeps per multiplier step; at
-# r = 10 the sweeps contract by 1-2% each, and b = 2, nx = 54 takes up to
-# 240 of them in an outer iteration
+# r = 10 the sweeps contract by 1-2% each and can need over 200
 MAX_NEWTON = 200  # flux root: Newton passes per call
 FLUX_BLOCK = 16384  # rows per block of the flux step's root solves and of
 # A @ x (see _eta_from, _SymmetricBands); at nx = 400 both ran slower at
@@ -639,7 +637,11 @@ def run(data: ProblemData, cfg: SolverConfig) -> SolverState:
     repeats the sweep at frozen lam until eta moves by at most
     max(TOL_INNER, INNER_RATIO ||Bu - eta||) with the constraint residual of
     the previous outer iteration, up to MAX_INNER sweeps; that residual
-    starts at inf, so the first outer iteration makes one sweep.
+    starts at inf, so the first outer iteration makes one sweep. A sweep
+    whose u-solve met LINEAR_TOL is held to TIGHT_RATIO in place of
+    INNER_RATIO: a loose u-solve resolves eta no finer than INNER_RATIO,
+    and where the sweeps contract slowly (by 1-2% each at r = 10) eta's
+    error is many times its last increment, and the run may stop on it.
 
     u converges linearly, so the first u-solve of an outer iteration starts
     from u extrapolated along its last increment du, u + theta du, with
@@ -675,17 +677,16 @@ def run(data: ProblemData, cfg: SolverConfig) -> SolverState:
     residuals shrink by their last ratios, theta for the u-increment as in
     the extrapolated start. A prediction that holds saves the iteration
     that would confirm a loose pass, and one that fails costs an iteration
-    that does not stop the run. Only the last sweep of such an iteration
+    that does not stop the run. Only the last sweeps of such an iteration
     need be tight: the coupled algorithm sweeps at the loose tolerance
     until the sweeps settle, by the eta test or on a solve that returns
-    its start, then sweeps at LINEAR_TOL until they settle again; a loose
-    solve that meets LINEAR_TOL all the same settles them for good. At
-    b = 0.5, nx = 128 the stopping iteration so takes 1 tight solve in
-    place of 3, and at b = 1 the tightened iterations take 2 in place of
-    10. The uncoupled algorithm's one sweep is its last, and is tight. A
+    its start, then sweeps at LINEAR_TOL until they settle again. Its
+    last allowed sweep, the MAX_INNER-th, solves at LINEAR_TOL whether or
+    not the loose sweeps settled, so that the iteration ends tight. The
+    uncoupled algorithm's one sweep is its last, and is tight. A
     non-finite u-increment, ||Bu - eta||, multiplier step or energy ends
-    the run unconverged, before the next u-solve could take the
-    non-finite flux or multiplier into u.
+    the run unconverged, before the next u-solve could take the non-finite
+    flux or multiplier into u.
 
     The uncoupled algorithm at rho = r is over-relaxed (Eckstein and
     Bertsekas 1992; Boyd et al. 2011, sec. 3.4.3): the flux step solves
@@ -719,13 +720,15 @@ def run(data: ProblemData, cfg: SolverConfig) -> SolverState:
     tighten = False
     for n in range(1, cfg.max_outer + 1):
         lam_prev = state.lam
-        tol_inner = max(TOL_INNER, INNER_RATIO * state.residual_constraint)
+        tol_loose = max(TOL_INNER, INNER_RATIO * state.residual_constraint)
+        tol_tight = max(TOL_INNER, TIGHT_RATIO * state.residual_constraint)
         u0, au0 = _extrapolated_start(state.u, au, older, state.history)
         older = state.u, au
-        last = tighten and not coupled  # whether the sweep solves tight
+        last = False  # whether the sweep solves at LINEAR_TOL
         for sweep in range(sweeps):
             eta_prev = state.eta
             rhs = assemble_rhs(state, data, cfg)
+            last = last or tighten and sweep == sweeps - 1
             u, tight, iterations, au = solve_linear(
                 matrix, rhs, u0, LINEAR_TOL if last else rtol, au0)
             state.u = DgScalar(mesh, u)
@@ -749,9 +752,10 @@ def run(data: ProblemData, cfg: SolverConfig) -> SolverState:
                 state.eta = DgVector(mesh, eta)
                 state.flux_passes += passes
                 # a NaN flux passes too; the checks below end the run on it
+                tol_inner = tol_tight if tight else tol_loose
                 settled = (not coupled
                            or not _distance(state.eta, eta_prev) > tol_inner)
-            if settled and (last or tight or not tighten):
+            if settled and (last or not tighten):
                 break
             last = last or settled  # settled loose: sweep on at LINEAR_TOL
         else:

@@ -872,23 +872,31 @@ def test_run_counts_of_the_solve_schedule(monkeypatch):
 # r = 10, where each inner sweep contracts by only 1-2%: a change to the
 # sweeps' schedule that costs algorithm 1 work anywhere here shows as a
 # count. At INNER_RATIO = 1e-2, every sweep of a tightened iteration at
-# LINEAR_TOL, they were 1061/4320/15176/4208 and 8/1234/4394/1100
+# LINEAR_TOL, they were 1061/4320/15176/4208 and 8/1234/4394/1100. The
+# r = 10 run also stays within 1e-8 of max|u*| from u*, a tight run of
+# algorithm 2: its increment test understates the inner error most there
 COUPLED_SETTINGS = [{}, {"r": 0.1}, {"r": 10.0}, {"rho": 0.8},
                     {"tol_outer": 1e-10},
                     {"tol_outer": 1e-10, "require_constraint": True}]
 
 
 def test_coupled_counts_across_settings():
-    def counts(b, nx, **kw):
-        state = run(manufactured_data(b, nx)[1],
-                    SolverConfig(algorithm=Algorithm.COUPLED, **kw))
-        assert state.converged and state.inner_converged, (b, nx, kw)
-        return np.array([state.iteration, state.linear_iterations,
-                         state.flux_passes, state.u_solves])
-    grid = sum(counts(b, nx, **kw) for b in (0.25, 0.5, 2.0)
-               for nx in (10, 22) for kw in COUPLED_SETTINGS)
-    assert grid.tolist() == [1089, 3823, 13654, 3603]
-    assert counts(2.0, 54, r=10.0).tolist() == [9, 999, 3330, 833]
+    def counts(data, **kw):
+        state = run(data, SolverConfig(algorithm=Algorithm.COUPLED, **kw))
+        assert state.converged and state.inner_converged, kw
+        return state, np.array([state.iteration, state.linear_iterations,
+                                state.flux_passes, state.u_solves])
+    grid = sum(counts(manufactured_data(b, nx)[1], **kw)[1]
+               for b in (0.25, 0.5, 2.0) for nx in (10, 22)
+               for kw in COUPLED_SETTINGS)
+    assert grid.tolist() == [1094, 4228, 15002, 3946]
+    _, data = manufactured_data(2.0, 54)
+    state, slow = counts(data, r=10.0)
+    assert slow.tolist() == [9, 1043, 3506, 877]
+    exact = run(data, SolverConfig(tol_outer=1e-12, require_constraint=True))
+    assert exact.converged
+    u, u_star = state.u.values, exact.u.values
+    assert np.abs(u - u_star).max() <= 1e-8 * np.abs(u_star).max()
 
 
 def test_solve_linear_scales_huge_data():
@@ -1744,6 +1752,22 @@ def test_coupled_iteration_that_must_end_tight_solves_its_last_sweep_tight(
         first = tight.index(True)
         assert first >= 1 and all(tight[first:])
     assert state.u_solves == sum(map(len, outer))
+
+
+def test_coupled_iteration_that_must_end_tight_ends_tight_at_max_inner(
+        monkeypatch):
+    # where the loose sweeps of an iteration that must end tight have not
+    # settled by sweep MAX_INNER - 1, that sweep solves at LINEAR_TOL all
+    # the same, and the run can stop on it. At b = 0.5, nx = 54 the first
+    # sweep of every later iteration fails the eta test
+    monkeypatch.setattr(pxdg.solver, "MAX_INNER", 2)
+    _, data = manufactured_data(0.5, 54)
+    state, outer = _outer_sweeps(monkeypatch, data, SolverConfig(
+        algorithm=Algorithm.COUPLED, max_outer=40))
+    assert state.converged
+    tightened = [[tight for _, _, tight in sweeps] for sweeps in outer
+                 if any(tight for _, _, tight in sweeps)]
+    assert tightened and all(tight == [False, True] for tight in tightened)
 
 
 def test_coupled_loose_solve_that_returns_its_start_leads_into_a_tight_one(
